@@ -31,7 +31,7 @@ from .operators import Configuration, GlobalOperator
 from .dynamics import StateKind, evolve, evolve_trajectory, initial_state
 from .serialize import complex_pair, series_csv, spectrum_csv, trace_csv, trajectory_csv
 from .verify import FORMULA_IDS, run_formula
-from .zeta import zeta_log_series
+from .zeta import ZetaLogSeries
 
 _PI_FRACTION = re.compile(r"^(?P<sign>[+-]?)(?P<coef>\d+(?:\.\d+)?)?pi(?:/(?P<den>\d+(?:\.\d+)?))?$")
 
@@ -174,15 +174,15 @@ def cmd_validate(args) -> int:
 def cmd_zeta(args) -> int:
     cfg = _load_config(args)
     op = GlobalOperator(build_local(_require_model(cfg)), _single_n(cfg))
-    r_max = cfg.r_max or DEFAULTS.series_order
+    r_max = DEFAULTS.series_order if cfg.r_max is None else cfg.r_max
     traces = op.trace_powers(r_max)
+    series = ZetaLogSeries.from_traces(traces)
     if cfg.fmt == "csv":
         if getattr(args, "coefficients", False):
-            _emit(series_csv(zeta_log_series(op, r_max)), cfg.out)
+            _emit(series_csv(series), cfg.out)
         else:
             _emit(trace_csv(traces), cfg.out)
         return 0
-    series = zeta_log_series(op, r_max)
     doc = {
         "model": cfg.spec.to_json(),
         "n_sites": op.n_sites,
@@ -228,6 +228,9 @@ def cmd_verify(args) -> int:
     return 0 if report.passed else 3
 
 
+_STATE_KINDS = {"pca": StateKind.PCA_PROBABILITY, "qca": StateKind.QCA_AMPLITUDE}
+
+
 def cmd_evolve(args) -> int:
     cfg = _load_config(args)
     spec = _require_model(cfg)
@@ -242,7 +245,9 @@ def cmd_evolve(args) -> int:
             f"initial configuration has {config.n_sites} sites, --n is {n}"
         )
     if cfg.kind is not None:
-        kind = StateKind.PCA_PROBABILITY if cfg.kind == "pca" else StateKind.QCA_AMPLITUDE
+        if cfg.kind not in _STATE_KINDS:
+            raise DomainError(f"kind must be one of {tuple(_STATE_KINDS)}, got {cfg.kind!r}")
+        kind = _STATE_KINDS[cfg.kind]
     else:
         cls = classify(op.local)
         if cls.is_pca:
@@ -251,7 +256,9 @@ def cmd_evolve(args) -> int:
             kind = StateKind.QCA_AMPLITUDE
         else:
             raise KindMismatch("model is neither stochastic nor unitary; pass --kind")
-    steps = cfg.steps if cfg.steps is not None else 1
+    steps = 1 if cfg.steps is None else cfg.steps
+    if not isinstance(steps, int) or steps < 0:
+        raise DomainError(f"steps must be a nonnegative integer, got {steps!r}")
     start = initial_state(config, kind)
     if cfg.fmt == "json":
         doc = {"model": spec.to_json(), "n_sites": n, "kind": kind.value, "states": []}
@@ -318,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="evolve a basis configuration and dump site marginals as CSV")
     p.add_argument("--initial", help="initial configuration bits, e.g. 001")
     p.add_argument("--steps", type=int, help="number of time steps (default 1)")
-    p.add_argument("--kind", choices=("pca", "qca"),
+    p.add_argument("--kind", choices=tuple(_STATE_KINDS),
                    help="state kind; inferred from the model when omitted")
     p.set_defaults(func=cmd_evolve)
 

@@ -1,6 +1,14 @@
-"""Pure-numpy fallback for the two-site update sweep."""
+"""Two-site sweep kernel.
+
+The hot loop of every global-operator application is the sweep of 2x2
+block updates across the site chain, done here with one batched numpy
+matmul per site pair.
+"""
 
 import numpy as np
+
+# reported as ``ipszeta.KERNEL_BACKEND``; the numpy sweep is the only one
+BACKEND = "python"
 
 
 def sweep(vec, local, n_sites, tail=1):
@@ -22,3 +30,6 @@ def sweep(vec, local, n_sites, tail=1):
         # middle axis is the packed site pair 2k+l, exactly the row index of q
         out = np.matmul(q, out.reshape(-1, 4, inner)).reshape(-1)
     return out
+
+
+__all__ = ["sweep", "BACKEND"]

@@ -37,6 +37,9 @@ E11 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=np.complex128)
 for _m in (E00, E01, E10, E11):
     _m.setflags(write=False)
 
+# identity columns swept together by the trace and power engine
+_BLOCK_COLUMNS = 256
+
 
 @dataclass(frozen=True)
 class Configuration:
@@ -100,8 +103,9 @@ class GlobalOperator:
     """Lazy 2^N x 2^N evolution operator built from one local operator.
 
     Vectors are applied matrix-free through the sweep kernel in
-    O(N 2^N); the dense form is materialized on demand (and cached) up to
-    ``dense_cap`` sites.
+    O(N 2^N), and so are traces and powers, one block of identity columns
+    at a time.  The dense form, which only the spectrum needs, is
+    materialized on demand (and cached) up to ``dense_cap`` sites.
     """
 
     def __init__(self, local: LocalOperator, n_sites: int, dense_cap: Optional[int] = None):
@@ -144,42 +148,35 @@ class GlobalOperator:
         return self._dense
 
     def trace_powers(self, r_max: int) -> TraceSequence:
-        """tr(Q^r) for r = 1..r_max, dense below the cap, matrix-free above."""
+        """tr(Q^r) for r = 1..r_max, accumulated over column blocks in O(r 4^N)."""
         if r_max < 1:
             raise DomainError(f"r_max must be positive, got {r_max}")
-        if self.n_sites <= self.dense_cap:
-            base = self.materialize()
-            values = np.empty(r_max, dtype=np.complex128)
-            power = base
-            values[0] = np.trace(power)
-            for r in range(1, r_max):
-                power = power @ base
-                values[r] = np.trace(power)
-        else:
-            values = self._trace_powers_matrix_free(r_max)
-        return TraceSequence(self.n_sites, values)
-
-    def _trace_powers_matrix_free(self, r_max: int) -> np.ndarray:
         if self.n_sites > DEFAULTS.matrix_free_warn:
             warnings.warn(
                 f"matrix-free trace accumulation costs O(r 4^N); N={self.n_sites} "
                 "will be slow",
                 RuntimeWarning,
-                stacklevel=3,
+                stacklevel=2,
             )
-        dim = self.dim
         values = np.zeros(r_max, dtype=np.complex128)
-        chunk = min(dim, 256)
-        # fixed chunk order keeps the accumulation deterministic
-        for start in range(0, dim, chunk):
-            width = min(chunk, dim - start)
-            block = np.zeros((dim, width), dtype=np.complex128)
-            block[start:start + width, :] = np.eye(width)
-            flat = block.reshape(-1)
-            for r in range(r_max):
+        for start, r, image in self._block_powers(r_max):
+            values[r - 1] += np.trace(image, offset=-start)
+        return TraceSequence(self.n_sites, values)
+
+    def _block_powers(self, r_max: int):
+        """Yield ``(start, r, Q^r E)`` for r = 1..r_max over identity blocks E.
+
+        E holds columns ``start .. start + width - 1`` of the identity, with
+        width ``min(2^N, 256)``.  Blocks come in a fixed order, so sums over
+        them are deterministic.
+        """
+        dim = self.dim
+        width = min(dim, _BLOCK_COLUMNS)
+        for start in range(0, dim, width):
+            flat = np.eye(dim, width, -start, dtype=np.complex128).reshape(-1)
+            for r in range(1, r_max + 1):
                 flat = kernels.sweep(flat, self.local.entries, self.n_sites, tail=width)
-                values[r] += flat.reshape(dim, width)[start:start + width, :].trace()
-        return values
+                yield start, r, flat.reshape(dim, width)
 
     def eigenvalues(self) -> np.ndarray:
         """All 2^N eigenvalues of the dense form, sorted by (re, im).  Cached."""
@@ -212,18 +209,9 @@ class GlobalOperator:
         """Whether Q^r is the identity to max-abs tolerance ``tol``."""
         if r < 1:
             raise DomainError(f"power must be positive, got {r}")
-        if self.n_sites <= self.dense_cap:
-            power = np.linalg.matrix_power(self.materialize(), r)
-            return bool(np.max(np.abs(power - np.eye(self.dim))) <= tol)
-        dim = self.dim
-        chunk = min(dim, 256)
-        for start in range(0, dim, chunk):
-            width = min(chunk, dim - start)
-            block = np.zeros((dim, width), dtype=np.complex128)
-            block[start:start + width, :] = np.eye(width)
-            flat = block.reshape(-1)
-            for _ in range(r):
-                flat = kernels.sweep(flat, self.local.entries, self.n_sites, tail=width)
-            if np.max(np.abs(flat.reshape(dim, width) - block)) > tol:
-                return False
+        for start, power, image in self._block_powers(r):
+            if power == r:
+                block = np.eye(self.dim, image.shape[1], -start)
+                if np.max(np.abs(image - block)) > tol:
+                    return False
         return True

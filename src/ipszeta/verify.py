@@ -100,7 +100,7 @@ def _random_factor_pairs(count: int, seed: int = 20127):
 def verify_tensor_eigen_traces(n_values=None, r_max=None, u_points=None, tol=None):
     """thm5_3: eigenvalue-product C_r of tensor models vs brute traces."""
     n_values = tuple(n_values) if n_values else tuple(range(2, 9))
-    r_max = r_max or 12
+    r_max = 12 if r_max is None else r_max
     tol = tol if tol is not None else 1e-9
     pairs = _random_factor_pairs(20)
     worst = _Worst()
@@ -123,7 +123,7 @@ def verify_tensor_eigen_traces(n_values=None, r_max=None, u_points=None, tol=Non
 def verify_rotation_cosine_traces(n_values=None, r_max=None, u_points=None, tol=None):
     """cor5_4: brute C_r of the uniform-rotation model vs T_r(cos xi)^(N-1)."""
     n_values = tuple(n_values) if n_values else tuple(range(1, 9))
-    r_max = r_max or 16
+    r_max = 16 if r_max is None else r_max
     tol = tol if tol is not None else 1e-9
     worst = _Worst()
     for xi in SIX_XI:
@@ -143,7 +143,7 @@ def verify_rotation_cosine_traces(n_values=None, r_max=None, u_points=None, tol=
 def verify_binomial_series_coefficients(n_values=None, r_max=None, u_points=None, tol=None):
     """thm5_6: binomial log-sum coefficients -sum_k w_k z_k^r / r vs -C_r / r."""
     n_values = tuple(n_values) if n_values else tuple(range(1, 9))
-    r_max = r_max or 16
+    r_max = 16 if r_max is None else r_max
     tol = tol if tol is not None else 1e-9
     worst = _Worst()
     for xi in SIX_XI:
@@ -224,7 +224,7 @@ def verify_reflection_second_trace(n_values=None, r_max=None, u_points=None, tol
 def verify_quarter_turn(n_values=None, r_max=None, u_points=None, tol=None):
     """prop6_pi2: quarter-turn trace values for odd/even powers + period 2."""
     n_values = tuple(n_values) if n_values else tuple(range(1, 11))
-    r_max = r_max or 8
+    r_max = 8 if r_max is None else r_max
     tol = tol if tol is not None else 1e-10
     worst = _Worst()
     for n in n_values:
@@ -244,7 +244,7 @@ def verify_quarter_turn(n_values=None, r_max=None, u_points=None, tol=None):
 def verify_quarter_turn_zeta(n_values=None, r_max=None, u_points=None, tol=None):
     """thm6_pi2zeta: quarter-turn arctanh closed form vs truncated series."""
     n_values = tuple(n_values) if n_values else tuple(range(1, 9))
-    r_max = r_max or 60
+    r_max = 60 if r_max is None else r_max
     u_points = tuple(u_points) if u_points else U_POINTS
     tol = tol if tol is not None else 1e-8
     worst = _Worst()
@@ -286,7 +286,7 @@ def verify_rule90_power_traces(n_values=None, r_max=None, u_points=None, tol=Non
 def verify_rule90_zeta(n_values=None, r_max=None, u_points=None, tol=None):
     """thm6_rule90zeta: Rule 90 closed form vs truncated series, N <= 4."""
     n_values = tuple(n_values) if n_values else (1, 2, 3, 4)
-    r_max = r_max or 60
+    r_max = 60 if r_max is None else r_max
     u_points = tuple(u_points) if u_points else U_POINTS
     tol = tol if tol is not None else 1e-8
     worst = _Worst()
@@ -307,7 +307,7 @@ def verify_rule90_zeta(n_values=None, r_max=None, u_points=None, tol=None):
 def verify_rule90_conjecture(n_values=None, r_max=None, u_points=None, tol=None):
     """conj_rule90: merged conjecture reports over the unproved N range."""
     n_values = tuple(n_values) if n_values else (5, 6, 7, 8)
-    r_max = r_max or 64
+    r_max = 64 if r_max is None else r_max
     u_points = tuple(u_points) if u_points else (0.3, 0.5j)
     tol = tol if tol is not None else 1e-8
     worst = _Worst()

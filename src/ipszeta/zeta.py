@@ -24,7 +24,7 @@ import numpy as np
 from .config import DEFAULTS
 from .errors import DomainError, SingularAtU
 from .models import ModelSpec, TensorFactors, build_local
-from .operators import GlobalOperator
+from .operators import GlobalOperator, TraceSequence
 
 SQRT2 = math.sqrt(2.0)
 
@@ -76,6 +76,12 @@ class ZetaLogSeries:
         c.setflags(write=False)
         object.__setattr__(self, "coefficients", c)
 
+    @classmethod
+    def from_traces(cls, traces: TraceSequence) -> "ZetaLogSeries":
+        """Series coefficients -C_r / r from a computed trace sequence."""
+        r = np.arange(1, traces.order + 1, dtype=np.float64)
+        return cls(traces.n_sites, -traces.c_values / r)
+
     @property
     def truncation_order(self) -> int:
         return len(self.coefficients)
@@ -93,9 +99,7 @@ class ZetaLogSeries:
 
 def zeta_log_series(op: GlobalOperator, r_max: int = DEFAULTS.series_order) -> ZetaLogSeries:
     """Series coefficients -C_r / r from brute trace powers."""
-    traces = op.trace_powers(r_max)
-    r = np.arange(1, r_max + 1, dtype=np.float64)
-    return ZetaLogSeries(op.n_sites, -traces.c_values / r)
+    return ZetaLogSeries.from_traces(op.trace_powers(r_max))
 
 
 def _eig2(m: np.ndarray) -> tuple:

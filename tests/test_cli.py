@@ -123,6 +123,12 @@ class TestZeta:
         assert code == 0 and out == ""
         assert target.read_text().startswith("r,trace_re")
 
+    @pytest.mark.parametrize("fmt", ("json", "csv"))
+    def test_zero_rmax_exits_2(self, capsys, fmt):
+        code, out, err = run(capsys, "zeta", "--model", "dk", "--params", "0.3,0.7",
+                             "--n", "3", "--rmax", "0", "--format", fmt)
+        assert code == 2 and out == "" and "r_max" in err
+
 
 class TestVerify:
     def test_passing_formula(self, capsys):
@@ -147,6 +153,10 @@ class TestVerify:
                            "--tol", "1e-30")
         assert code == 3
         assert json.loads(out)["passed"] is False
+
+    def test_zero_rmax_exits_2(self, capsys):
+        code, out, err = run(capsys, "verify", "prop6_pi2", "--n", "1..3", "--rmax", "0")
+        assert code == 2 and out == "" and "r_max" in err
 
     def test_unknown_formula_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -185,6 +195,21 @@ class TestEvolve:
                            "--kind", "qca")
         assert code == 0
         assert [float(v) for v in out.strip().splitlines()[2].split(",")[1:]] == [1.0, 1.0]
+
+    @pytest.mark.parametrize("fmt", ("json", "csv"))
+    def test_negative_steps_exits_2(self, capsys, fmt):
+        code, out, err = run(capsys, "evolve", "--model", "qca2", "--params", "0,0",
+                             "--n", "3", "--initial", "001", "--steps", "-1",
+                             "--format", fmt)
+        assert code == 2 and out == "" and "steps" in err
+
+    def test_unknown_config_kind_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "model": "qca2", "params": [0, 0], "n": 3, "initial": "001", "kind": "bogus",
+        }))
+        code, out, err = run(capsys, "evolve", "--config", str(cfg))
+        assert code == 2 and out == "" and "bogus" in err
 
 
 class TestSpectrum:

@@ -222,16 +222,22 @@ class TestTracePowers:
                     got = traces[r - 1]
                     assert abs(got - expected) <= 1e-9 * max(1.0, abs(expected))
 
-    def test_matrix_free_matches_dense(self):
-        for spec in MODELS:
-            dense = _op(spec, 5).trace_powers(6).values
-            free = _op(spec, 5, dense_cap=2).trace_powers(6).values
-            np.testing.assert_allclose(free, dense, rtol=1e-12, atol=1e-10)
+    # N=9 spans two 256-column blocks, so it checks the block accumulation
+    @pytest.mark.parametrize("spec", MODELS, ids=[m.model for m in MODELS])
+    @pytest.mark.parametrize("n", (5, 9))
+    def test_matches_kron_oracle(self, spec, n):
+        base = kron_global(build_local(spec).entries, n)
+        expected = []
+        power = np.eye(2 ** n)
+        for _ in range(6):
+            power = base @ power
+            expected.append(np.trace(power))
+        np.testing.assert_allclose(_op(spec, n).trace_powers(6).values, expected,
+                                   rtol=1e-12, atol=1e-10)
 
     def test_matrix_free_warns_past_threshold(self, monkeypatch):
-        monkeypatch.setattr(ipszeta.operators, "DEFAULTS",
-                            Defaults(dense_cap=2, matrix_free_warn=3))
-        op = _op(ModelSpec.dk(0.4, 0.2), 4, dense_cap=2)
+        monkeypatch.setattr(ipszeta.operators, "DEFAULTS", Defaults(matrix_free_warn=3))
+        op = _op(ModelSpec.dk(0.4, 0.2), 4)
         with pytest.warns(RuntimeWarning, match="matrix-free"):
             op.trace_powers(2)
 
@@ -298,15 +304,12 @@ class TestPowerEqualsIdentity:
     def test_quarter_turn_period_two(self, n):
         assert _op(ModelSpec.qca2(0, math.pi / 2), n).power_equals_identity(2, 1e-10)
 
-    def test_rule90_period_four_at_three_sites(self):
-        op = GlobalOperator(RULE90, 3)
-        assert op.power_equals_identity(4, 1e-10)
-        assert not op.power_equals_identity(2, 1e-10)
-
-    def test_matrix_free_path(self):
-        op = GlobalOperator(RULE90, 4, dense_cap=2)
-        assert op.power_equals_identity(4, 1e-10)
-        assert not op.power_equals_identity(2, 1e-10)
+    # N=9 spans two 256-column blocks
+    @pytest.mark.parametrize("n, period", ((3, 4), (4, 4), (9, 16)))
+    def test_rule90_period(self, n, period):
+        op = GlobalOperator(RULE90, n)
+        assert op.power_equals_identity(period, 1e-10)
+        assert not op.power_equals_identity(period // 2, 1e-10)
 
     def test_rejects_nonpositive_power(self):
         with pytest.raises(DomainError):
