@@ -27,7 +27,6 @@ from .models import (
 )
 from .operators import E00, E01, E10, E11, Configuration, GlobalOperator, TraceSequence
 from .zeta import (
-    ClosedFormReport,
     TraceR1,
     ZetaLogSeries,
     arctanh,
@@ -35,7 +34,6 @@ from .zeta import (
     chebyshev_t,
     chebyshev_u,
     clt_limit_zeta,
-    conjecture_test_rule90,
     qca2_c1_closed_form,
     qca2_x1_recurrence,
     qca2_x2_recurrence,
@@ -44,7 +42,7 @@ from .zeta import (
     zeta_closed_form_qca2,
     zeta_log_series,
 )
-from .verify import FORMULA_IDS, run_formula
+from .verify import FORMULA_IDS, ClosedFormReport, run_formula
 from .dynamics import (
     StateKind,
     StateVector,
@@ -67,7 +65,7 @@ __all__ = [
     "E00", "E01", "E10", "E11", "Configuration", "GlobalOperator", "TraceSequence",
     "ClosedFormReport", "TraceR1", "ZetaLogSeries", "arctanh",
     "binomial_zeta_qca1", "chebyshev_t", "chebyshev_u", "clt_limit_zeta",
-    "conjecture_test_rule90", "qca2_c1_closed_form", "qca2_x1_recurrence",
+    "qca2_c1_closed_form", "qca2_x1_recurrence",
     "qca2_x2_recurrence", "rule90_trace_general_r", "tensor_model_cr",
     "zeta_closed_form_qca2", "zeta_log_series",
     "FORMULA_IDS", "run_formula",

@@ -26,10 +26,10 @@ from .errors import (
     KindMismatch,
     SizeExceeded,
 )
-from .models import ModelSpec, build_local, classify
+from .models import MODEL_NAMES, ModelSpec, build_local, classify
 from .operators import Configuration, GlobalOperator
 from .dynamics import StateKind, evolve, evolve_trajectory, initial_state
-from .serialize import complex_pair, series_csv, spectrum_csv, trace_csv, trajectory_csv
+from .serialize import complex_pair, from_pair, series_csv, spectrum_csv, trace_csv, trajectory_csv
 from .verify import FORMULA_IDS, run_formula
 from .zeta import ZetaLogSeries
 
@@ -87,12 +87,46 @@ class RunConfig:
     kind: Optional[str] = None
 
 
+_FORMATS = ("json", "csv")
+_STATE_KINDS = {"pca": StateKind.PCA_PROBABILITY, "qca": StateKind.QCA_AMPLITUDE}
+
+# every key a config file may hold: its JSON types and the choices of its flag
+_CONFIG_KEYS = {
+    "model": ((str,), MODEL_NAMES),
+    "params": ((list,), None),
+    "n": ((int, str), None),
+    "rmax": ((int,), None),
+    "u": ((list, str), None),
+    "tol": ((int, float), None),
+    "format": ((str,), _FORMATS),
+    "out": ((str,), None),
+    "steps": ((int,), None),
+    "initial": ((str,), None),
+    "kind": ((str,), tuple(_STATE_KINDS)),
+}
+
+
+def _check_config(data: dict) -> None:
+    for key, value in data.items():
+        if key not in _CONFIG_KEYS:
+            raise DomainError(
+                f"unknown config key {key!r}; expected one of {tuple(_CONFIG_KEYS)}"
+            )
+        types, choices = _CONFIG_KEYS[key]
+        if isinstance(value, bool) or not isinstance(value, types):
+            names = " or ".join(t.__name__ for t in types)
+            raise DomainError(f"config key {key!r} takes {names}, got {value!r}")
+        if choices is not None and value not in choices:
+            raise DomainError(f"config key {key!r} must be one of {choices}, got {value!r}")
+
+
 def _u_from_json(value) -> complex:
     if isinstance(value, str):
         return parse_complex(value)
-    if isinstance(value, list):
-        return complex(float(value[0]), float(value[1]))
-    return complex(value)
+    try:
+        return from_pair(value)
+    except DimensionMismatch as exc:
+        raise DomainError(f"config key 'u': {exc}")
 
 
 def _load_config(args) -> RunConfig:
@@ -102,14 +136,17 @@ def _load_config(args) -> RunConfig:
             data = json.load(fh)
         if not isinstance(data, dict):
             raise DomainError("config file must hold a JSON object")
+        _check_config(data)
 
-    def pick(flag, key):
-        value = getattr(args, flag, None)
+    def pick(key):
+        value = getattr(args, key, None)
         return value if value is not None else data.get(key)
 
-    cfg = RunConfig()
+    # commands fall back to their natural format when none is given
+    cfg = RunConfig(r_max=pick("rmax"), tol=pick("tol"), fmt=pick("format"), out=pick("out"),
+                    steps=pick("steps"), initial=pick("initial"), kind=pick("kind"))
 
-    model = pick("model", "model")
+    model = pick("model")
     if model is not None:
         if getattr(args, "matrix", None):
             params = json.loads(args.matrix)
@@ -121,23 +158,15 @@ def _load_config(args) -> RunConfig:
             raise DomainError(f"model {model!r} needs --params, --matrix or config params")
         cfg.spec = ModelSpec.from_json({"model": model, "params": params})
 
-    n_value = pick("n", "n")
+    n_value = pick("n")
     if n_value is not None:
         cfg.n_values = parse_n_values(str(n_value))
 
-    cfg.r_max = pick("rmax", "rmax")
-    u_value = getattr(args, "u", None)
-    if u_value is not None:
+    u_value = pick("u")
+    if isinstance(u_value, str):
         cfg.u_points = [parse_complex(t) for t in u_value.split(",")]
-    elif "u" in data:
-        cfg.u_points = [_u_from_json(t) for t in data["u"]]
-
-    cfg.tol = pick("tol", "tol")
-    cfg.fmt = pick("format", "format")  # commands fall back to their natural format
-    cfg.out = pick("out", "out")
-    cfg.steps = pick("steps", "steps")
-    cfg.initial = pick("initial", "initial")
-    cfg.kind = pick("kind", "kind")
+    elif u_value is not None:
+        cfg.u_points = [_u_from_json(t) for t in u_value]
     return cfg
 
 
@@ -228,9 +257,6 @@ def cmd_verify(args) -> int:
     return 0 if report.passed else 3
 
 
-_STATE_KINDS = {"pca": StateKind.PCA_PROBABILITY, "qca": StateKind.QCA_AMPLITUDE}
-
-
 def cmd_evolve(args) -> int:
     cfg = _load_config(args)
     spec = _require_model(cfg)
@@ -245,8 +271,6 @@ def cmd_evolve(args) -> int:
             f"initial configuration has {config.n_sites} sites, --n is {n}"
         )
     if cfg.kind is not None:
-        if cfg.kind not in _STATE_KINDS:
-            raise DomainError(f"kind must be one of {tuple(_STATE_KINDS)}, got {cfg.kind!r}")
         kind = _STATE_KINDS[cfg.kind]
     else:
         cls = classify(op.local)
@@ -257,7 +281,7 @@ def cmd_evolve(args) -> int:
         else:
             raise KindMismatch("model is neither stochastic nor unitary; pass --kind")
     steps = 1 if cfg.steps is None else cfg.steps
-    if not isinstance(steps, int) or steps < 0:
+    if steps < 0:
         raise DomainError(f"steps must be a nonnegative integer, got {steps!r}")
     start = initial_state(config, kind)
     if cfg.fmt == "json":
@@ -290,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "series for two-state interacting particle systems on a path.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--model", choices=("dk", "gdk", "qca1", "qca2", "tensor", "custom"),
+    common.add_argument("--model", choices=MODEL_NAMES,
                         help="model family")
     common.add_argument("--params", help="comma-separated parameters; angles accept pi fractions like pi/6")
     common.add_argument("--matrix", help="JSON matrix data for tensor/custom models (row-major [re,im] pairs)")
@@ -298,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--rmax", type=int, help="trace/series truncation order")
     common.add_argument("--u", help="comma-separated complex points like 0.1,0.4j,0.2+0.3j")
     common.add_argument("--tol", type=float, help="tolerance override")
-    common.add_argument("--format", choices=("json", "csv"), help="output format where both exist")
+    common.add_argument("--format", choices=_FORMATS, help="output format where both exist")
     common.add_argument("--out", help="write output to this path instead of stdout")
     common.add_argument("--config", help="JSON config file; flags override its keys")
 

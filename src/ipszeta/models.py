@@ -188,7 +188,10 @@ class ModelSpec:
         except (KeyError, TypeError) as exc:
             raise DomainError(f"model JSON needs 'model' and 'params' keys: {exc}")
         if model in ("dk", "gdk", "qca1", "qca2"):
-            return cls(model, tuple(float(p) for p in params))
+            try:
+                return cls(model, tuple(float(p) for p in params))
+            except TypeError:
+                raise DomainError(f"{model} params must be numbers, got {params!r}")
         if model == "tensor":
             if len(params) != 2:
                 raise DomainError("tensor params must be two matrices")

@@ -20,9 +20,11 @@ def complex_pair(z) -> list:
 def from_pair(pair) -> complex:
     if isinstance(pair, (int, float)):
         return complex(pair)
-    if len(pair) != 2:
+    try:
+        real, imag = pair
+        return complex(float(real), float(imag))
+    except (TypeError, ValueError):
         raise DimensionMismatch(f"expected [re, im], got {pair!r}")
-    return complex(float(pair[0]), float(pair[1]))
 
 
 def matrix_pairs(m) -> list:
@@ -40,36 +42,37 @@ def matrix_from_pairs(data, rows: int, cols: int) -> np.ndarray:
     return flat.reshape(rows, cols)
 
 
+def _csv_table(header, rows) -> str:
+    """CSV text: the header, then per row its label and its values as .17g."""
+    lines = [",".join(header)]
+    for label, *values in rows:
+        lines.append(",".join([f"{label}"] + [f"{v:.17g}" for v in values]))
+    return "\n".join(lines) + "\n"
+
+
 def trace_csv(trace_seq) -> str:
     """CSV table of trace powers: header r,trace_re,trace_im,c_r_re,c_r_im."""
-    lines = ["r,trace_re,trace_im,c_r_re,c_r_im"]
-    c = trace_seq.c_values
-    for i, t in enumerate(trace_seq.values):
-        lines.append(f"{i + 1},{t.real:.17g},{t.imag:.17g},{c[i].real:.17g},{c[i].imag:.17g}")
-    return "\n".join(lines) + "\n"
+    return _csv_table(
+        ("r", "trace_re", "trace_im", "c_r_re", "c_r_im"),
+        ((r, t.real, t.imag, c.real, c.imag)
+         for r, (t, c) in enumerate(zip(trace_seq.values, trace_seq.c_values), 1)),
+    )
 
 
 def series_csv(series) -> str:
     """CSV table of log-series coefficients: header r,coeff_re,coeff_im."""
-    lines = ["r,coeff_re,coeff_im"]
-    for i, z in enumerate(series.coefficients):
-        lines.append(f"{i + 1},{z.real:.17g},{z.imag:.17g}")
-    return "\n".join(lines) + "\n"
+    return _csv_table(("r", "coeff_re", "coeff_im"),
+                      ((r, z.real, z.imag) for r, z in enumerate(series.coefficients, 1)))
 
 
 def spectrum_csv(eigenvalues) -> str:
     """CSV table of eigenvalues: header idx,re,im,abs."""
-    lines = ["idx,re,im,abs"]
-    for i, z in enumerate(eigenvalues):
-        z = complex(z)
-        lines.append(f"{i},{z.real:.17g},{z.imag:.17g},{abs(z):.17g}")
-    return "\n".join(lines) + "\n"
+    values = map(complex, eigenvalues)
+    return _csv_table(("idx", "re", "im", "abs"),
+                      ((i, z.real, z.imag, abs(z)) for i, z in enumerate(values)))
 
 
 def trajectory_csv(rows, n_sites: int) -> str:
     """CSV table of site marginals per step: header step,site_0,...,site_{N-1}."""
-    header = "step," + ",".join(f"site_{x}" for x in range(n_sites))
-    lines = [header]
-    for step, marginals in rows:
-        lines.append(f"{step}," + ",".join(f"{v:.17g}" for v in marginals))
-    return "\n".join(lines) + "\n"
+    return _csv_table(["step"] + [f"site_{x}" for x in range(n_sites)],
+                      ((step, *marginals) for step, marginals in rows))

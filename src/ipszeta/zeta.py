@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from .config import DEFAULTS
 from .errors import DomainError, SingularAtU
-from .models import ModelSpec, TensorFactors, build_local
+from .models import TensorFactors
 from .operators import GlobalOperator, TraceSequence
 
 SQRT2 = math.sqrt(2.0)
@@ -259,7 +259,12 @@ def rule90_trace_general_r(n_sites: int, k: int, s: int) -> float:
     return float(2 ** n_sites)
 
 
-def _rule90_zeta_formula(n_sites: int, m: int, u: complex) -> complex:
+def _rule90_zeta_formula(n_sites: int, u: complex) -> complex:
+    """log(1 - u^(2^m)) / 2^m - sum_{k<m} 2^-(N - 2^k + k) arctanh(u^(2^k)).
+
+    m = ceil(log2 N); proved for N <= 4, a conjecture beyond.
+    """
+    m = math.ceil(math.log2(n_sites))
     value = np.log(1.0 - u ** (2 ** m)) / 2 ** m
     for k in range(m):
         value -= 2.0 ** (-(n_sites - (2 ** k - k))) * arctanh(u ** (2 ** k))
@@ -281,81 +286,9 @@ def zeta_closed_form_qca2(n_sites: int, variant: str, u) -> complex:
         amplitude = 2.0 ** (-(n_sites - 1) / 2.0) * chebyshev_t(n_sites - 1, SQRT2 / 2.0)
         return complex(0.5 * (np.log(1.0 - u) + np.log(1.0 + u)) - amplitude * arctanh(u))
     if variant == "rule90":
-        if n_sites == 1:
-            return complex(np.log(1.0 - u))
-        if n_sites == 2:
-            return _rule90_zeta_formula(n_sites, 1, u)
-        if n_sites in (3, 4):
-            return _rule90_zeta_formula(n_sites, 2, u)
+        if n_sites <= 4:
+            return _rule90_zeta_formula(n_sites, u)
         raise DomainError(
             f"rule90 closed form is proved for N in {{1, 2, 3, 4}}, got {n_sites}"
         )
     raise DomainError(f"unknown variant {variant!r}; expected 'pi_half' or 'rule90'")
-
-
-@dataclass(frozen=True)
-class ClosedFormReport:
-    """Grid comparison of a closed form against brute linear algebra."""
-
-    formula_id: str
-    grid: dict
-    max_abs_error: float
-    passed: bool
-    witness: dict
-    tolerance: float
-
-    def to_json(self) -> dict:
-        return {
-            "formula_id": self.formula_id,
-            "grid": self.grid,
-            "max_abs_error": self.max_abs_error,
-            "passed": self.passed,
-            "witness": self.witness,
-            "tolerance": self.tolerance,
-        }
-
-
-def conjecture_test_rule90(
-    n_sites: int,
-    r_max: int = 64,
-    u_samples: Sequence[complex] = (0.3, 0.5j),
-    tol: float = 1e-8,
-) -> ClosedFormReport:
-    """Compare the conjectured Rule 90 closed form against the trace series.
-
-    The formula is proved for N <= 4 only; here it runs with
-    m = ceil(log2 N) for N >= 5 and the report records the measured gap
-    without asserting it.  This is an experiment record, not a verified
-    identity.
-    """
-    if n_sites < 5:
-        raise DomainError(
-            f"the proved range N <= 4 belongs to zeta_closed_form_qca2, got {n_sites}"
-        )
-    m = math.ceil(math.log2(n_sites))
-    op = GlobalOperator(build_local(ModelSpec.qca2(0.0, 0.0)), n_sites)
-    series = zeta_log_series(op, r_max)
-    worst = -1.0
-    witness: dict = {}
-    for u in u_samples:
-        u = complex(u)
-        if abs(u) >= 1.0:
-            raise DomainError(f"u samples must satisfy |u| < 1, got {u}")
-        err = abs(_rule90_zeta_formula(n_sites, m, u) - series.evaluate(u))
-        if err > worst:
-            worst = err
-            witness = {"n_sites": n_sites, "u": [u.real, u.imag], "error": err}
-    return ClosedFormReport(
-        formula_id="conj_rule90",
-        grid={
-            "n_sites": n_sites,
-            "m": m,
-            "r_max": r_max,
-            "u_samples": [[complex(u).real, complex(u).imag] for u in u_samples],
-            "conjecture": True,
-        },
-        max_abs_error=worst,
-        passed=bool(worst <= tol),
-        witness=witness,
-        tolerance=tol,
-    )

@@ -15,7 +15,6 @@ from ipszeta import (
     GlobalOperator,
     ModelSpec,
     build_local,
-    conjecture_test_rule90,
     qca2_c1_closed_form,
     qca2_x2_recurrence,
     reflection,
@@ -135,13 +134,11 @@ def test_criterion_10_rule90_conjecture_report(capsys):
     out = capsys.readouterr().out
     assert code in (0, 3)
     assert '"conjecture": true' in out
-    reports = [conjecture_test_rule90(n) for n in range(5, 9)]
-    worst = max(r.max_abs_error for r in reports)
-    supported = all(r.passed for r in reports)
-    witness = max(reports, key=lambda r: r.max_abs_error).witness
-    verdict = "supported" if supported else f"witness={witness}"
-    _line("10_rule90_conjecture", True, f"max_err={worst:.3e} {verdict}")
-    assert all(np.isfinite(r.max_abs_error) for r in reports)
+    report = run_formula("conj_rule90", n_values=range(5, 9))
+    assert report.grid["n_values"] == [5, 6, 7, 8]
+    verdict = "supported" if report.passed else f"witness={report.witness}"
+    _line("10_rule90_conjecture", True, f"max_err={report.max_abs_error:.3e} {verdict}")
+    assert np.isfinite(report.max_abs_error)
 
 
 def test_criterion_11_gaussian_limit():

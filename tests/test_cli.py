@@ -130,6 +130,39 @@ class TestZeta:
         assert code == 2 and out == "" and "r_max" in err
 
 
+class TestConfigFile:
+    BASE = {"model": "qca1", "params": [0.9, 0.9], "n": 3}
+
+    def write(self, tmp_path, **keys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(dict(self.BASE, **keys)))
+        return str(cfg)
+
+    @pytest.mark.parametrize("command", ("zeta", "validate"))
+    @pytest.mark.parametrize("keys, needle", [
+        pytest.param({"rmax": "5"}, "'rmax'", id="rmax-str"),
+        pytest.param({"tol": "x"}, "'tol'", id="tol-str"),
+        pytest.param({"u": [[0.1]]}, "'u'", id="u-short-pair"),
+        pytest.param({"format": "xml"}, "'format'", id="format-choice"),
+        pytest.param({"rmx": 5}, "'rmx'", id="unknown-key"),
+        pytest.param({"n": True}, "'n'", id="n-bool"),
+        pytest.param({"params": [[1], 2]}, "params", id="params-nested"),
+        pytest.param({"model": "custom", "params": [[[1], [0]]] + [[0, 0]] * 15},
+                     "[re, im]", id="matrix-nested"),
+    ])
+    def test_bad_config_exits_2(self, capsys, tmp_path, command, keys, needle):
+        code, out, err = run(capsys, command, "--config", self.write(tmp_path, **keys))
+        assert code == 2 and out == "" and needle in err
+
+    def test_u_as_string_or_pairs(self, capsys, tmp_path):
+        docs = []
+        for u in ("0.2,0.1+0.1j", [0.2, [0.1, 0.1]]):
+            code, out, _ = run(capsys, "zeta", "--config", self.write(tmp_path, u=u))
+            assert code == 0
+            docs.append(json.loads(out)["evaluations"])
+        assert docs[0] == docs[1] and [e["u"] for e in docs[0]] == [[0.2, 0.0], [0.1, 0.1]]
+
+
 class TestVerify:
     def test_passing_formula(self, capsys):
         code, out, _ = run(capsys, "verify", "cor5_4", "--n", "1..4", "--rmax", "6")
@@ -157,6 +190,16 @@ class TestVerify:
     def test_zero_rmax_exits_2(self, capsys):
         code, out, err = run(capsys, "verify", "prop6_pi2", "--n", "1..3", "--rmax", "0")
         assert code == 2 and out == "" and "r_max" in err
+
+    @pytest.mark.parametrize("argv, needle", [
+        pytest.param(("prop6_r1", "--n", "3", "--rmax", "5"), "--rmax", id="prop6_r1-rmax"),
+        pytest.param(("cor5_7", "--rmax", "3"), "--rmax", id="cor5_7-rmax"),
+        pytest.param(("cor5_4", "--n", "3", "--rmax", "4", "--u", "0.2"), "--u", id="cor5_4-u"),
+        pytest.param(("thm6_pi2zeta", "--n", "2", "--u", "1.5"), "1.5", id="thm6_pi2zeta-u"),
+    ])
+    def test_unsupported_override_or_point_exits_2(self, capsys, argv, needle):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2 and out == "" and needle in err
 
     def test_unknown_formula_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -10,7 +10,9 @@ from ipszeta.serialize import (
     matrix_from_pairs,
     matrix_pairs,
     series_csv,
+    spectrum_csv,
     trace_csv,
+    trajectory_csv,
 )
 
 
@@ -21,8 +23,9 @@ def test_pair_round_trip():
 
 
 def test_pair_shape_checked():
-    with pytest.raises(DimensionMismatch):
-        from_pair([1.0, 2.0, 3.0])
+    for bad in ([1.0, 2.0, 3.0], [[1.0], 2.0], ["x", 0.0], None):
+        with pytest.raises(DimensionMismatch):
+            from_pair(bad)
     with pytest.raises(DimensionMismatch):
         matrix_from_pairs([[1, 0]] * 5, 2, 2)
 
@@ -54,3 +57,14 @@ def test_series_csv_header_and_values():
     assert lines[0] == "r,coeff_re,coeff_im"
     assert lines[1] == "1,-1,0"
     assert lines[2] == "2,-0.5,0"
+
+
+def test_spectrum_csv_header_and_values():
+    lines = spectrum_csv([1.0, complex(0.0, -0.5), 3 - 4j]).strip().splitlines()
+    assert lines == ["idx,re,im,abs", "0,1,0,1", "1,0,-0.5,0.5", "2,3,-4,5"]
+
+
+def test_trajectory_csv_header_and_values():
+    rows = [(0, [0.0, 1.0]), (1, [0.25, 1 / 3])]
+    lines = trajectory_csv(rows, 2).strip().splitlines()
+    assert lines == ["step,site_0,site_1", "0,0,1", "1,0.25,0.33333333333333331"]

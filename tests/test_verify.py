@@ -5,6 +5,7 @@ import json
 import pytest
 
 from ipszeta import DomainError, FORMULA_IDS, run_formula
+from ipszeta.verify import FORMULAS
 
 # small overrides keep this module fast; full default grids run in the
 # acceptance suite
@@ -34,6 +35,39 @@ def test_formula_passes(formula_id):
     assert report.passed, report.witness
     assert report.max_abs_error <= report.tolerance
     assert "error" in report.witness
+    formula = FORMULAS[formula_id]
+    assert ("r_max" in report.grid) == (formula.r_max is not None)
+    assert ("u_points" in report.grid) == (formula.u_points is not None)
+
+
+MISSING_AXES = [
+    (formula_id, axis)
+    for formula_id in FORMULA_IDS
+    for axis in ("r_max", "u_points")
+    if getattr(FORMULAS[formula_id], axis) is None
+]
+OVERRIDES = {"r_max": 5, "u_points": (0.2,)}
+
+
+@pytest.mark.parametrize("formula_id,axis", MISSING_AXES)
+def test_override_of_missing_axis_is_rejected(formula_id, axis):
+    with pytest.raises(DomainError, match=axis):
+        run_formula(formula_id, **{axis: OVERRIDES[axis]})
+
+
+@pytest.mark.parametrize(
+    "formula_id", [f for f in FORMULA_IDS if FORMULAS[f].u_points is not None]
+)
+@pytest.mark.parametrize("u", (1.0, 1.5, 0.8 + 0.8j))
+def test_u_outside_disk_is_rejected(formula_id, u):
+    with pytest.raises(DomainError, match=r"\|u\| < 1"):
+        run_formula(formula_id, u_points=(0.2, u))
+
+
+@pytest.mark.parametrize("axis", ("n_values", "u_points"))
+def test_empty_grid_is_rejected(axis):
+    with pytest.raises(DomainError, match="nonempty"):
+        run_formula("thm6_pi2zeta", **{axis: ()})
 
 
 def test_unknown_formula_id():

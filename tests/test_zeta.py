@@ -17,12 +17,12 @@ from ipszeta import (
     chebyshev_t,
     chebyshev_u,
     clt_limit_zeta,
-    conjecture_test_rule90,
     qca2_c1_closed_form,
     qca2_x1_recurrence,
     qca2_x2_recurrence,
     rotation,
     rule90_trace_general_r,
+    run_formula,
     tensor_model_cr,
     zeta_closed_form_qca2,
     zeta_log_series,
@@ -330,20 +330,22 @@ class TestClosedFormZeta:
 
 
 class TestConjecture:
+    """The Rule 90 closed form beyond N = 4, run as the conj_rule90 verifier."""
+
     def test_rejects_proved_range(self):
         with pytest.raises(DomainError):
-            conjecture_test_rule90(4)
+            run_formula("conj_rule90", n_values=(4,))
 
     def test_report_structure(self):
-        report = conjecture_test_rule90(5, r_max=48, u_samples=(0.3,))
+        report = run_formula("conj_rule90", n_values=(5,), r_max=48, u_points=(0.3,))
         assert report.formula_id == "conj_rule90"
         assert report.grid["conjecture"] is True
-        assert report.grid["m"] == 3
+        assert report.grid["u_points"] == [[0.3, 0.0]]
         assert np.isfinite(report.max_abs_error)
-        assert set(report.witness) == {"n_sites", "u", "error"}
+        assert set(report.witness) == {"n", "u", "error"}
         doc = report.to_json()
         assert doc["passed"] == report.passed and doc["tolerance"] == 1e-8
 
     def test_rejects_u_outside_disk(self):
         with pytest.raises(DomainError):
-            conjecture_test_rule90(5, u_samples=(1.5,))
+            run_formula("conj_rule90", n_values=(5,), u_points=(1.5,))
