@@ -14,7 +14,6 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .config import DEFAULTS
@@ -28,7 +27,7 @@ from .errors import (
 )
 from .models import MODEL_NAMES, ModelSpec, build_local, classify
 from .operators import Configuration, GlobalOperator
-from .dynamics import StateKind, evolve, evolve_trajectory, initial_state
+from .dynamics import StateKind, evolve_states, initial_state, site_marginals
 from .serialize import complex_pair, from_pair, series_csv, spectrum_csv, trace_csv, trajectory_csv
 from .verify import FORMULA_IDS, run_formula
 from .zeta import ZetaLogSeries
@@ -62,62 +61,58 @@ def parse_complex(text: str) -> complex:
 def parse_n_values(text: str) -> list:
     """Site counts from ``6`` or an inclusive range ``5..8``."""
     text = text.strip()
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        lo, hi = int(lo), int(hi)
-        if hi < lo:
-            raise DomainError(f"empty site range {text!r}")
-        return list(range(lo, hi + 1))
-    return [int(text)]
+    try:
+        if ".." not in text:
+            return [int(text)]
+        lo, hi = (int(t) for t in text.split("..", 1))
+    except ValueError:
+        raise DomainError(f"--n takes a site count like 6 or a range like 5..8, got {text!r}")
+    if hi < lo:
+        raise DomainError(f"empty site range {text!r}")
+    return list(range(lo, hi + 1))
 
 
-@dataclass
-class RunConfig:
-    """Merged view of a JSON config file and command-line flags."""
-
-    spec: Optional[ModelSpec] = None
-    n_values: list = field(default_factory=list)
-    r_max: Optional[int] = None
-    u_points: list = field(default_factory=list)
-    tol: Optional[float] = None
-    fmt: Optional[str] = None
-    out: Optional[str] = None
-    steps: Optional[int] = None
-    initial: Optional[str] = None
-    kind: Optional[str] = None
-
-
-_FORMATS = ("json", "csv")
 _STATE_KINDS = {"pca": StateKind.PCA_PROBABILITY, "qca": StateKind.QCA_AMPLITUDE}
 
-# every key a config file may hold: its JSON types and the choices of its flag
-_CONFIG_KEYS = {
-    "model": ((str,), MODEL_NAMES),
-    "params": ((list,), None),
-    "n": ((int, str), None),
-    "rmax": ((int,), None),
-    "u": ((list, str), None),
-    "tol": ((int, float), None),
-    "format": ((str,), _FORMATS),
-    "out": ((str,), None),
-    "steps": ((int,), None),
-    "initial": ((str,), None),
-    "kind": ((str,), tuple(_STATE_KINDS)),
+# One row per option: the settings of its flag, and the JSON types a config
+# file may give it (None: flag only).  A config value must also be one of
+# the flag's choices, when it has some.
+_OPTIONS = {
+    "model": ({"choices": MODEL_NAMES, "help": "model family"}, (str,)),
+    "params": ({"help": "comma-separated parameters; angles accept pi fractions like pi/6"},
+               (list,)),
+    "matrix": ({"help": "JSON matrix data for tensor/custom models (row-major [re,im] pairs); "
+                        "not with --params"}, None),
+    "n": ({"help": "site count, or inclusive range like 5..8 where supported"}, (int, str)),
+    "rmax": ({"type": int, "help": "trace/series truncation order"}, (int,)),
+    "u": ({"help": "comma-separated complex points like 0.1,0.4j,0.2+0.3j; "
+                   "write --u=<points> when the first starts with -"}, (list, str)),
+    "tol": ({"type": float, "help": "tolerance override"}, (int, float)),
+    "format": ({"choices": ("json", "csv"),
+                "help": "output format (zeta defaults to json, evolve to csv)"}, (str,)),
+    "out": ({"help": "write output to this path instead of stdout"}, (str,)),
+    "steps": ({"type": int, "help": "number of time steps (default 1)"}, (int,)),
+    "initial": ({"help": "initial configuration bits, e.g. 001"}, (str,)),
+    "kind": ({"choices": tuple(_STATE_KINDS),
+              "help": "state kind; inferred from the model when omitted"}, (str,)),
+    "coefficients": ({"action": "store_true",
+                      "help": "with --format csv, emit the log-series coefficients "
+                              "r,coeff_re,coeff_im instead of the trace table"}, None),
+    "config": ({"help": "JSON config file; flags override its keys"}, None),
 }
 
 
-def _check_config(data: dict) -> None:
-    for key, value in data.items():
-        if key not in _CONFIG_KEYS:
-            raise DomainError(
-                f"unknown config key {key!r}; expected one of {tuple(_CONFIG_KEYS)}"
-            )
-        types, choices = _CONFIG_KEYS[key]
-        if isinstance(value, bool) or not isinstance(value, types):
-            names = " or ".join(t.__name__ for t in types)
-            raise DomainError(f"config key {key!r} takes {names}, got {value!r}")
-        if choices is not None and value not in choices:
-            raise DomainError(f"config key {key!r} must be one of {choices}, got {value!r}")
+def _check_config_value(key: str, value) -> None:
+    settings, types = _OPTIONS.get(key, (None, None))
+    if types is None:
+        keys = tuple(k for k, (_, t) in _OPTIONS.items() if t is not None)
+        raise DomainError(f"unknown config key {key!r}; expected one of {keys}")
+    if isinstance(value, bool) or not isinstance(value, types):
+        names = " or ".join(t.__name__ for t in types)
+        raise DomainError(f"config key {key!r} takes {names}, got {value!r}")
+    choices = settings.get("choices")
+    if choices is not None and value not in choices:
+        raise DomainError(f"config key {key!r} must be one of {choices}, got {value!r}")
 
 
 def _u_from_json(value) -> complex:
@@ -129,45 +124,43 @@ def _u_from_json(value) -> complex:
         raise DomainError(f"config key 'u': {exc}")
 
 
-def _load_config(args) -> RunConfig:
-    data = {}
-    if getattr(args, "config", None):
+def _load_config(args) -> None:
+    """Merge the ``--config`` file into ``args`` and check every value.
+
+    Flags win over the file.  A file may hold any config key, whether or not
+    the command reads it, and each value is checked before any work starts.
+    Afterwards ``args.spec`` holds the model (or None), ``args.n`` a list of
+    site counts and ``args.u`` a list of complex points.
+    """
+    if args.matrix is not None and args.params is not None:
+        raise DomainError("give --matrix or --params, not both")
+    if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         if not isinstance(data, dict):
             raise DomainError("config file must hold a JSON object")
-        _check_config(data)
+        for key, value in data.items():
+            _check_config_value(key, value)
+            if getattr(args, key) is None:
+                setattr(args, key, value)
 
-    def pick(key):
-        value = getattr(args, key, None)
-        return value if value is not None else data.get(key)
-
-    # commands fall back to their natural format when none is given
-    cfg = RunConfig(r_max=pick("rmax"), tol=pick("tol"), fmt=pick("format"), out=pick("out"),
-                    steps=pick("steps"), initial=pick("initial"), kind=pick("kind"))
-
-    model = pick("model")
-    if model is not None:
-        if getattr(args, "matrix", None):
+    args.spec = None
+    if args.model is not None:
+        if args.matrix is not None:
             params = json.loads(args.matrix)
-        elif getattr(args, "params", None):
+        elif isinstance(args.params, str):
             params = [parse_angle(p) for p in args.params.split(",")]
         else:
-            params = data.get("params")
+            params = args.params
         if params is None:
-            raise DomainError(f"model {model!r} needs --params, --matrix or config params")
-        cfg.spec = ModelSpec.from_json({"model": model, "params": params})
-
-    n_value = pick("n")
-    if n_value is not None:
-        cfg.n_values = parse_n_values(str(n_value))
-
-    u_value = pick("u")
-    if isinstance(u_value, str):
-        cfg.u_points = [parse_complex(t) for t in u_value.split(",")]
-    elif u_value is not None:
-        cfg.u_points = [_u_from_json(t) for t in u_value]
-    return cfg
+            raise DomainError(f"model {args.model!r} needs --params, --matrix or config params")
+        args.spec = ModelSpec.from_json({"model": args.model, "params": params})
+    if args.n is not None:
+        args.n = parse_n_values(str(args.n))
+    if isinstance(args.u, str):
+        args.u = [parse_complex(t) for t in args.u.split(",")]
+    elif args.u is not None:
+        args.u = [_u_from_json(t) for t in args.u]
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -178,43 +171,46 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def _require_model(cfg: RunConfig) -> ModelSpec:
-    if cfg.spec is None:
+def _require_model(args) -> ModelSpec:
+    if args.spec is None:
         raise DomainError("a model is required (--model plus --params/--matrix, or --config)")
-    return cfg.spec
+    return args.spec
 
 
-def _single_n(cfg: RunConfig) -> int:
-    if not cfg.n_values:
+def _single_n(args) -> int:
+    if not args.n:
         raise DomainError("a site count is required (--n)")
-    if len(cfg.n_values) != 1:
+    if len(args.n) != 1:
         raise DomainError("this command takes a single --n, not a range")
-    return cfg.n_values[0]
+    return args.n[0]
 
 
 def cmd_validate(args) -> int:
-    cfg = _load_config(args)
-    report = classify(build_local(_require_model(cfg)),
-                      cfg.tol if cfg.tol is not None else DEFAULTS.classify_tol)
-    _emit(json.dumps(report.to_json(), indent=2), cfg.out)
+    report = classify(build_local(_require_model(args)),
+                      args.tol if args.tol is not None else DEFAULTS.classify_tol)
+    _emit(json.dumps(report.to_json(), indent=2), args.out)
     return 0
 
 
 def cmd_zeta(args) -> int:
-    cfg = _load_config(args)
-    op = GlobalOperator(build_local(_require_model(cfg)), _single_n(cfg))
-    r_max = DEFAULTS.series_order if cfg.r_max is None else cfg.r_max
+    spec = _require_model(args)
+    n = _single_n(args)
+    if args.coefficients and args.format != "csv":
+        raise DomainError("--coefficients needs --format csv")
+    dense = n <= DEFAULTS.dense_cap
+    if args.u and not dense:
+        raise SizeExceeded(f"--u needs the spectrum, which is computed up to the dense cap "
+                           f"N={DEFAULTS.dense_cap}; got N={n}")
+    op = GlobalOperator(build_local(spec), n)
+    r_max = DEFAULTS.series_order if args.rmax is None else args.rmax
     traces = op.trace_powers(r_max)
     series = ZetaLogSeries.from_traces(traces)
-    if cfg.fmt == "csv":
-        if getattr(args, "coefficients", False):
-            _emit(series_csv(series), cfg.out)
-        else:
-            _emit(trace_csv(traces), cfg.out)
+    if args.format == "csv":
+        _emit(series_csv(series) if args.coefficients else trace_csv(traces), args.out)
         return 0
     doc = {
-        "model": cfg.spec.to_json(),
-        "n_sites": op.n_sites,
+        "model": spec.to_json(),
+        "n_sites": n,
         "r_max": r_max,
         "table": [
             {
@@ -226,12 +222,12 @@ def cmd_zeta(args) -> int:
             for i in range(r_max)
         ],
     }
-    if op.n_sites <= op.dense_cap:
+    if dense:
         spectral_radius = float(max(abs(l) for l in op.eigenvalues()))
         # the series radius is reported empirically, never asserted
         doc["empirical_radius"] = math.inf if spectral_radius == 0 else 1.0 / spectral_radius
         doc["evaluations"] = []
-        for u in cfg.u_points:
+        for u in args.u or ():
             series_value = series.evaluate(u)
             eigen_value = op.log_det_factor(u)
             doc["evaluations"].append({
@@ -240,71 +236,73 @@ def cmd_zeta(args) -> int:
                 "eigen": complex_pair(eigen_value),
                 "difference": abs(series_value - eigen_value),
             })
-    _emit(json.dumps(doc, indent=2), cfg.out)
+    _emit(json.dumps(doc, indent=2), args.out)
     return 0
 
 
 def cmd_verify(args) -> int:
-    cfg = _load_config(args)
-    report = run_formula(
-        args.formula_id,
-        n_values=cfg.n_values or None,
-        r_max=cfg.r_max,
-        u_points=cfg.u_points or None,
-        tol=cfg.tol,
-    )
-    _emit(json.dumps(report.to_json(), indent=2), cfg.out)
+    report = run_formula(args.formula_id, n_values=args.n, r_max=args.rmax,
+                         u_points=args.u or None, tol=args.tol)
+    _emit(json.dumps(report.to_json(), indent=2), args.out)
     return 0 if report.passed else 3
 
 
 def cmd_evolve(args) -> int:
-    cfg = _load_config(args)
-    spec = _require_model(cfg)
-    n = _single_n(cfg)
+    spec = _require_model(args)
+    n = _single_n(args)
     op = GlobalOperator(build_local(spec), n)
-    if cfg.initial is None:
+    if args.initial is None:
         raise DomainError("an initial configuration is required (--initial, e.g. 001)")
-    bits = tuple(int(b) for b in cfg.initial)
+    try:
+        bits = tuple(int(b) for b in args.initial)
+    except ValueError:
+        raise DomainError(f"--initial takes site bits like 001, got {args.initial!r}")
     config = Configuration(bits)
     if config.n_sites != n:
         raise DimensionMismatch(
             f"initial configuration has {config.n_sites} sites, --n is {n}"
         )
-    if cfg.kind is not None:
-        kind = _STATE_KINDS[cfg.kind]
-    else:
+    if args.kind is None:
         cls = classify(op.local)
-        if cls.is_pca:
-            kind = StateKind.PCA_PROBABILITY
-        elif cls.is_qca:
-            kind = StateKind.QCA_AMPLITUDE
-        else:
+        if not (cls.is_pca or cls.is_qca):
             raise KindMismatch("model is neither stochastic nor unitary; pass --kind")
-    steps = 1 if cfg.steps is None else cfg.steps
+        args.kind = "pca" if cls.is_pca else "qca"
+    kind = _STATE_KINDS[args.kind]
+    steps = 1 if args.steps is None else args.steps
     if steps < 0:
         raise DomainError(f"steps must be a nonnegative integer, got {steps!r}")
-    start = initial_state(config, kind)
-    if cfg.fmt == "json":
-        doc = {"model": spec.to_json(), "n_sites": n, "kind": kind.value, "states": []}
-        state = start
-        for step in range(steps + 1):
-            doc["states"].append({
-                "step": state.time_step,
-                "components": [complex_pair(z) for z in state.components],
-            })
-            if step < steps:
-                state = evolve(state, op, 1)
-        _emit(json.dumps(doc, indent=2), cfg.out)
-        return 0
-    _emit(trajectory_csv(evolve_trajectory(start, op, steps), n), cfg.out)
+    states = evolve_states(initial_state(config, kind), op, steps)
+    if args.format == "json":
+        doc = {"model": spec.to_json(), "n_sites": n, "kind": kind.value, "states": [
+            {"step": s.time_step, "components": [complex_pair(z) for z in s.components]}
+            for s in states
+        ]}
+        _emit(json.dumps(doc, indent=2), args.out)
+    else:
+        _emit(trajectory_csv([(s.time_step, site_marginals(s)) for s in states], n), args.out)
     return 0
 
 
 def cmd_spectrum(args) -> int:
-    cfg = _load_config(args)
-    op = GlobalOperator(build_local(_require_model(cfg)), _single_n(cfg))
-    _emit(spectrum_csv(op.eigenvalues()), cfg.out)
+    op = GlobalOperator(build_local(_require_model(args)), _single_n(args))
+    _emit(spectrum_csv(op.eigenvalues()), args.out)
     return 0
+
+
+# each command: its handler, its help line and the options it reads; every
+# command also takes --out and --config, and any other flag exits 2
+_COMMANDS = {
+    "validate": (cmd_validate, "build a local operator and report its classification",
+                 ("model", "params", "matrix", "tol")),
+    "zeta": (cmd_zeta, "trace/C_r table (csv) or series with eigenvalue cross-check (json)",
+             ("model", "params", "matrix", "n", "rmax", "u", "format", "coefficients")),
+    "verify": (cmd_verify, "run one closed-form verification and report pass/fail",
+               ("n", "rmax", "u", "tol")),
+    "evolve": (cmd_evolve, "evolve a basis configuration and dump site marginals as CSV",
+               ("model", "params", "matrix", "n", "format", "initial", "steps", "kind")),
+    "spectrum": (cmd_spectrum, "dump the dense spectrum as CSV idx,re,im,abs",
+                 ("model", "params", "matrix", "n")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -313,49 +311,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="Evolution operators, trace sequences and zeta-type "
                     "series for two-state interacting particle systems on a path.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--model", choices=MODEL_NAMES,
-                        help="model family")
-    common.add_argument("--params", help="comma-separated parameters; angles accept pi fractions like pi/6")
-    common.add_argument("--matrix", help="JSON matrix data for tensor/custom models (row-major [re,im] pairs)")
-    common.add_argument("--n", help="site count, or inclusive range like 5..8 where supported")
-    common.add_argument("--rmax", type=int, help="trace/series truncation order")
-    common.add_argument("--u", help="comma-separated complex points like 0.1,0.4j,0.2+0.3j")
-    common.add_argument("--tol", type=float, help="tolerance override")
-    common.add_argument("--format", choices=_FORMATS, help="output format where both exist")
-    common.add_argument("--out", help="write output to this path instead of stdout")
-    common.add_argument("--config", help="JSON config file; flags override its keys")
-
+    # every option's dest exists on every namespace, so a caller may read any
+    # of them; it is None where the command does not take the option
+    parser.set_defaults(**dict.fromkeys(_OPTIONS))
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", parents=[common],
-                       help="build a local operator and report its classification")
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("zeta", parents=[common],
-                       help="trace/C_r table (csv) or series with eigenvalue cross-check (json)")
-    p.add_argument("--coefficients", action="store_true",
-                   help="with --format csv, emit the log-series coefficients "
-                        "r,coeff_re,coeff_im instead of the trace table")
-    p.set_defaults(func=cmd_zeta)
-
-    p = sub.add_parser("verify", parents=[common],
-                       help="run one closed-form verification and report pass/fail")
-    p.add_argument("formula_id", choices=FORMULA_IDS, metavar="formula_id",
-                   help="one of: " + ", ".join(FORMULA_IDS))
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("evolve", parents=[common],
-                       help="evolve a basis configuration and dump site marginals as CSV")
-    p.add_argument("--initial", help="initial configuration bits, e.g. 001")
-    p.add_argument("--steps", type=int, help="number of time steps (default 1)")
-    p.add_argument("--kind", choices=tuple(_STATE_KINDS),
-                   help="state kind; inferred from the model when omitted")
-    p.set_defaults(func=cmd_evolve)
-
-    p = sub.add_parser("spectrum", parents=[common],
-                       help="dump the dense spectrum as CSV idx,re,im,abs")
-    p.set_defaults(func=cmd_spectrum)
+    for name, (func, help_text, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if name == "verify":
+            p.add_argument("formula_id", choices=FORMULA_IDS, metavar="formula_id",
+                           help="one of: " + ", ".join(FORMULA_IDS))
+        for option in options + ("out", "config"):
+            p.add_argument(f"--{option}", **_OPTIONS[option][0])
+        p.set_defaults(func=func)
     return parser
 
 
@@ -372,9 +339,9 @@ _INPUT_ERRORS = (
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        _load_config(args)
         return args.func(args)
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,8 +11,6 @@ from dataclasses import dataclass
 class Defaults:
     # classification of local operators as stochastic / unitary / CA
     classify_tol: float = 1e-9
-    # checks that hold exactly by construction (zero patterns, round-trips)
-    exact_tol: float = 1e-12
     # largest N materialized densely; 2^12 x 2^12 complex128 is ~268 MB
     dense_cap: int = 12
     # matrix-free trace sweeps cost O(4^N); warn past this size

@@ -80,19 +80,23 @@ def initial_state(config: Configuration, kind: StateKind) -> StateVector:
     return StateVector(config.n_sites, StateKind(kind), config.basis_vector(), 0)
 
 
-def _compatible(kind: StateKind, op: GlobalOperator) -> bool:
-    cls = classify(op.local)
-    if kind is StateKind.PCA_PROBABILITY:
-        return cls.is_pca
-    return cls.is_qca
-
-
 def evolve(state: StateVector, op: GlobalOperator, steps: int) -> StateVector:
     """Apply the global operator ``steps`` times and re-check invariants.
 
     Probabilistic states need a column-stochastic local operator, quantum
     states a unitary one.  Normalization drift beyond the configured
-    threshold raises instead of being absorbed.
+    threshold, checked after every step, raises instead of being absorbed.
+    """
+    for state in evolve_states(state, op, steps):
+        pass
+    return state
+
+
+def evolve_states(state: StateVector, op: GlobalOperator, steps: int):
+    """Yield ``state`` and the state after each of the next ``steps`` steps.
+
+    The kind is checked against the operator once, before the first yield,
+    and normalization after every step.
     """
     if steps < 0:
         raise DomainError(f"steps must be nonnegative, got {steps}")
@@ -100,14 +104,16 @@ def evolve(state: StateVector, op: GlobalOperator, steps: int) -> StateVector:
         raise DimensionMismatch(
             f"state has {state.n_sites} sites, operator has {op.n_sites}"
         )
-    if not _compatible(state.kind, op):
-        need = "column-stochastic" if state.kind is StateKind.PCA_PROBABILITY else "unitary"
+    cls = classify(op.local)
+    pca = state.kind is StateKind.PCA_PROBABILITY
+    if not (cls.is_pca if pca else cls.is_qca):
+        need = "column-stochastic" if pca else "unitary"
         raise KindMismatch(f"{state.kind.value} evolution needs a {need} local operator")
-    v = state.components
+    yield state
     for _ in range(steps):
-        v = op.apply(v)
-    return StateVector(state.n_sites, state.kind, v, state.time_step + steps,
-                       norm_tol=DEFAULTS.drift_tol)
+        state = StateVector(state.n_sites, state.kind, op.apply(state.components),
+                            state.time_step + 1, norm_tol=DEFAULTS.drift_tol)
+        yield state
 
 
 def configuration_probability(state: StateVector, config: Configuration) -> float:
@@ -134,8 +140,5 @@ def site_marginals(state: StateVector) -> np.ndarray:
 
 def evolve_trajectory(state: StateVector, op: GlobalOperator, steps: int):
     """Yield (time_step, site_marginals) from the start state onward."""
-    yield state.time_step, site_marginals(state)
-    current = state
-    for _ in range(steps):
-        current = evolve(current, op, 1)
+    for current in evolve_states(state, op, steps):
         yield current.time_step, site_marginals(current)

@@ -105,17 +105,16 @@ class GlobalOperator:
     Vectors are applied matrix-free through the sweep kernel in
     O(N 2^N), and so are traces and powers, one block of identity columns
     at a time.  The dense form, which only the spectrum needs, is
-    materialized on demand (and cached) up to ``dense_cap`` sites.
+    materialized on demand (and cached) up to ``DEFAULTS.dense_cap`` sites.
     """
 
-    def __init__(self, local: LocalOperator, n_sites: int, dense_cap: Optional[int] = None):
+    def __init__(self, local: LocalOperator, n_sites: int):
         if not isinstance(local, LocalOperator):
             local = LocalOperator(local)
         if n_sites < 1:
             raise DomainError(f"n_sites must be positive, got {n_sites}")
         self.local = local
         self.n_sites = int(n_sites)
-        self.dense_cap = DEFAULTS.dense_cap if dense_cap is None else int(dense_cap)
         self._dense: Optional[np.ndarray] = None
         self._eigenvalues: Optional[np.ndarray] = None
 
@@ -135,9 +134,9 @@ class GlobalOperator:
     def materialize(self) -> np.ndarray:
         """Dense form; column j is the image of basis vector j.  Cached."""
         if self._dense is None:
-            if self.n_sites > self.dense_cap:
+            if self.n_sites > DEFAULTS.dense_cap:
                 raise SizeExceeded(
-                    f"N={self.n_sites} exceeds the dense cap {self.dense_cap}"
+                    f"N={self.n_sites} exceeds the dense cap {DEFAULTS.dense_cap}"
                 )
             eye = np.eye(self.dim, dtype=np.complex128)
             dense = kernels.sweep(

@@ -6,6 +6,7 @@ import math
 import pytest
 
 from ipszeta import chebyshev_t
+from ipszeta.config import DEFAULTS
 from ipszeta.cli import main, parse_angle, parse_complex, parse_n_values
 
 
@@ -13,6 +14,26 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# a valid run of each command, and the flags it does not take
+BASE_ARGV = {
+    "validate": ("validate", "--model", "dk", "--params", "0.3,0.7"),
+    "zeta": ("zeta", "--model", "dk", "--params", "0.3,0.7", "--n", "3", "--rmax", "2"),
+    "verify": ("verify", "prop6_pi2", "--n", "1..2"),
+    "evolve": ("evolve", "--model", "qca2", "--params", "0,0", "--n", "3", "--initial", "001"),
+    "spectrum": ("spectrum", "--model", "dk", "--params", "0.3,0.7", "--n", "3"),
+}
+FOREIGN_FLAGS = [
+    ("validate", "--n", "3"), ("validate", "--rmax", "2"), ("validate", "--u", "0.1"),
+    ("validate", "--format", "csv"),
+    ("zeta", "--tol", "1e-6"),
+    ("verify", "--model", "qca2"), ("verify", "--params", "0,0"), ("verify", "--matrix", "[]"),
+    ("verify", "--format", "csv"),
+    ("evolve", "--rmax", "2"), ("evolve", "--u", "0.1"), ("evolve", "--tol", "1e-6"),
+    ("spectrum", "--rmax", "2"), ("spectrum", "--u", "0.1"), ("spectrum", "--tol", "1e-6"),
+    ("spectrum", "--format", "json"),
+]
 
 
 class TestParsers:
@@ -129,6 +150,50 @@ class TestZeta:
                              "--n", "3", "--rmax", "0", "--format", fmt)
         assert code == 2 and out == "" and "r_max" in err
 
+    def test_coefficients_need_csv(self, capsys):
+        code, out, err = run(capsys, "zeta", "--model", "dk", "--params", "0.3,0.7",
+                             "--n", "3", "--rmax", "2", "--coefficients")
+        assert code == 2 and out == "" and "--coefficients" in err
+
+    def test_u_above_dense_cap_exits_2(self, capsys):
+        # refused before the O(r 4^N) trace run, naming the cap
+        code, out, err = run(capsys, "zeta", "--model", "qca2", "--params", "0.3,0.7",
+                             "--n", str(DEFAULTS.dense_cap + 1), "--rmax", "2", "--u", "0.3")
+        assert code == 2 and out == "" and f"N={DEFAULTS.dense_cap}" in err
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("command", ("validate", "zeta", "evolve", "spectrum"))
+    def test_matrix_with_params_exits_2(self, capsys, command):
+        argv = list(BASE_ARGV[command]) + ["--matrix", "[0.5, 0.5]"]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "--matrix" in err
+
+    @pytest.mark.parametrize("n", ("abc", "5..x"))
+    def test_non_numeric_n_names_the_flag(self, capsys, n):
+        code, out, err = run(capsys, "zeta", "--model", "dk", "--params", "0.3,0.7", "--n", n)
+        assert code == 2 and out == "" and "--n" in err
+
+    def test_non_numeric_config_n_names_the_key(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"model": "dk", "params": [0.3, 0.7], "n": "abc"}))
+        code, out, err = run(capsys, "spectrum", "--config", str(cfg))
+        assert code == 2 and out == "" and "--n" in err
+
+    def test_non_numeric_initial_names_the_flag(self, capsys):
+        code, out, err = run(capsys, "evolve", "--model", "qca2", "--params", "0,0",
+                             "--n", "3", "--initial", "0x1")
+        assert code == 2 and out == "" and "--initial" in err
+
+
+@pytest.mark.parametrize("command, flag, value", FOREIGN_FLAGS,
+                         ids=[f"{c}{f}" for c, f, _ in FOREIGN_FLAGS])
+def test_flag_the_command_does_not_take_exits_2(capsys, command, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(list(BASE_ARGV[command]) + [flag, value])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
 
 class TestConfigFile:
     BASE = {"model": "qca1", "params": [0.9, 0.9], "n": 3}
@@ -153,6 +218,13 @@ class TestConfigFile:
     def test_bad_config_exits_2(self, capsys, tmp_path, command, keys, needle):
         code, out, err = run(capsys, command, "--config", self.write(tmp_path, **keys))
         assert code == 2 and out == "" and needle in err
+
+    @pytest.mark.parametrize("command", ("spectrum", "validate"))
+    def test_keys_for_other_commands_are_accepted(self, capsys, tmp_path, command):
+        # one file may serve several commands
+        cfg = self.write(tmp_path, steps=2, initial="001", rmax=4, u=[0.1])
+        code, out, _ = run(capsys, command, "--config", cfg)
+        assert code == 0 and out
 
     def test_u_as_string_or_pairs(self, capsys, tmp_path):
         docs = []
@@ -245,6 +317,11 @@ class TestEvolve:
                              "--n", "3", "--initial", "001", "--steps", "-1",
                              "--format", fmt)
         assert code == 2 and out == "" and "steps" in err
+
+    def test_incompatible_kind_exits_2_without_steps(self, capsys):
+        code, out, err = run(capsys, "evolve", "--model", "qca1", "--params", "0.4,1.1",
+                             "--n", "2", "--initial", "01", "--steps", "0", "--kind", "pca")
+        assert code == 2 and out == "" and "column-stochastic" in err
 
     def test_unknown_config_kind_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import ipszeta.dynamics
 from ipszeta import (
     Configuration,
     DimensionMismatch,
@@ -16,6 +17,7 @@ from ipszeta import (
     StateKind,
     StateVector,
     build_local,
+    classify,
     configuration_probability,
     evolve,
     evolve_trajectory,
@@ -177,6 +179,18 @@ class TestObservables:
         out = evolve(initial_state(Configuration((0, 1, 0)), StateKind.QCA_AMPLITUDE),
                      _op(ModelSpec.qca2(0.7, 1.9), 3), 3)
         assert out.probabilities().sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_trajectory_classifies_once(self, monkeypatch):
+        calls = []
+
+        def counting(local, *args, **kwargs):
+            calls.append(local)
+            return classify(local, *args, **kwargs)
+
+        monkeypatch.setattr(ipszeta.dynamics, "classify", counting)
+        state = initial_state(Configuration((0, 0, 1)), StateKind.PCA_PROBABILITY)
+        rows = list(evolve_trajectory(state, GlobalOperator(RULE90, 3), 20))
+        assert len(rows) == 21 and len(calls) == 1
 
     def test_trajectory_steps(self):
         op = GlobalOperator(RULE90, 3)

@@ -24,7 +24,7 @@ from ipszeta import (
     reflection,
     rotation,
 )
-from ipszeta.config import Defaults
+from ipszeta.config import DEFAULTS, Defaults
 
 from helpers import kron_global, product_global
 
@@ -38,8 +38,8 @@ MODELS = (
 RULE90 = build_local(ModelSpec.qca2(0, 0))
 
 
-def _op(spec, n, **kw):
-    return GlobalOperator(build_local(spec), n, **kw)
+def _op(spec, n):
+    return GlobalOperator(build_local(spec), n)
 
 
 def random_vec(n, seed):
@@ -149,8 +149,9 @@ class TestMaterialize:
                                    rtol=0, atol=1e-13)
 
     def test_cap(self):
+        # refused before the dense matrix is allocated
         with pytest.raises(SizeExceeded):
-            _op(ModelSpec.dk(0.5, 0.5), 5, dense_cap=4).materialize()
+            _op(ModelSpec.dk(0.5, 0.5), DEFAULTS.dense_cap + 1).materialize()
 
     def test_cached(self):
         op = _op(ModelSpec.dk(0.5, 0.5), 3)
@@ -277,7 +278,7 @@ class TestEigenvalues:
 
     def test_requires_dense(self):
         with pytest.raises(SizeExceeded):
-            _op(ModelSpec.dk(0.5, 0.5), 6, dense_cap=4).eigenvalues()
+            _op(ModelSpec.dk(0.5, 0.5), DEFAULTS.dense_cap + 1).eigenvalues()
 
 
 class TestLogDetFactor:
