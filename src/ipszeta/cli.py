@@ -197,6 +197,8 @@ def cmd_zeta(args) -> int:
     n = _single_n(args)
     if args.coefficients and args.format != "csv":
         raise DomainError("--coefficients needs --format csv")
+    if args.u and args.format == "csv":
+        raise DomainError("--u needs --format json; the csv tables hold no evaluations")
     dense = n <= DEFAULTS.dense_cap
     if args.u and not dense:
         raise SizeExceeded(f"--u needs the spectrum, which is computed up to the dense cap "
@@ -242,7 +244,7 @@ def cmd_zeta(args) -> int:
 
 def cmd_verify(args) -> int:
     report = run_formula(args.formula_id, n_values=args.n, r_max=args.rmax,
-                         u_points=args.u or None, tol=args.tol)
+                         u_points=args.u, tol=args.tol)
     _emit(json.dumps(report.to_json(), indent=2), args.out)
     return 0 if report.passed else 3
 

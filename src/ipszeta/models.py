@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -19,12 +19,9 @@ from .config import DEFAULTS
 from .errors import ConstraintViolation, DimensionMismatch, DomainError
 from .serialize import matrix_from_pairs, matrix_pairs
 
-TWO_PI = 2.0 * math.pi
-
-MODEL_NAMES = ("dk", "gdk", "qca1", "qca2", "tensor", "custom")
-
-# a packed pair index 2a+b has parity b, so the forbidden positions are
-# exactly those where row and column parity disagree
+# a packed pair index 2a+b has parity b: the rows and columns of the block
+# for right site b, and the forbidden positions where the parities disagree
+_RIGHT_SITE = ((0, 2), (1, 3))
 _FORBIDDEN = np.array([[(r ^ c) & 1 for c in range(4)] for r in range(4)], dtype=bool)
 
 
@@ -38,6 +35,29 @@ def reflection(xi: float) -> np.ndarray:
     """Unitary reflection [[-sin, cos], [cos, sin]]; squares to the identity."""
     c, s = math.cos(xi), math.sin(xi)
     return np.array([[-s, c], [c, s]], dtype=np.complex128)
+
+
+def _gdk_blocks(*xi: float) -> tuple:
+    c0, c1, c2, c3 = (math.cos(x) ** 2 for x in xi)
+    s0, s1, s2, s3 = (math.sin(x) ** 2 for x in xi)
+    return [[c0, s2], [s0, c2]], [[s1, c3], [c1, s3]]
+
+
+class _Family(NamedTuple):
+    n_params: int
+    probabilities: bool  # parameters in [0, 1]; otherwise angles, taken mod 2pi
+    blocks: Callable[..., tuple]  # parameters -> (block at right site 0, at right site 1)
+
+
+# the parametric families, each as its two right-site blocks
+_FAMILIES = {
+    "dk": _Family(2, True, lambda p, q: ([[1.0, 1.0 - p], [0.0, p]], [[1.0 - p, 1.0 - q], [p, q]])),
+    "gdk": _Family(4, False, _gdk_blocks),
+    "qca1": _Family(2, False, lambda x1, x2: (rotation(x1), rotation(x2))),
+    "qca2": _Family(2, False, lambda x1, x2: (rotation(x1), reflection(x2))),
+}
+
+MODEL_NAMES = (*_FAMILIES, "tensor", "custom")
 
 
 @dataclass(frozen=True)
@@ -61,15 +81,26 @@ class LocalOperator:
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
 
+    @classmethod
+    def from_blocks(cls, right0, right1) -> "LocalOperator":
+        """Acts on the left site by ``right0`` when the right site is 0, else by ``right1``."""
+        blocks = [np.asarray(b, dtype=np.complex128) for b in (right0, right1)]
+        if any(b.shape != (2, 2) for b in blocks):
+            raise ConstraintViolation(f"blocks must be 2x2, got shapes {[b.shape for b in blocks]}")
+        m = np.zeros((4, 4), dtype=np.complex128)
+        for rows, block in zip(_RIGHT_SITE, blocks):
+            m[np.ix_(rows, rows)] = block
+        return cls(m)
+
     @property
     def block_right0(self) -> np.ndarray:
         """2x2 action on the left site when the right site is 0."""
-        return self.entries[np.ix_((0, 2), (0, 2))]
+        return self.entries[np.ix_(_RIGHT_SITE[0], _RIGHT_SITE[0])]
 
     @property
     def block_right1(self) -> np.ndarray:
         """2x2 action on the left site when the right site is 1."""
-        return self.entries[np.ix_((1, 3), (1, 3))]
+        return self.entries[np.ix_(_RIGHT_SITE[1], _RIGHT_SITE[1])]
 
     def to_json(self) -> list:
         return matrix_pairs(self.entries)
@@ -136,17 +167,17 @@ class ModelSpec:
         if self.model not in MODEL_NAMES:
             raise DomainError(f"unknown model {self.model!r}; expected one of {MODEL_NAMES}")
         object.__setattr__(self, "params", tuple(self.params))
-        n_scalar = {"dk": 2, "gdk": 4, "qca1": 2, "qca2": 2}
-        if self.model in n_scalar:
-            if len(self.params) != n_scalar[self.model]:
+        family = _FAMILIES.get(self.model)
+        if family is not None:
+            if len(self.params) != family.n_params:
                 raise DomainError(
-                    f"{self.model} takes {n_scalar[self.model]} parameters, got {len(self.params)}"
+                    f"{self.model} takes {family.n_params} parameters, got {len(self.params)}"
                 )
             vals = tuple(float(p) for p in self.params)
             if not all(math.isfinite(v) for v in vals):
                 raise DomainError(f"{self.model} parameters must be finite")
-            if self.model == "dk" and not all(0.0 <= v <= 1.0 for v in vals):
-                raise DomainError("dk probabilities must lie in [0, 1]")
+            if family.probabilities and not all(0.0 <= v <= 1.0 for v in vals):
+                raise DomainError(f"{self.model} probabilities must lie in [0, 1]")
             object.__setattr__(self, "params", vals)
         elif self.model == "tensor":
             if len(self.params) != 2:
@@ -187,22 +218,21 @@ class ModelSpec:
             params = obj["params"]
         except (KeyError, TypeError) as exc:
             raise DomainError(f"model JSON needs 'model' and 'params' keys: {exc}")
-        if model in ("dk", "gdk", "qca1", "qca2"):
+        if model in _FAMILIES:
             try:
                 return cls(model, tuple(float(p) for p in params))
             except TypeError:
                 raise DomainError(f"{model} params must be numbers, got {params!r}")
         if model == "tensor":
-            if len(params) != 2:
+            if not isinstance(params, (list, tuple)) or len(params) != 2:
                 raise DomainError("tensor params must be two matrices")
-            return cls.tensor(matrix_from_pairs(params[0], 2, 2),
-                              matrix_from_pairs(params[1], 2, 2))
+            return cls.tensor(*(matrix_from_pairs(m, 2, 2) for m in params))
         if model == "custom":
             return cls.custom(matrix_from_pairs(params, 4, 4))
         raise DomainError(f"unknown model {model!r}")
 
     def to_json(self) -> dict:
-        if self.model in ("dk", "gdk", "qca1", "qca2"):
+        if self.model in _FAMILIES:
             params = list(self.params)
         elif self.model == "tensor":
             params = [matrix_pairs(self.params[0]), matrix_pairs(self.params[1])]
@@ -211,61 +241,22 @@ class ModelSpec:
         return {"model": self.model, "params": params}
 
 
-def _reduce(xi: float) -> float:
-    # all formulas are 2pi-periodic; any real angle is accepted and reduced
-    return float(xi) % TWO_PI
-
-
 def build_local(spec: ModelSpec) -> LocalOperator:
     """Assemble the 4x4 matrix of a named model family.
 
-    ``custom`` matrices are validated against the fixed-right-site zero
-    pattern; ``tensor`` products get the same validation after the
-    Kronecker product, which rejects non-diagonal right factors.
+    A parametric family is assembled from its two right-site blocks, its
+    angles reduced mod 2pi first.  ``custom`` matrices are validated against
+    the fixed-right-site zero pattern; ``tensor`` products get the same
+    validation after the Kronecker product, which rejects non-diagonal
+    right factors.
     """
-    if spec.model == "dk":
-        p, q = spec.params
-        m = np.array([
-            [1.0, 0.0, 1.0 - p, 0.0],
-            [0.0, 1.0 - p, 0.0, 1.0 - q],
-            [0.0, 0.0, p, 0.0],
-            [0.0, p, 0.0, q],
-        ], dtype=np.complex128)
-    elif spec.model == "gdk":
-        x1, x2, x3, x4 = (_reduce(x) for x in spec.params)
-        c = [math.cos(x) ** 2 for x in (x1, x2, x3, x4)]
-        s = [math.sin(x) ** 2 for x in (x1, x2, x3, x4)]
-        m = np.array([
-            [c[0], 0.0, s[2], 0.0],
-            [0.0, s[1], 0.0, c[3]],
-            [s[0], 0.0, c[2], 0.0],
-            [0.0, c[1], 0.0, s[3]],
-        ], dtype=np.complex128)
-    elif spec.model == "qca1":
-        x1, x2 = (_reduce(x) for x in spec.params)
-        c1, s1 = math.cos(x1), math.sin(x1)
-        c2, s2 = math.cos(x2), math.sin(x2)
-        m = np.array([
-            [c1, 0.0, -s1, 0.0],
-            [0.0, c2, 0.0, -s2],
-            [s1, 0.0, c1, 0.0],
-            [0.0, s2, 0.0, c2],
-        ], dtype=np.complex128)
-    elif spec.model == "qca2":
-        x1, x2 = (_reduce(x) for x in spec.params)
-        c1, s1 = math.cos(x1), math.sin(x1)
-        c2, s2 = math.cos(x2), math.sin(x2)
-        m = np.array([
-            [c1, 0.0, -s1, 0.0],
-            [0.0, -s2, 0.0, c2],
-            [s1, 0.0, c1, 0.0],
-            [0.0, c2, 0.0, s2],
-        ], dtype=np.complex128)
-    elif spec.model == "tensor":
-        m = TensorFactors(spec.params[0], spec.params[1]).kron()
-    else:
-        m = np.asarray(spec.params[0], dtype=np.complex128)
-    return LocalOperator(m)
+    family = _FAMILIES.get(spec.model)
+    if family is not None:
+        params = spec.params if family.probabilities else (x % math.tau for x in spec.params)
+        return LocalOperator.from_blocks(*family.blocks(*params))
+    if spec.model == "tensor":
+        return LocalOperator(TensorFactors(spec.params[0], spec.params[1]).kron())
+    return LocalOperator(np.asarray(spec.params[0], dtype=np.complex128))
 
 
 def classify(op: LocalOperator, tol: float = DEFAULTS.classify_tol) -> ModelClass:

@@ -23,12 +23,9 @@ from .errors import (
     SingularAtU,
     SizeExceeded,
 )
-from .models import LocalOperator, reflection
+from .models import LocalOperator
 
-__all__ = [
-    "E00", "E01", "E10", "E11", "reflection",
-    "Configuration", "GlobalOperator", "TraceSequence",
-]
+__all__ = ["E00", "E01", "E10", "E11", "Configuration", "GlobalOperator", "TraceSequence"]
 
 E00 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=np.complex128)
 E01 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=np.complex128)
@@ -105,7 +102,8 @@ class GlobalOperator:
     Vectors are applied matrix-free through the sweep kernel in
     O(N 2^N), and so are traces and powers, one block of identity columns
     at a time.  The dense form, which only the spectrum needs, is
-    materialized on demand (and cached) up to ``DEFAULTS.dense_cap`` sites.
+    assembled from the same blocks on demand (and cached) up to
+    ``DEFAULTS.dense_cap`` sites.
     """
 
     def __init__(self, local: LocalOperator, n_sites: int):
@@ -138,10 +136,9 @@ class GlobalOperator:
                 raise SizeExceeded(
                     f"N={self.n_sites} exceeds the dense cap {DEFAULTS.dense_cap}"
                 )
-            eye = np.eye(self.dim, dtype=np.complex128)
-            dense = kernels.sweep(
-                eye.reshape(-1), self.local.entries, self.n_sites, tail=self.dim
-            ).reshape(self.dim, self.dim)
+            dense = np.empty((self.dim, self.dim), dtype=np.complex128)
+            for start, _, image in self._block_powers(1):
+                dense[:, start:start + image.shape[1]] = image
             dense.setflags(write=False)
             self._dense = dense
         return self._dense

@@ -34,6 +34,8 @@ def matrix_pairs(m) -> list:
 
 
 def matrix_from_pairs(data, rows: int, cols: int) -> np.ndarray:
+    if not isinstance(data, (list, tuple)):
+        raise DimensionMismatch(f"expected a list of {rows * cols} [re, im] pairs, got {data!r}")
     if len(data) != rows * cols:
         raise DimensionMismatch(
             f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(data)}"

@@ -29,30 +29,31 @@ from .operators import GlobalOperator, TraceSequence
 SQRT2 = math.sqrt(2.0)
 
 
+def _linear_recurrence(coeffs: tuple, seeds: tuple, index: int) -> float:
+    """Term ``index`` of x_m = coeffs[0] x_{m-1} + coeffs[1] x_{m-2} + ...
+    whose first terms are ``seeds``; each new term adds its products highest
+    order first."""
+    window = list(seeds)
+    for _ in range(index + 1 - len(seeds)):
+        value = coeffs[0] * window[-1]
+        for c, x in zip(coeffs[1:], window[-2::-1]):
+            value += c * x
+        window = window[1:] + [value]
+    return window[min(index, len(seeds) - 1)]
+
+
 def chebyshev_t(n: int, x: float) -> float:
     """First-kind value T_n(x) by the three-term recurrence (any real x)."""
     if n < 0:
         raise DomainError(f"first-kind order must be >= 0, got {n}")
-    prev, cur = 1.0, float(x)
-    if n == 0:
-        return prev
-    for _ in range(n - 1):
-        prev, cur = cur, 2.0 * x * cur - prev
-    return cur
+    return _linear_recurrence((2.0 * float(x), -1.0), (1.0, float(x)), n)
 
 
 def chebyshev_u(n: int, x: float) -> float:
     """Second-kind value U_n(x) by the three-term recurrence; U_{-1} = 0."""
     if n < -1:
         raise DomainError(f"second-kind order must be >= -1, got {n}")
-    if n == -1:
-        return 0.0
-    prev, cur = 1.0, 2.0 * float(x)
-    if n == 0:
-        return prev
-    for _ in range(n - 1):
-        prev, cur = cur, 2.0 * x * cur - prev
-    return cur
+    return _linear_recurrence((2.0 * float(x), -1.0), (0.0, 1.0), n + 1)
 
 
 def arctanh(u) -> complex:
@@ -189,10 +190,7 @@ def qca2_x1_recurrence(n_sites: int, xi: float) -> float:
     if n_sites <= 2:
         return 2.0
     s = math.sin(xi)
-    prev, cur = 2.0, 2.0
-    for _ in range(n_sites - 2):
-        prev, cur = cur, (1.0 + s) * cur - 2.0 * s * prev
-    return cur
+    return _linear_recurrence((1.0 + s, -2.0 * s), (2.0, 2.0), n_sites - 1)
 
 
 def qca2_c1_closed_form(n_sites: int, xi: float) -> TraceR1:
@@ -233,13 +231,8 @@ def qca2_x2_recurrence(n_sites: int, xi: float) -> float:
         raise DomainError(f"n_sites must be positive, got {n_sites}")
     s = math.sin(xi)
     sc = 2.0 * s * math.cos(xi) ** 2
-    seeds = [2.0, 4.0, 4.0 * (1.0 + s * s)]
-    if n_sites <= 3:
-        return seeds[n_sites - 1]
-    x1, x2, x3 = seeds
-    for _ in range(n_sites - 3):
-        x1, x2, x3 = x2, x3, (1.0 + s * s) * x3 + sc * x2 - 2.0 * sc * x1
-    return x3
+    return _linear_recurrence((1.0 + s * s, sc, -2.0 * sc), (2.0, 4.0, 4.0 * (1.0 + s * s)),
+                              n_sites - 1)
 
 
 def rule90_trace_general_r(n_sites: int, k: int, s: int) -> float:

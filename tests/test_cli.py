@@ -155,6 +155,12 @@ class TestZeta:
                              "--n", "3", "--rmax", "2", "--coefficients")
         assert code == 2 and out == "" and "--coefficients" in err
 
+    def test_u_needs_json(self, capsys):
+        # the csv tables hold no evaluations, so the points would be dropped
+        code, out, err = run(capsys, "zeta", "--model", "dk", "--params", "0.3,0.7",
+                             "--n", "3", "--rmax", "2", "--u", "0.3", "--format", "csv")
+        assert code == 2 and out == "" and "--u" in err
+
     def test_u_above_dense_cap_exits_2(self, capsys):
         # refused before the O(r 4^N) trace run, naming the cap
         code, out, err = run(capsys, "zeta", "--model", "qca2", "--params", "0.3,0.7",
@@ -168,6 +174,19 @@ class TestInputErrors:
         argv = list(BASE_ARGV[command]) + ["--matrix", "[0.5, 0.5]"]
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and "--matrix" in err
+
+    @pytest.mark.parametrize("model, matrix", [
+        ("tensor", "5"), ("custom", "5"), ("tensor", "[1, 2]"),
+    ])
+    def test_matrix_not_a_list_exits_2(self, capsys, model, matrix):
+        code, out, err = run(capsys, "validate", "--model", model, "--matrix", matrix)
+        assert code == 2 and out == "" and err.startswith("error:")
+
+    def test_config_tensor_params_not_matrices_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"model": "tensor", "params": [1, 2]}))
+        code, out, err = run(capsys, "validate", "--config", str(cfg))
+        assert code == 2 and out == "" and "[re, im]" in err
 
     @pytest.mark.parametrize("n", ("abc", "5..x"))
     def test_non_numeric_n_names_the_flag(self, capsys, n):
@@ -225,6 +244,13 @@ class TestConfigFile:
         cfg = self.write(tmp_path, steps=2, initial="001", rmax=4, u=[0.1])
         code, out, _ = run(capsys, command, "--config", cfg)
         assert code == 0 and out
+
+    def test_empty_u_is_refused_by_verify(self, capsys, tmp_path):
+        # an empty grid, not the id's default grid
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"u": []}))
+        code, out, err = run(capsys, "verify", "thm6_pi2zeta", "--n", "2", "--config", str(cfg))
+        assert code == 2 and out == "" and "nonempty grid" in err
 
     def test_u_as_string_or_pairs(self, capsys, tmp_path):
         docs = []

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ipszeta import (
     ConstraintViolation,
@@ -71,6 +73,14 @@ def test_custom_rejects_forbidden_positions():
     bad[0, 1] = 0.5  # couples input right=1 to output right=0
     with pytest.raises(ConstraintViolation):
         build_local(ModelSpec.custom(bad))
+
+
+@pytest.mark.parametrize("right0, right1", [
+    (1.0, np.eye(2)), (np.eye(2), np.eye(3)), (np.ones(4), np.eye(2)),
+], ids=["scalar", "3x3", "flat"])
+def test_from_blocks_rejects_non_2x2(right0, right1):
+    with pytest.raises(ConstraintViolation):
+        LocalOperator.from_blocks(right0, right1)
 
 
 def test_custom_rejects_non_finite():
@@ -215,3 +225,101 @@ def test_entries_are_read_only():
     op = build_local(ModelSpec.dk(0.1, 0.2))
     with pytest.raises(ValueError):
         op.entries[0, 0] = 2.0
+
+
+def _hand_written_layout(model, params):
+    """The 4x4 matrix of each parametric family, written out entry by entry."""
+    if model == "dk":
+        p, q = params
+        rows = [[1.0, 0.0, 1.0 - p, 0.0],
+                [0.0, 1.0 - p, 0.0, 1.0 - q],
+                [0.0, 0.0, p, 0.0],
+                [0.0, p, 0.0, q]]
+    elif model == "gdk":
+        xi = [float(x) % (2.0 * math.pi) for x in params]
+        c = [math.cos(x) ** 2 for x in xi]
+        s = [math.sin(x) ** 2 for x in xi]
+        rows = [[c[0], 0.0, s[2], 0.0],
+                [0.0, s[1], 0.0, c[3]],
+                [s[0], 0.0, c[2], 0.0],
+                [0.0, c[1], 0.0, s[3]]]
+    else:
+        x1, x2 = (float(x) % (2.0 * math.pi) for x in params)
+        c1, s1 = math.cos(x1), math.sin(x1)
+        c2, s2 = math.cos(x2), math.sin(x2)
+        if model == "qca1":
+            rows = [[c1, 0.0, -s1, 0.0],
+                    [0.0, c2, 0.0, -s2],
+                    [s1, 0.0, c1, 0.0],
+                    [0.0, s2, 0.0, c2]]
+        else:  # qca2
+            rows = [[c1, 0.0, -s1, 0.0],
+                    [0.0, -s2, 0.0, c2],
+                    [s1, 0.0, c1, 0.0],
+                    [0.0, c2, 0.0, s2]]
+    return np.array(rows, dtype=np.complex128)
+
+
+_ANGLE = st.floats(allow_nan=False, allow_infinity=False)
+_PROBABILITY = st.floats(0.0, 1.0) | st.just(-0.0)
+FAMILY_SPECS = st.one_of(
+    st.tuples(_PROBABILITY, _PROBABILITY).map(lambda p: ModelSpec("dk", p)),
+    st.tuples(_ANGLE, _ANGLE, _ANGLE, _ANGLE).map(lambda p: ModelSpec("gdk", p)),
+    st.tuples(_ANGLE, _ANGLE).map(lambda p: ModelSpec("qca1", p)),
+    st.tuples(_ANGLE, _ANGLE).map(lambda p: ModelSpec("qca2", p)),
+)
+_ENTRY = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+_BLOCK = st.lists(_ENTRY, min_size=4, max_size=4).map(
+    lambda v: np.array(v, dtype=np.complex128).reshape(2, 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(FAMILY_SPECS)
+def test_family_entries_match_hand_written_layout(spec):
+    # byte equality also pins the signed zeros
+    expected = _hand_written_layout(spec.model, spec.params)
+    assert build_local(spec).entries.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(FAMILY_SPECS)
+def test_family_blocks_round_trip(spec):
+    op = build_local(spec)
+    back = LocalOperator.from_blocks(op.block_right0, op.block_right1)
+    assert back.entries.tobytes() == op.entries.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(FAMILY_SPECS)
+def test_family_json_round_trip_is_exact(spec):
+    back = ModelSpec.from_json(spec.to_json())
+    assert back.model == spec.model
+    assert np.array(back.params).tobytes() == np.array(spec.params).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_BLOCK, _ENTRY, _ENTRY)
+def test_tensor_entries_and_round_trips(left, e, h):
+    right = np.diag([e, h])
+    assume(left.any() and right.any())  # a zero factor is rejected
+    spec = ModelSpec.tensor(left, right)
+    op = build_local(spec)
+    assert op.entries.tobytes() == np.kron(left, right).tobytes()
+    np.testing.assert_array_equal(
+        LocalOperator.from_blocks(op.block_right0, op.block_right1).entries, op.entries)
+    back = ModelSpec.from_json(spec.to_json())
+    assert build_local(back).entries.tobytes() == op.entries.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_BLOCK, _BLOCK)
+def test_custom_entries_and_round_trips(right0, right1):
+    matrix = np.zeros((4, 4), dtype=np.complex128)
+    matrix[np.ix_((0, 2), (0, 2))] = right0
+    matrix[np.ix_((1, 3), (1, 3))] = right1
+    spec = ModelSpec.custom(matrix)
+    op = build_local(spec)
+    assert op.entries.tobytes() == matrix.tobytes()
+    assert LocalOperator.from_blocks(right0, right1).entries.tobytes() == matrix.tobytes()
+    back = ModelSpec.from_json(spec.to_json())
+    assert build_local(back).entries.tobytes() == matrix.tobytes()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import ipszeta.operators
+from ipszeta import kernels
 from ipszeta import (
     Configuration,
     DimensionMismatch,
@@ -147,6 +148,16 @@ class TestMaterialize:
         np.testing.assert_allclose(GlobalOperator(local, n).materialize(),
                                    kron_global(local.entries, n),
                                    rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_equals_one_full_width_sweep(self, n):
+        # the dense form is assembled from 256-column blocks; from N=9 on
+        # that is more than one block
+        for spec in MODELS:
+            op = _op(spec, n)
+            eye = np.eye(op.dim, dtype=np.complex128).reshape(-1)
+            full = kernels.sweep(eye, op.local.entries, n, tail=op.dim)
+            assert op.materialize().tobytes() == full.tobytes()
 
     def test_cap(self):
         # refused before the dense matrix is allocated

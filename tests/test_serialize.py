@@ -26,8 +26,9 @@ def test_pair_shape_checked():
     for bad in ([1.0, 2.0, 3.0], [[1.0], 2.0], ["x", 0.0], None):
         with pytest.raises(DimensionMismatch):
             from_pair(bad)
-    with pytest.raises(DimensionMismatch):
-        matrix_from_pairs([[1, 0]] * 5, 2, 2)
+    for bad in ([[1, 0]] * 5, 5, None, {"re": 1}):
+        with pytest.raises(DimensionMismatch):
+            matrix_from_pairs(bad, 2, 2)
 
 
 def test_local_matrix_round_trip():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ipszeta import (
     DomainError,
@@ -266,6 +268,71 @@ class TestSecondPowerTrace:
     def test_matches_brute(self, xi, n):
         brute = _qca2_op(xi, n).trace_powers(2).values[1]
         assert qca2_x2_recurrence(n, xi) == pytest.approx(brute, abs=1e-8)
+
+
+def _loop_t(n, x):
+    prev, cur = 1.0, float(x)
+    if n == 0:
+        return prev
+    for _ in range(n - 1):
+        prev, cur = cur, 2.0 * x * cur - prev
+    return cur
+
+
+def _loop_u(n, x):
+    if n == -1:
+        return 0.0
+    prev, cur = 1.0, 2.0 * float(x)
+    if n == 0:
+        return prev
+    for _ in range(n - 1):
+        prev, cur = cur, 2.0 * x * cur - prev
+    return cur
+
+
+def _loop_x1(n, xi):
+    if n <= 2:
+        return 2.0
+    s = math.sin(xi)
+    prev, cur = 2.0, 2.0
+    for _ in range(n - 2):
+        prev, cur = cur, (1.0 + s) * cur - 2.0 * s * prev
+    return cur
+
+
+def _loop_x2(n, xi):
+    s = math.sin(xi)
+    sc = 2.0 * s * math.cos(xi) ** 2
+    seeds = [2.0, 4.0, 4.0 * (1.0 + s * s)]
+    if n <= 3:
+        return seeds[n - 1]
+    x1, x2, x3 = seeds
+    for _ in range(n - 3):
+        x1, x2, x3 = x2, x3, (1.0 + s * s) * x3 + sc * x2 - 2.0 * sc * x1
+    return x3
+
+
+_ANY_ANGLE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestRecurrencesMatchExplicitLoops:
+    """Each recurrence equals its explicit loop exactly, signed zeros included."""
+
+    @staticmethod
+    def same(got, want):
+        return got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 80), st.floats(-4.0, 4.0))
+    def test_chebyshev(self, n, x):
+        assert self.same(chebyshev_t(n, x), _loop_t(n, x))
+        assert self.same(chebyshev_u(n - 1, x), _loop_u(n - 1, x))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 80), _ANY_ANGLE)
+    def test_reflection_traces(self, n, xi):
+        assert self.same(qca2_x1_recurrence(n, xi), _loop_x1(n, xi))
+        assert self.same(qca2_x2_recurrence(n, xi), _loop_x2(n, xi))
 
 
 class TestRule90TraceRule:
