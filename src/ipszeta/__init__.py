@@ -7,6 +7,7 @@ from .errors import (
     ConvergenceFailure,
     DimensionMismatch,
     DomainError,
+    InvalidInput,
     InvariantDrift,
     IpsZetaError,
     KindMismatch,
@@ -57,8 +58,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DEFAULTS",
-    "IpsZetaError", "ConstraintViolation", "ConvergenceFailure", "DimensionMismatch",
-    "DomainError", "InvariantDrift", "KindMismatch", "SingularAtU", "SizeExceeded",
+    "IpsZetaError", "InvalidInput", "ConstraintViolation", "ConvergenceFailure",
+    "DimensionMismatch", "DomainError", "InvariantDrift", "KindMismatch", "SingularAtU",
+    "SizeExceeded",
     "KERNEL_BACKEND",
     "LocalOperator", "ModelClass", "ModelSpec", "TensorFactors",
     "build_local", "classify", "factor_tensor", "reflection", "rotation",

@@ -10,6 +10,7 @@ input, 3 verification failure.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import re
@@ -17,14 +18,8 @@ import sys
 from typing import Optional
 
 from .config import DEFAULTS
-from .errors import (
-    ConstraintViolation,
-    DimensionMismatch,
-    DomainError,
-    IpsZetaError,
-    KindMismatch,
-    SizeExceeded,
-)
+from .errors import (DimensionMismatch, DomainError, InvalidInput, IpsZetaError, KindMismatch,
+                     SizeExceeded)
 from .models import MODEL_NAMES, ModelSpec, build_local, classify
 from .operators import Configuration, GlobalOperator
 from .dynamics import StateKind, evolve_states, initial_state, site_marginals
@@ -130,7 +125,7 @@ def _load_config(args) -> None:
     Flags win over the file.  A file may hold any config key, whether or not
     the command reads it, and each value is checked before any work starts.
     Afterwards ``args.spec`` holds the model (or None), ``args.n`` a list of
-    site counts and ``args.u`` a list of complex points.
+    site counts and ``args.u`` a list of finite complex points.
     """
     if args.matrix is not None and args.params is not None:
         raise DomainError("give --matrix or --params, not both")
@@ -161,6 +156,10 @@ def _load_config(args) -> None:
         args.u = [parse_complex(t) for t in args.u.split(",")]
     elif args.u is not None:
         args.u = [_u_from_json(t) for t in args.u]
+    if args.u is not None and not all(cmath.isfinite(u) for u in args.u):
+        raise DomainError(f"--u takes finite points, got {args.u}")
+    if args.tol is not None and not 0.0 <= args.tol < math.inf:
+        raise DomainError(f"--tol must be finite and >= 0, got {args.tol!r}")
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -259,11 +258,6 @@ def cmd_evolve(args) -> int:
         bits = tuple(int(b) for b in args.initial)
     except ValueError:
         raise DomainError(f"--initial takes site bits like 001, got {args.initial!r}")
-    config = Configuration(bits)
-    if config.n_sites != n:
-        raise DimensionMismatch(
-            f"initial configuration has {config.n_sites} sites, --n is {n}"
-        )
     if args.kind is None:
         cls = classify(op.local)
         if not (cls.is_pca or cls.is_qca):
@@ -271,9 +265,7 @@ def cmd_evolve(args) -> int:
         args.kind = "pca" if cls.is_pca else "qca"
     kind = _STATE_KINDS[args.kind]
     steps = 1 if args.steps is None else args.steps
-    if steps < 0:
-        raise DomainError(f"steps must be a nonnegative integer, got {steps!r}")
-    states = evolve_states(initial_state(config, kind), op, steps)
+    states = evolve_states(initial_state(Configuration(bits), kind, n), op, steps)
     if args.format == "json":
         doc = {"model": spec.to_json(), "n_sites": n, "kind": kind.value, "states": [
             {"step": s.time_step, "components": [complex_pair(z) for z in s.components]}
@@ -328,24 +320,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_INPUT_ERRORS = (
-    ConstraintViolation,
-    DimensionMismatch,
-    DomainError,
-    KindMismatch,
-    SizeExceeded,
-    ValueError,
-    OSError,
-    json.JSONDecodeError,
-)
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _load_config(args)
         return args.func(args)
-    except _INPUT_ERRORS as exc:
+    except (InvalidInput, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except IpsZetaError as exc:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import InitVar, dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -75,8 +76,15 @@ class StateVector:
         return np.abs(self.components) ** 2
 
 
-def initial_state(config: Configuration, kind: StateKind) -> StateVector:
-    """Point mass on one configuration at time step 0."""
+def initial_state(config: Configuration, kind: StateKind, n_sites: Optional[int] = None
+                  ) -> StateVector:
+    """Point mass on one configuration at time step 0.
+
+    A given ``n_sites`` (say, the operator's) is compared with the
+    configuration before the 2^N vector is allocated.
+    """
+    if n_sites is not None and config.n_sites != n_sites:
+        raise DimensionMismatch(f"configuration has {config.n_sites} sites, need {n_sites}")
     return StateVector(config.n_sites, StateKind(kind), config.basis_vector(), 0)
 
 

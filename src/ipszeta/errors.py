@@ -5,19 +5,23 @@ class IpsZetaError(Exception):
     """Base class for all library errors."""
 
 
-class ConstraintViolation(IpsZetaError):
+class InvalidInput(IpsZetaError):
+    """Base class for errors caused by the caller's input; the CLI exits 2."""
+
+
+class ConstraintViolation(InvalidInput):
     """A local operator carries weight where the right site would change."""
 
 
-class DomainError(IpsZetaError):
+class DomainError(InvalidInput):
     """A parameter lies outside its admissible range."""
 
 
-class DimensionMismatch(IpsZetaError):
+class DimensionMismatch(InvalidInput):
     """A vector or matrix has the wrong shape for the operation."""
 
 
-class SizeExceeded(IpsZetaError):
+class SizeExceeded(InvalidInput):
     """The requested dense computation is above the configured site cap."""
 
 
@@ -29,7 +33,7 @@ class SingularAtU(IpsZetaError):
     """The series or closed form has a pole at the requested point."""
 
 
-class KindMismatch(IpsZetaError):
+class KindMismatch(InvalidInput):
     """State kind and operator class are incompatible."""
 
 

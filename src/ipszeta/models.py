@@ -166,25 +166,28 @@ class ModelSpec:
     def __post_init__(self):
         if self.model not in MODEL_NAMES:
             raise DomainError(f"unknown model {self.model!r}; expected one of {MODEL_NAMES}")
-        object.__setattr__(self, "params", tuple(self.params))
         family = _FAMILIES.get(self.model)
         if family is not None:
-            if len(self.params) != family.n_params:
+            try:
+                vals = tuple(float(p) for p in self.params)
+            except (TypeError, ValueError):
+                raise DomainError(f"{self.model} params must be numbers, got {self.params!r}")
+            if len(vals) != family.n_params:
                 raise DomainError(
-                    f"{self.model} takes {family.n_params} parameters, got {len(self.params)}"
+                    f"{self.model} takes {family.n_params} parameters, got {len(vals)}"
                 )
-            vals = tuple(float(p) for p in self.params)
             if not all(math.isfinite(v) for v in vals):
                 raise DomainError(f"{self.model} parameters must be finite")
             if family.probabilities and not all(0.0 <= v <= 1.0 for v in vals):
                 raise DomainError(f"{self.model} probabilities must lie in [0, 1]")
             object.__setattr__(self, "params", vals)
-        elif self.model == "tensor":
+            return
+        object.__setattr__(self, "params", tuple(self.params))
+        if self.model == "tensor":
             if len(self.params) != 2:
                 raise DomainError("tensor takes two 2x2 matrices")
-        else:  # custom
-            if len(self.params) != 1:
-                raise DomainError("custom takes one 4x4 matrix")
+        elif len(self.params) != 1:  # custom
+            raise DomainError("custom takes one 4x4 matrix")
 
     @classmethod
     def dk(cls, p: float, q: float) -> "ModelSpec":
@@ -218,18 +221,13 @@ class ModelSpec:
             params = obj["params"]
         except (KeyError, TypeError) as exc:
             raise DomainError(f"model JSON needs 'model' and 'params' keys: {exc}")
-        if model in _FAMILIES:
-            try:
-                return cls(model, tuple(float(p) for p in params))
-            except TypeError:
-                raise DomainError(f"{model} params must be numbers, got {params!r}")
         if model == "tensor":
             if not isinstance(params, (list, tuple)) or len(params) != 2:
                 raise DomainError("tensor params must be two matrices")
             return cls.tensor(*(matrix_from_pairs(m, 2, 2) for m in params))
         if model == "custom":
             return cls.custom(matrix_from_pairs(params, 4, 4))
-        raise DomainError(f"unknown model {model!r}")
+        return cls(model, params)
 
     def to_json(self) -> dict:
         if self.model in _FAMILIES:

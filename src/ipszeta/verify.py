@@ -35,9 +35,11 @@ import numpy as np
 from .errors import DomainError
 from .models import LocalOperator, ModelSpec, TensorFactors, build_local
 from .operators import GlobalOperator
+from .serialize import complex_pair
 from .zeta import (
     SQRT2,
     _rule90_zeta_formula,
+    _unit_disk_point,
     binomial_zeta_qca1,
     chebyshev_t,
     clt_limit_zeta,
@@ -92,10 +94,6 @@ class Formula:
     r_max: Optional[int] = None
     u_points: Optional[tuple] = None
     fields: dict = field(default_factory=dict)
-
-
-def _pair(u: complex) -> list:
-    return [u.real, u.imag]
 
 
 def _qca2_operator(xi: float, n: int) -> GlobalOperator:
@@ -159,7 +157,7 @@ def _gaussian_limit(n_values, notes, **_):
     monotone = all(gaps[i + 1] <= gaps[i] * CLT_NOISE for i in range(len(gaps) - 1))
     notes.update(gaps=gaps, monotone_within_noise=monotone,
                  quadrature_stability=abs(limit - clt_limit_zeta(CLT_XI, CLT_U, 128)))
-    yield gaps[-1], {"n": n_values[-1], "xi": CLT_XI, "u": _pair(complex(CLT_U))}
+    yield gaps[-1], {"n": n_values[-1], "xi": CLT_XI, "u": complex_pair(CLT_U)}
     if not monotone:
         yield 1.0, {"check": "gap_decrease_within_noise"}
 
@@ -208,7 +206,7 @@ def _zeta_series(n_values, r_max, u_points, xi: float,
         closed_values = [closed(n, u) for u in u_points]
         series = zeta_log_series(_qca2_operator(xi, n), r_max)
         for u, value in zip(u_points, closed_values):
-            yield abs(value - series.evaluate(u)), {"n": n, "u": _pair(u)}
+            yield abs(value - series.evaluate(u)), {"n": n, "u": complex_pair(u)}
 
 
 def _conjectured_rule90_zeta(n: int, u: complex) -> complex:
@@ -234,7 +232,7 @@ FORMULAS: Dict[str, Formula] = {
         fields={"xi_values": list(SIX_XI)}),
     "cor5_7": Formula(
         _gaussian_limit, (16, 64, 256, 1024), 1e-2,
-        fields={"xi": CLT_XI, "u": _pair(complex(CLT_U))}),
+        fields={"xi": CLT_XI, "u": complex_pair(CLT_U)}),
     "prop6_r1": Formula(
         partial(_reflection_trace, power=1,
                 closed=lambda n, xi: qca2_c1_closed_form(n, xi).trace),
@@ -287,13 +285,10 @@ def run_formula(
     n_values = tuple(formula.n_values if n_values is None else n_values)
     r_max = formula.r_max if r_max is None else r_max
     u_points = formula.u_points if u_points is None else u_points
-    u_points = None if u_points is None else tuple(complex(u) for u in u_points)
+    u_points = None if u_points is None else tuple(_unit_disk_point(u) for u in u_points)
     tol = formula.tol if tol is None else tol
     if not n_values or u_points == ():
         raise DomainError(f"{formula_id} needs a nonempty grid")
-    for u in u_points or ():
-        if abs(u) >= 1.0:
-            raise DomainError(f"u points must satisfy |u| < 1, got u={u}")
 
     notes: dict = {}
     error, witness = 0.0, {}
@@ -307,6 +302,6 @@ def run_formula(
     if r_max is not None:
         grid["r_max"] = r_max
     if u_points is not None:
-        grid["u_points"] = [_pair(u) for u in u_points]
+        grid["u_points"] = [complex_pair(u) for u in u_points]
     grid.update(formula.fields, **notes)
     return ClosedFormReport(formula_id, grid, error, bool(error <= tol), witness, tol)

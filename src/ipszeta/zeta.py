@@ -56,6 +56,14 @@ def chebyshev_u(n: int, x: float) -> float:
     return _linear_recurrence((2.0 * float(x), -1.0), (0.0, 1.0), n + 1)
 
 
+def _unit_disk_point(u) -> complex:
+    """``u`` as a complex number, refused with DomainError unless |u| < 1 (NaN too)."""
+    u = complex(u)
+    if not abs(u) < 1.0:
+        raise DomainError(f"u points must satisfy |u| < 1, got u={u}")
+    return u
+
+
 def arctanh(u) -> complex:
     """Principal arctanh from its two linear log factors."""
     u = complex(u)
@@ -82,10 +90,6 @@ class ZetaLogSeries:
         """Series coefficients -C_r / r from a computed trace sequence."""
         r = np.arange(1, traces.order + 1, dtype=np.float64)
         return cls(traces.n_sites, -traces.c_values / r)
-
-    @property
-    def truncation_order(self) -> int:
-        return len(self.coefficients)
 
     def evaluate(self, u) -> complex:
         """Sum of coefficient_r * u^r in ascending order of r."""
@@ -133,6 +137,13 @@ def tensor_model_cr(factors: TensorFactors, n_sites: int, r: int) -> complex:
             * (e ** r + h ** r)) / 2 ** n_sites
 
 
+def _check_sites_and_angle(n_sites: int, xi: float) -> None:
+    if n_sites < 1:
+        raise DomainError(f"n_sites must be positive, got {n_sites}")
+    if not math.isfinite(xi):
+        raise DomainError(f"angle must be finite, got {xi}")
+
+
 def binomial_zeta_qca1(n_sites: int, xi: float, u) -> complex:
     """Log of the inverse zeta value for the uniform-rotation model.
 
@@ -141,8 +152,7 @@ def binomial_zeta_qca1(n_sites: int, xi: float, u) -> complex:
     weights come from log-gamma differences, so the sum stays stable for
     N in the thousands.
     """
-    if n_sites < 1:
-        raise DomainError(f"n_sites must be positive, got {n_sites}")
+    _check_sites_and_angle(n_sites, xi)
     u = complex(u)
     n = n_sites
     k = np.arange(n)
@@ -163,9 +173,7 @@ def clt_limit_zeta(xi: float, u, quad_nodes: int = DEFAULTS.quad_nodes) -> compl
     Gauss-Hermite quadrature with the sqrt(2) change of variables;
     deterministic for a fixed node count.
     """
-    u = complex(u)
-    if abs(u) >= 1.0:
-        raise DomainError(f"requires |u| < 1, got |u|={abs(u)}")
+    u = _unit_disk_point(u)
     if quad_nodes < 8:
         raise DomainError(f"need at least 8 quadrature nodes, got {quad_nodes}")
     nodes, weights = np.polynomial.hermite.hermgauss(quad_nodes)
@@ -185,8 +193,7 @@ def qca2_x1_recurrence(n_sites: int, xi: float) -> float:
 
     x_{N+2} = (1 + sin xi) x_{N+1} - 2 sin(xi) x_N with x_1 = x_2 = 2.
     """
-    if n_sites < 1:
-        raise DomainError(f"n_sites must be positive, got {n_sites}")
+    _check_sites_and_angle(n_sites, xi)
     if n_sites <= 2:
         return 2.0
     s = math.sin(xi)
@@ -202,8 +209,7 @@ def qca2_c1_closed_form(n_sites: int, xi: float) -> TraceR1:
     near-degenerate band the iterated recurrence is authoritative because
     the distinct-root form divides by l2 - l1.
     """
-    if n_sites < 1:
-        raise DomainError(f"n_sites must be positive, got {n_sites}")
+    _check_sites_and_angle(n_sites, xi)
     s = math.sin(xi)
     disc = (1.0 + s) ** 2 - 8.0 * s
     if abs(disc) < DEFAULTS.double_root_tol:
@@ -227,8 +233,7 @@ def qca2_x2_recurrence(n_sites: int, xi: float) -> float:
               - 4 sin(xi) cos^2(xi) x_N
     with x_1 = 2, x_2 = 4, x_3 = 4 (1 + sin^2 xi).
     """
-    if n_sites < 1:
-        raise DomainError(f"n_sites must be positive, got {n_sites}")
+    _check_sites_and_angle(n_sites, xi)
     s = math.sin(xi)
     sc = 2.0 * s * math.cos(xi) ** 2
     return _linear_recurrence((1.0 + s * s, sc, -2.0 * sc), (2.0, 4.0, 4.0 * (1.0 + s * s)),
@@ -272,9 +277,7 @@ def zeta_closed_form_qca2(n_sites: int, variant: str, u) -> complex:
     """
     if n_sites < 1:
         raise DomainError(f"n_sites must be positive, got {n_sites}")
-    u = complex(u)
-    if abs(u) >= 1.0:
-        raise SingularAtU(f"closed forms need |u| < 1, got |u|={abs(u)}")
+    u = _unit_disk_point(u)
     if variant == "pi_half":
         amplitude = 2.0 ** (-(n_sites - 1) / 2.0) * chebyshev_t(n_sites - 1, SQRT2 / 2.0)
         return complex(0.5 * (np.log(1.0 - u) + np.log(1.0 + u)) - amplitude * arctanh(u))

@@ -199,6 +199,25 @@ class TestInputErrors:
         code, out, err = run(capsys, "spectrum", "--config", str(cfg))
         assert code == 2 and out == "" and "--n" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("zeta", "--model", "qca2", "--params", "0,1", "--n", "3", "--u", "nan"),
+        ("zeta", "--model", "qca2", "--params", "0,1", "--n", "3", "--u=inf"),
+        ("verify", "thm6_pi2zeta", "--n", "2", "--u", "nan"),
+    ], ids=["zeta-nan", "zeta-inf", "verify-nan"])
+    def test_non_finite_u_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "--u" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("validate", "--model", "qca1", "--params", "0.4,1.1", "--tol", "nan"),
+        ("validate", "--model", "qca1", "--params", "0.4,1.1", "--tol", "-1"),
+        ("validate", "--model", "qca1", "--params", "0.4,1.1", "--tol", "inf"),
+        ("verify", "thm5_3", "--n", "3", "--tol", "nan"),
+    ], ids=["validate-nan", "validate-negative", "validate-inf", "verify-nan"])
+    def test_tol_must_be_finite_and_nonnegative(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "--tol" in err
+
     def test_non_numeric_initial_names_the_flag(self, capsys):
         code, out, err = run(capsys, "evolve", "--model", "qca2", "--params", "0,0",
                              "--n", "3", "--initial", "0x1")
@@ -226,6 +245,9 @@ class TestConfigFile:
     @pytest.mark.parametrize("keys, needle", [
         pytest.param({"rmax": "5"}, "'rmax'", id="rmax-str"),
         pytest.param({"tol": "x"}, "'tol'", id="tol-str"),
+        pytest.param({"tol": math.nan}, "--tol", id="tol-nan"),
+        pytest.param({"tol": -1}, "--tol", id="tol-negative"),
+        pytest.param({"u": "nan"}, "--u", id="u-nan"),
         pytest.param({"u": [[0.1]]}, "'u'", id="u-short-pair"),
         pytest.param({"format": "xml"}, "'format'", id="format-choice"),
         pytest.param({"rmx": 5}, "'rmx'", id="unknown-key"),
@@ -343,6 +365,15 @@ class TestEvolve:
                              "--n", "3", "--initial", "001", "--steps", "-1",
                              "--format", fmt)
         assert code == 2 and out == "" and "steps" in err
+
+    @pytest.mark.parametrize("initial", ("01", "0" * 64), ids=["short", "64-sites"])
+    def test_initial_size_must_match_n(self, capsys, initial):
+        # refused before the start state is printed, also with no step to take,
+        # and before its 2^L vector is built: at 64 sites numpy cannot even
+        # allocate it, so only a check made first can name the site counts
+        code, out, err = run(capsys, "evolve", "--model", "qca2", "--params", "0,0",
+                             "--n", "3", "--initial", initial, "--steps", "0")
+        assert code == 2 and out == "" and "sites" in err
 
     def test_incompatible_kind_exits_2_without_steps(self, capsys):
         code, out, err = run(capsys, "evolve", "--model", "qca1", "--params", "0.4,1.1",

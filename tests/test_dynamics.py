@@ -50,6 +50,12 @@ class TestInitialState:
         state = initial_state(Configuration((1, 1)), StateKind.PCA_PROBABILITY)
         assert state.components[3] == 1.0
 
+    def test_site_count_is_checked_before_the_vector_is_built(self):
+        assert initial_state(Configuration((1, 0)), StateKind.QCA_AMPLITUDE, 2).n_sites == 2
+        # 2^64 entries cannot be allocated, so this passes only if the check comes first
+        with pytest.raises(DimensionMismatch, match="64 sites, need 3"):
+            initial_state(Configuration((0,) * 64), StateKind.PCA_PROBABILITY, 3)
+
 
 class TestStateInvariants:
     def test_pca_rejects_negative(self):

@@ -95,6 +95,16 @@ def test_unknown_model_name():
         ModelSpec("ising", (1.0,))
 
 
+@pytest.mark.parametrize("model, params", [
+    ("qca2", (1, [2])), ("dk", 5), ("gdk", ("0", "x", "0", "0")),
+], ids=["nested", "not-a-sequence", "non-numeric-string"])
+def test_family_params_that_are_not_numbers(model, params):
+    with pytest.raises(DomainError):
+        ModelSpec(model, params)
+    with pytest.raises(DomainError):
+        ModelSpec.from_json({"model": model, "params": params})
+
+
 GRID_SPECS = []
 _ticks = np.linspace(0.0, 1.0, 10)
 GRID_SPECS += [ModelSpec.dk(p, q) for p in _ticks for q in _ticks]

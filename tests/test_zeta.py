@@ -235,6 +235,19 @@ class TestFirstPowerTrace:
                 assert abs(residual) < 1e-8
 
 
+@pytest.mark.parametrize("f, n, xi", [
+    (qca2_x1_recurrence, 2, math.inf), (qca2_x1_recurrence, 5, math.nan),
+    (qca2_x2_recurrence, 1, math.inf), (qca2_x2_recurrence, 4, -math.inf),
+    (qca2_c1_closed_form, 3, math.nan), (qca2_c1_closed_form, 1, math.inf),
+    (lambda n, xi: binomial_zeta_qca1(n, xi, 0.3), 3, math.nan),
+    (lambda n, xi: binomial_zeta_qca1(n, xi, 0.3), 4, math.inf),
+], ids=["x1-2-inf", "x1-5-nan", "x2-1-inf", "x2-4-neginf", "c1-3-nan", "c1-1-inf",
+        "binomial-3-nan", "binomial-4-inf"])
+def test_angle_must_be_finite(f, n, xi):
+    with pytest.raises(DomainError, match="finite"):
+        f(n, xi)
+
+
 class TestSecondPowerTrace:
     def test_rule90_value(self):
         assert qca2_x2_recurrence(5, 0.0) == 4.0
@@ -386,7 +399,7 @@ class TestClosedFormZeta:
     def test_rejects_bad_input(self):
         with pytest.raises(DomainError):
             zeta_closed_form_qca2(5, "rule90", 0.3)
-        with pytest.raises(SingularAtU):
+        with pytest.raises(DomainError):
             zeta_closed_form_qca2(3, "pi_half", 1.0)
         with pytest.raises(DomainError):
             zeta_closed_form_qca2(3, "rule_90", 0.3)
@@ -394,6 +407,17 @@ class TestClosedFormZeta:
     def test_arctanh_matches_reference(self):
         for u in (0.3, -0.6, 0.2 + 0.4j):
             assert arctanh(u) == pytest.approx(np.arctanh(complex(u)), abs=1e-14)
+
+
+@pytest.mark.parametrize("u", (1.0, 1.5, math.nan, math.inf))
+@pytest.mark.parametrize("evaluate", [
+    lambda u: run_formula("thm6_pi2zeta", n_values=(2,), u_points=(u,)),
+    lambda u: clt_limit_zeta(0.5, u),
+    lambda u: zeta_closed_form_qca2(3, "pi_half", u),
+], ids=["run_formula", "clt_limit_zeta", "zeta_closed_form_qca2"])
+def test_points_off_the_open_unit_disk_are_refused(evaluate, u):
+    with pytest.raises(DomainError, match=r"\|u\| < 1"):
+        evaluate(u)
 
 
 class TestConjecture:
