@@ -52,6 +52,7 @@ from .dynamics import (
     evolve_trajectory,
     initial_state,
     site_marginals,
+    state_kind,
 )
 
 __version__ = "0.1.0"
@@ -72,6 +73,6 @@ __all__ = [
     "zeta_closed_form_qca2", "zeta_log_series",
     "FORMULA_IDS", "run_formula",
     "StateKind", "StateVector", "configuration_probability", "evolve",
-    "evolve_trajectory", "initial_state", "site_marginals",
+    "evolve_trajectory", "initial_state", "site_marginals", "state_kind",
     "__version__",
 ]

@@ -18,11 +18,10 @@ import sys
 from typing import Optional
 
 from .config import DEFAULTS
-from .errors import (DimensionMismatch, DomainError, InvalidInput, IpsZetaError, KindMismatch,
-                     SizeExceeded)
+from .errors import DimensionMismatch, DomainError, InvalidInput, IpsZetaError, SizeExceeded
 from .models import MODEL_NAMES, ModelSpec, build_local, classify
 from .operators import Configuration, GlobalOperator
-from .dynamics import StateKind, evolve_states, initial_state, site_marginals
+from .dynamics import StateKind, evolve_states, evolve_trajectory, initial_state, state_kind
 from .serialize import complex_pair, from_pair, series_csv, spectrum_csv, trace_csv, trajectory_csv
 from .verify import FORMULA_IDS, run_formula
 from .zeta import ZetaLogSeries
@@ -226,7 +225,7 @@ def cmd_zeta(args) -> int:
     if dense:
         spectral_radius = float(max(abs(l) for l in op.eigenvalues()))
         # the series radius is reported empirically, never asserted
-        doc["empirical_radius"] = math.inf if spectral_radius == 0 else 1.0 / spectral_radius
+        doc["empirical_radius"] = None if spectral_radius == 0 else 1.0 / spectral_radius
         doc["evaluations"] = []
         for u in args.u or ():
             series_value = series.evaluate(u)
@@ -258,22 +257,19 @@ def cmd_evolve(args) -> int:
         bits = tuple(int(b) for b in args.initial)
     except ValueError:
         raise DomainError(f"--initial takes site bits like 001, got {args.initial!r}")
-    if args.kind is None:
-        cls = classify(op.local)
-        if not (cls.is_pca or cls.is_qca):
-            raise KindMismatch("model is neither stochastic nor unitary; pass --kind")
-        args.kind = "pca" if cls.is_pca else "qca"
-    kind = _STATE_KINDS[args.kind]
+    kind = state_kind(op.local) if args.kind is None else _STATE_KINDS[args.kind]
     steps = 1 if args.steps is None else args.steps
-    states = evolve_states(initial_state(Configuration(bits), kind, n), op, steps)
+    # no name holds the start state, so each state is freed after its step
+    evolution = evolve_states if args.format == "json" else evolve_trajectory
+    rows = evolution(initial_state(Configuration(bits), kind, n), op, steps)
     if args.format == "json":
         doc = {"model": spec.to_json(), "n_sites": n, "kind": kind.value, "states": [
             {"step": s.time_step, "components": [complex_pair(z) for z in s.components]}
-            for s in states
+            for s in rows
         ]}
         _emit(json.dumps(doc, indent=2), args.out)
     else:
-        _emit(trajectory_csv([(s.time_step, site_marginals(s)) for s in states], n), args.out)
+        _emit(trajectory_csv(rows, n), args.out)
     return 0
 
 
@@ -325,7 +321,7 @@ def main(argv=None) -> int:
     try:
         _load_config(args)
         return args.func(args)
-    except (InvalidInput, ValueError, OSError) as exc:
+    except (InvalidInput, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except IpsZetaError as exc:

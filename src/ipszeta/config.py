@@ -25,8 +25,6 @@ class Defaults:
     singular_eps: float = 1e-14
     # discriminant magnitude selecting the double-root branch
     double_root_tol: float = 1e-12
-    # discriminant band where the iterated recurrence is authoritative
-    near_degenerate_band: float = 1e-6
 
 
 DEFAULTS = Defaults()

@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import DEFAULTS
 from .errors import DimensionMismatch, DomainError, InvariantDrift, KindMismatch
-from .models import classify
+from .models import LocalOperator, classify
 from .operators import Configuration, GlobalOperator
 
 _CONSTRUCT_TOL = 1e-10  # normalization tolerance for freshly built states
@@ -88,12 +88,31 @@ def initial_state(config: Configuration, kind: StateKind, n_sites: Optional[int]
     return StateVector(config.n_sites, StateKind(kind), config.basis_vector(), 0)
 
 
+def state_kind(local: LocalOperator, kind: Optional[StateKind] = None) -> StateKind:
+    """The kind of state that can evolve under ``local``.
+
+    Probabilistic states need a column-stochastic local operator, quantum
+    states a unitary one.  A given ``kind`` is checked; without one the
+    probabilistic kind is tried first.
+    """
+    cls = classify(local)
+    if kind is None:
+        if not (cls.is_pca or cls.is_qca):
+            raise KindMismatch("model is neither stochastic nor unitary; no state kind evolves")
+        return StateKind.PCA_PROBABILITY if cls.is_pca else StateKind.QCA_AMPLITUDE
+    pca = kind is StateKind.PCA_PROBABILITY
+    if not (cls.is_pca if pca else cls.is_qca):
+        need = "column-stochastic" if pca else "unitary"
+        raise KindMismatch(f"{kind.value} evolution needs a {need} local operator")
+    return kind
+
+
 def evolve(state: StateVector, op: GlobalOperator, steps: int) -> StateVector:
     """Apply the global operator ``steps`` times and re-check invariants.
 
-    Probabilistic states need a column-stochastic local operator, quantum
-    states a unitary one.  Normalization drift beyond the configured
-    threshold, checked after every step, raises instead of being absorbed.
+    The kind must suit the operator (see ``state_kind``).  Normalization
+    drift beyond the configured threshold, checked after every step, raises
+    instead of being absorbed.
     """
     for state in evolve_states(state, op, steps):
         pass
@@ -112,11 +131,7 @@ def evolve_states(state: StateVector, op: GlobalOperator, steps: int):
         raise DimensionMismatch(
             f"state has {state.n_sites} sites, operator has {op.n_sites}"
         )
-    cls = classify(op.local)
-    pca = state.kind is StateKind.PCA_PROBABILITY
-    if not (cls.is_pca if pca else cls.is_qca):
-        need = "column-stochastic" if pca else "unitary"
-        raise KindMismatch(f"{state.kind.value} evolution needs a {need} local operator")
+    state_kind(op.local, state.kind)
     yield state
     for _ in range(steps):
         state = StateVector(state.n_sites, state.kind, op.apply(state.components),
@@ -138,15 +153,11 @@ def configuration_probability(state: StateVector, config: Configuration) -> floa
 
 def site_marginals(state: StateVector) -> np.ndarray:
     """P(site x occupied) for each x, summed over configurations."""
-    probs = state.probabilities().reshape([2] * state.n_sites)
-    out = np.empty(state.n_sites)
-    for x in range(state.n_sites):
-        axes = tuple(a for a in range(state.n_sites) if a != x)
-        out[x] = probs.sum(axis=axes)[1] if axes else probs[1]
-    return out
+    probs = state.probabilities()
+    return np.array([probs.reshape(1 << x, 2, -1)[:, 1].sum() for x in range(state.n_sites)])
 
 
 def evolve_trajectory(state: StateVector, op: GlobalOperator, steps: int):
     """Yield (time_step, site_marginals) from the start state onward."""
-    for current in evolve_states(state, op, steps):
-        yield current.time_step, site_marginals(current)
+    for state in evolve_states(state, op, steps):  # rebinding frees each state after its step
+        yield state.time_step, site_marginals(state)

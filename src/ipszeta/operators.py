@@ -8,6 +8,7 @@ path.  N = 1 is the 2x2 identity by convention.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -96,6 +97,17 @@ class TraceSequence:
         return self.values / float(2 ** self.n_sites)
 
 
+def _positive_int(name: str, value) -> int:
+    """``value`` as an int, refused with DomainError unless it is an integer >= 1."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise DomainError(f"{name} must be positive, got {value}")
+    return value
+
+
 class GlobalOperator:
     """Lazy 2^N x 2^N evolution operator built from one local operator.
 
@@ -109,10 +121,8 @@ class GlobalOperator:
     def __init__(self, local: LocalOperator, n_sites: int):
         if not isinstance(local, LocalOperator):
             local = LocalOperator(local)
-        if n_sites < 1:
-            raise DomainError(f"n_sites must be positive, got {n_sites}")
         self.local = local
-        self.n_sites = int(n_sites)
+        self.n_sites = _positive_int("n_sites", n_sites)
         self._dense: Optional[np.ndarray] = None
         self._eigenvalues: Optional[np.ndarray] = None
 
@@ -145,8 +155,7 @@ class GlobalOperator:
 
     def trace_powers(self, r_max: int) -> TraceSequence:
         """tr(Q^r) for r = 1..r_max, accumulated over column blocks in O(r 4^N)."""
-        if r_max < 1:
-            raise DomainError(f"r_max must be positive, got {r_max}")
+        r_max = _positive_int("r_max", r_max)
         if self.n_sites > DEFAULTS.matrix_free_warn:
             warnings.warn(
                 f"matrix-free trace accumulation costs O(r 4^N); N={self.n_sites} "
@@ -203,8 +212,7 @@ class GlobalOperator:
 
     def power_equals_identity(self, r: int, tol: float) -> bool:
         """Whether Q^r is the identity to max-abs tolerance ``tol``."""
-        if r < 1:
-            raise DomainError(f"power must be positive, got {r}")
+        r = _positive_int("power", r)
         for start, power, image in self._block_powers(r):
             if power == r:
                 block = np.eye(self.dim, image.shape[1], -start)

@@ -380,6 +380,15 @@ class TestEvolve:
                              "--n", "2", "--initial", "01", "--steps", "0", "--kind", "pca")
         assert code == 2 and out == "" and "column-stochastic" in err
 
+    @pytest.mark.parametrize("kind", (None, "pca", "qca"))
+    def test_model_that_no_kind_fits_exits_2(self, capsys, kind):
+        # 0.5 * identity is neither column-stochastic nor unitary, so no --kind helps
+        half = json.dumps([[0.5 * (i == j), 0.0] for i in range(4) for j in range(4)])
+        argv = ["evolve", "--model", "custom", "--matrix", half, "--n", "2", "--initial", "01"]
+        code, out, err = run(capsys, *argv, *(("--kind", kind) if kind else ()))
+        assert code == 2 and out == "" and "--kind" not in err
+        assert ("neither" if kind is None else "local operator") in err
+
     def test_unknown_config_kind_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({
@@ -387,6 +396,29 @@ class TestEvolve:
         }))
         code, out, err = run(capsys, "evolve", "--config", str(cfg))
         assert code == 2 and out == "" and "bogus" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("zeta", "--model", "dk", "--params", "0.5,0.5", "--n", "40", "--rmax", "1",
+     "--format", "csv"),
+    ("evolve", "--model", "dk", "--params", "0.5,0.5", "--n", "50", "--initial", "0" * 50),
+], ids=["zeta-4PiB", "evolve-16PiB"])
+def test_size_that_cannot_be_allocated_exits_2(capsys, argv):
+    # both arrays exceed any 64-bit address space, so numpy refuses them at once
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "allocate" in err
+
+
+def test_nilpotent_radius_is_null_in_strict_json(capsys):
+    zero = json.dumps([[0.0, 0.0]] * 16)
+    code, out, _ = run(capsys, "zeta", "--model", "custom", "--matrix", zero, "--n", "3",
+                       "--rmax", "2")
+    assert code == 0
+
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    assert json.loads(out, parse_constant=refuse)["empirical_radius"] is None
 
 
 class TestSpectrum:

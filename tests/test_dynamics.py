@@ -1,6 +1,7 @@
 """State construction, evolution, probabilities and marginals."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from ipszeta import (
     evolve_trajectory,
     initial_state,
     site_marginals,
+    state_kind,
 )
 
 from helpers import one_step_distribution
@@ -109,6 +111,22 @@ class TestEvolve:
         with pytest.raises(KindMismatch):
             evolve(qca_state, _op(ModelSpec.dk(0.3, 0.7), 2), 1)
 
+    @pytest.mark.parametrize("spec, kind", [
+        (ModelSpec.dk(0.3, 0.7), StateKind.PCA_PROBABILITY),
+        (ModelSpec.qca1(0.4, 1.1), StateKind.QCA_AMPLITUDE),
+        (ModelSpec.qca2(0, 0), StateKind.PCA_PROBABILITY),  # Rule 90 is both: pca first
+    ], ids=["dk", "qca1", "rule90"])
+    def test_kind_is_inferred_pca_first(self, spec, kind):
+        assert state_kind(build_local(spec)) is kind
+        assert state_kind(build_local(spec), kind) is kind
+
+    def test_no_kind_fits_an_operator_that_is_neither(self):
+        local = build_local(ModelSpec.custom(0.5 * np.eye(4)))
+        for kind in (None, *StateKind):
+            with pytest.raises(KindMismatch) as exc:
+                state_kind(local, kind)
+            assert "--kind" not in str(exc.value)
+
     def test_site_count_mismatch(self):
         state = initial_state(Configuration((0, 0)), StateKind.PCA_PROBABILITY)
         with pytest.raises(DimensionMismatch):
@@ -163,6 +181,20 @@ class TestObservables:
         state = initial_state(Configuration((1,)), StateKind.PCA_PROBABILITY)
         np.testing.assert_array_equal(site_marginals(state), [1.0])
 
+    @pytest.mark.parametrize("kind", tuple(StateKind))
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_marginals_match_an_exact_bit_sum(self, n, kind):
+        # oracle: math.fsum over the configurations whose bit x is set
+        rng = np.random.default_rng(n)
+        p = rng.random(2 ** n)
+        p /= p.sum()
+        phases = np.exp(2j * math.pi * rng.random(2 ** n))
+        state = StateVector(n, kind, p if kind is StateKind.PCA_PROBABILITY else np.sqrt(p) * phases)
+        probs = state.probabilities()
+        oracle = [math.fsum(probs[i] for i in range(2 ** n) if i >> (n - 1 - x) & 1)
+                  for x in range(n)]
+        np.testing.assert_allclose(site_marginals(state), oracle, rtol=0, atol=1e-14)
+
     def test_dk_one_step_marginals_match_enumeration(self):
         # oracle: exhaustive outcome weights of one step from all-ones
         p = 0.3
@@ -197,6 +229,15 @@ class TestObservables:
         state = initial_state(Configuration((0, 0, 1)), StateKind.PCA_PROBABILITY)
         rows = list(evolve_trajectory(state, GlobalOperator(RULE90, 3), 20))
         assert len(rows) == 21 and len(calls) == 1
+
+    def test_trajectory_frees_each_state_after_its_step(self):
+        # a 2^N start state held for the whole run would raise peak memory by its size
+        start = initial_state(Configuration((0, 0, 1)), StateKind.PCA_PROBABILITY)
+        ref = weakref.ref(start)
+        rows = evolve_trajectory(start, GlobalOperator(RULE90, 3), 3)
+        del start
+        next(rows), next(rows)
+        assert ref() is None
 
     def test_trajectory_steps(self):
         op = GlobalOperator(RULE90, 3)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ipszeta.operators
 from ipszeta import kernels
@@ -16,12 +18,14 @@ from ipszeta import (
     E10,
     E11,
     GlobalOperator,
+    LocalOperator,
     ModelSpec,
     SingularAtU,
     SizeExceeded,
     TraceSequence,
     build_local,
     binomial_zeta_qca1,
+    classify,
     reflection,
     rotation,
 )
@@ -326,3 +330,69 @@ class TestPowerEqualsIdentity:
     def test_rejects_nonpositive_power(self):
         with pytest.raises(DomainError):
             GlobalOperator(RULE90, 2).power_equals_identity(0, 1e-10)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: GlobalOperator(RULE90, 2.5),
+    lambda: GlobalOperator(RULE90, 2).trace_powers(1.5),
+    lambda: GlobalOperator(RULE90, 2).power_equals_identity(1.5, 1e-10),
+    lambda: GlobalOperator(RULE90, "3"),
+], ids=["n_sites", "trace_powers", "power_equals_identity", "string"])
+def test_sizes_and_powers_must_be_integers(call):
+    with pytest.raises(DomainError, match="must be an integer"):
+        call()
+
+
+def test_numpy_integer_sizes_are_accepted():
+    op = GlobalOperator(RULE90, np.int64(3))
+    assert type(op.n_sites) is int and op.trace_powers(np.int32(2)).order == 2
+
+
+def _unitary_block(alpha, beta, gamma, theta):
+    c, s = math.cos(theta), math.sin(theta)
+    return np.exp(1j * alpha) * np.array([[c * np.exp(1j * beta), -s * np.exp(-1j * gamma)],
+                                          [s * np.exp(1j * gamma), c * np.exp(-1j * beta)]])
+
+
+def _columns_summing_to_one(a):
+    return [[a[0], a[1]], [1 - a[0], 1 - a[1]]]
+
+
+_UNIT = st.floats(0.0, 1.0)
+_PHASE = st.floats(0.0, 2.0 * math.pi)
+_STOCHASTIC = st.tuples(_UNIT, _UNIT).map(_columns_summing_to_one)
+# column sums 1, but entries may leave [0, 1]: stochastic only when they do not
+_AFFINE = st.tuples(st.floats(-1.0, 2.0), st.floats(-1.0, 2.0)).map(_columns_summing_to_one)
+_UNITARY = st.tuples(_PHASE, _PHASE, _PHASE, _PHASE).map(lambda a: _unitary_block(*a))
+# unitary up to a scale near 1: unitary only at scale 1
+_SCALED_UNITARY = st.tuples(st.floats(0.9, 1.1), _UNITARY).map(lambda a: a[0] * a[1])
+_GENERIC = st.lists(st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
+                    min_size=4, max_size=4).map(lambda e: np.reshape(e, (2, 2)))
+_ANY = _STOCHASTIC | _UNITARY | _GENERIC
+# (the class both blocks were drawn from, or None, block at right site 0, at right site 1)
+BLOCK_PAIRS = st.one_of(st.tuples(st.just("pca"), _STOCHASTIC, _STOCHASTIC),
+                        st.tuples(st.just("qca"), _UNITARY, _UNITARY),
+                        st.tuples(st.none(), _AFFINE, _AFFINE),
+                        st.tuples(st.none(), _SCALED_UNITARY, _SCALED_UNITARY),
+                        st.tuples(st.none(), _ANY, _ANY))
+
+
+@settings(max_examples=100, deadline=None)
+@given(BLOCK_PAIRS, st.integers(1, 7))
+def test_sweep_and_classification_agree_with_the_kron_oracle(blocks, n):
+    drawn, right0, right1 = blocks
+    local = LocalOperator.from_blocks(right0, right1)
+    op = GlobalOperator(local, n)
+    q = kron_global(local.entries, n)
+    atol = 1e-12 * max(1.0, np.abs(q).max())
+    np.testing.assert_allclose(op.materialize(), q, rtol=0, atol=atol)
+    vec = random_vec(n, n)
+    np.testing.assert_allclose(op.apply(vec), q @ vec, rtol=0, atol=atol * np.abs(vec).sum())
+    cls = classify(local)
+    assert drawn is None or getattr(cls, f"is_{drawn}")
+    tol = 1e-8 * n  # classify allows 1e-9 per local entry; Q multiplies N-1 of them
+    if cls.is_pca:
+        assert np.abs(q.imag).max() <= tol and q.real.min() >= -tol
+        np.testing.assert_allclose(q.real.sum(axis=0), 1.0, rtol=0, atol=tol)
+    if cls.is_qca:
+        np.testing.assert_allclose(q.conj().T @ q, np.eye(2 ** n), rtol=0, atol=tol)

@@ -220,11 +220,24 @@ class TestFirstPowerTrace:
             brute = _qca2_op(xi, n).trace_powers(1).values[0]
             assert qca2_c1_closed_form(n, xi).trace == pytest.approx(brute, abs=1e-10)
 
-    def test_near_degenerate_band_uses_recurrence(self):
-        s = 3.0 - math.sqrt(8.0 + 1e-8)  # discriminant ~ 1e-8, inside the band
-        xi = math.asin(s)
-        got = qca2_c1_closed_form(6, xi)
-        assert got.trace == complex(qca2_x1_recurrence(6, xi))
+    def test_root_forms_near_coalescence_match_mpmath(self):
+        # oracle: the order-2 recurrence run at 60 digits on the same angle;
+        # grid: both coalescence angles offset by +-10^k, k = -16..-2, where
+        # the distinct-root form divides by a small l2 - l1
+        import mpmath
+
+        worst = 0.0
+        for base in (math.asin(3 - 2 * SQRT2), math.pi - math.asin(3 - 2 * SQRT2)):
+            for xi in (base + sign * 10.0 ** k for k in range(-16, -1) for sign in (1, -1)):
+                with mpmath.workdps(60):
+                    s = mpmath.sin(mpmath.mpf(xi))
+                    x = [mpmath.mpf(2), mpmath.mpf(2)]
+                    while len(x) < 40:
+                        x.append((1 + s) * x[-1] - 2 * s * x[-2])
+                for n in (*range(1, 11), 20, 40):
+                    got = qca2_c1_closed_form(n, xi).trace
+                    worst = max(worst, abs(got - complex(x[n - 1])))
+        assert worst <= 1e-9
 
     def test_order_two_recurrence_on_brute_traces(self):
         for xi in XI_GRID:
@@ -241,9 +254,15 @@ class TestFirstPowerTrace:
     (qca2_c1_closed_form, 3, math.nan), (qca2_c1_closed_form, 1, math.inf),
     (lambda n, xi: binomial_zeta_qca1(n, xi, 0.3), 3, math.nan),
     (lambda n, xi: binomial_zeta_qca1(n, xi, 0.3), 4, math.inf),
+    (lambda n, u: binomial_zeta_qca1(n, 0.2, u), 3, math.nan),
+    (lambda n, u: binomial_zeta_qca1(n, 0.2, u), 3, math.inf),
+    (lambda _, xi: clt_limit_zeta(xi, 0.3), None, math.nan),
+    (lambda _, xi: clt_limit_zeta(xi, 0.3), None, math.inf),
 ], ids=["x1-2-inf", "x1-5-nan", "x2-1-inf", "x2-4-neginf", "c1-3-nan", "c1-1-inf",
-        "binomial-3-nan", "binomial-4-inf"])
+        "binomial-3-nan", "binomial-4-inf", "binomial-u-nan", "binomial-u-inf",
+        "clt-nan", "clt-inf"])
 def test_angle_must_be_finite(f, n, xi):
+    # the binomial-u cases pass the point u: it must be finite too
     with pytest.raises(DomainError, match="finite"):
         f(n, xi)
 
