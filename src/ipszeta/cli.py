@@ -34,9 +34,10 @@ def parse_angle(text: str) -> float:
     text = text.strip().lower().replace(" ", "")
     m = _PI_FRACTION.match(text)
     if m:
-        value = math.pi * float(m.group("coef") or 1.0)
-        if m.group("den"):
-            value /= float(m.group("den"))
+        den = float(m.group("den") or 1.0)
+        if den == 0.0:
+            raise DomainError(f"angle {text!r} divides by zero")
+        value = math.pi * float(m.group("coef") or 1.0) / den
         return -value if m.group("sign") == "-" else value
     try:
         return float(text)

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 class Defaults:
     # classification of local operators as stochastic / unitary / CA
     classify_tol: float = 1e-9
-    # largest N materialized densely; 2^12 x 2^12 complex128 is ~268 MB
+    # largest N materialized densely; 2^12 x 2^12 is ~134 MB in float64 (real
+    # models), ~268 MB in complex128
     dense_cap: int = 12
     # matrix-free trace sweeps cost O(4^N); warn past this size
     matrix_free_warn: int = 14

@@ -44,7 +44,7 @@ class StateVector:
     norm_tol: InitVar[float] = _CONSTRUCT_TOL
 
     def __post_init__(self, norm_tol):
-        v = np.array(self.components, dtype=np.complex128).reshape(-1)
+        v = np.array(self.components).reshape(-1)
         if v.shape[0] != (1 << self.n_sites):
             raise DimensionMismatch(
                 f"state length {v.shape[0]} does not match 2^{self.n_sites}"

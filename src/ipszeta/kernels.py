@@ -12,7 +12,7 @@ BACKEND = "python"
 
 
 def sweep(vec, local, n_sites, tail=1):
-    """Apply the chain of two-site updates to a flat complex array.
+    """Apply the chain of two-site updates to a flat array.
 
     The array holds ``tail`` interleaved vectors of length ``2**n_sites``
     (configuration index major, copy index minor), so a row-major dense
@@ -21,10 +21,11 @@ def sweep(vec, local, n_sites, tail=1):
     (n_sites-2, n_sites-1) last.  Entries of ``local`` at positions where
     the right site would change are assumed to be zero.
 
-    Returns a fresh array; the input is never modified.
+    Returns a fresh array in the inputs' promoted dtype, also at N = 1.
     """
-    out = np.array(vec, dtype=np.complex128, copy=True).reshape(-1)
-    q = np.asarray(local, dtype=np.complex128)
+    q = np.asarray(local)
+    out = np.asarray(vec).reshape(-1)
+    out = out.astype(np.result_type(out, q))
     for x in range(n_sites - 1):
         inner = (1 << (n_sites - 2 - x)) * tail
         # middle axis is the packed site pair 2k+l, exactly the row index of q

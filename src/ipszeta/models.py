@@ -1,6 +1,6 @@
 """Two-site local operators and the named model families built from them.
 
-A local operator is a 4x4 complex matrix of transition weights indexed as
+A local operator is a 4x4 matrix of transition weights indexed as
 ``entries[2*k + l, 2*i + j]`` for an input site pair (i, j) and an output
 pair (k, l).  The interaction leaves the right site unchanged, so every
 weight with j != l vanishes; equivalently the matrix splits into two 2x2
@@ -26,15 +26,15 @@ _FORBIDDEN = np.array([[(r ^ c) & 1 for c in range(4)] for r in range(4)], dtype
 
 
 def rotation(xi: float) -> np.ndarray:
-    """Plane rotation [[cos, -sin], [sin, cos]] as a complex 2x2 matrix."""
+    """Plane rotation [[cos, -sin], [sin, cos]] as a real 2x2 matrix."""
     c, s = math.cos(xi), math.sin(xi)
-    return np.array([[c, -s], [s, c]], dtype=np.complex128)
+    return np.array([[c, -s], [s, c]])
 
 
 def reflection(xi: float) -> np.ndarray:
     """Unitary reflection [[-sin, cos], [cos, sin]]; squares to the identity."""
     c, s = math.cos(xi), math.sin(xi)
-    return np.array([[-s, c], [c, s]], dtype=np.complex128)
+    return np.array([[-s, c], [c, s]])
 
 
 def _gdk_blocks(*xi: float) -> tuple:
@@ -78,16 +78,19 @@ class LocalOperator:
             raise ConstraintViolation(
                 f"weight at row {r}, column {c} would change the right site"
             )
+        # the one home of the number format: float64 unless an entry is complex
+        if not m.imag.any():
+            m = m.real.copy()
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
 
     @classmethod
     def from_blocks(cls, right0, right1) -> "LocalOperator":
         """Acts on the left site by ``right0`` when the right site is 0, else by ``right1``."""
-        blocks = [np.asarray(b, dtype=np.complex128) for b in (right0, right1)]
+        blocks = [np.asarray(b) for b in (right0, right1)]
         if any(b.shape != (2, 2) for b in blocks):
             raise ConstraintViolation(f"blocks must be 2x2, got shapes {[b.shape for b in blocks]}")
-        m = np.zeros((4, 4), dtype=np.complex128)
+        m = np.zeros((4, 4), dtype=np.result_type(*blocks))
         for rows, block in zip(_RIGHT_SITE, blocks):
             m[np.ix_(rows, rows)] = block
         return cls(m)
@@ -207,12 +210,11 @@ class ModelSpec:
 
     @classmethod
     def tensor(cls, left, right) -> "ModelSpec":
-        return cls("tensor", (np.asarray(left, dtype=np.complex128),
-                              np.asarray(right, dtype=np.complex128)))
+        return cls("tensor", (np.asarray(left), np.asarray(right)))
 
     @classmethod
     def custom(cls, matrix) -> "ModelSpec":
-        return cls("custom", (np.asarray(matrix, dtype=np.complex128),))
+        return cls("custom", (np.asarray(matrix),))
 
     @classmethod
     def from_json(cls, obj: dict) -> "ModelSpec":
@@ -254,7 +256,7 @@ def build_local(spec: ModelSpec) -> LocalOperator:
         return LocalOperator.from_blocks(*family.blocks(*params))
     if spec.model == "tensor":
         return LocalOperator(TensorFactors(spec.params[0], spec.params[1]).kron())
-    return LocalOperator(np.asarray(spec.params[0], dtype=np.complex128))
+    return LocalOperator(spec.params[0])
 
 
 def classify(op: LocalOperator, tol: float = DEFAULTS.classify_tol) -> ModelClass:
@@ -291,7 +293,7 @@ def factor_tensor(op: LocalOperator, tol: float = DEFAULTS.classify_tol) -> Opti
     else:
         left = np.array(b1)
         e, h = 0.0j, 1.0 + 0.0j
-    right = np.array([[e, 0.0], [0.0, h]], dtype=np.complex128)
+    right = np.array([[e, 0.0], [0.0, h]])
     if np.max(np.abs(np.kron(left, right) - op.entries)) > tol:
         return None
     return TensorFactors(left, right)

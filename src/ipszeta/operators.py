@@ -28,10 +28,10 @@ from .models import LocalOperator
 
 __all__ = ["E00", "E01", "E10", "E11", "Configuration", "GlobalOperator", "TraceSequence"]
 
-E00 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=np.complex128)
-E01 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=np.complex128)
-E10 = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=np.complex128)
-E11 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=np.complex128)
+E00 = np.array([[1.0, 0.0], [0.0, 0.0]])
+E01 = np.array([[0.0, 1.0], [0.0, 0.0]])
+E10 = np.array([[0.0, 0.0], [1.0, 0.0]])
+E11 = np.array([[0.0, 0.0], [0.0, 1.0]])
 for _m in (E00, E01, E10, E11):
     _m.setflags(write=False)
 
@@ -69,7 +69,7 @@ class Configuration:
         return cls(tuple((index >> (n_sites - 1 - x)) & 1 for x in range(n_sites)))
 
     def basis_vector(self) -> np.ndarray:
-        v = np.zeros(1 << self.n_sites, dtype=np.complex128)
+        v = np.zeros(1 << self.n_sites)
         v[self.index] = 1.0
         return v
 
@@ -132,7 +132,7 @@ class GlobalOperator:
 
     def apply(self, vec) -> np.ndarray:
         """Matrix-free product with a length-2^N vector (pair (0,1) first)."""
-        v = np.asarray(vec, dtype=np.complex128).reshape(-1)
+        v = np.asarray(vec).reshape(-1)
         if v.shape[0] != self.dim:
             raise DimensionMismatch(
                 f"vector length {v.shape[0]} does not match 2^{self.n_sites}"
@@ -146,7 +146,7 @@ class GlobalOperator:
                 raise SizeExceeded(
                     f"N={self.n_sites} exceeds the dense cap {DEFAULTS.dense_cap}"
                 )
-            dense = np.empty((self.dim, self.dim), dtype=np.complex128)
+            dense = np.empty((self.dim, self.dim), dtype=self.local.entries.dtype)
             for start, _, image in self._block_powers(1):
                 dense[:, start:start + image.shape[1]] = image
             dense.setflags(write=False)
@@ -156,15 +156,17 @@ class GlobalOperator:
     def trace_powers(self, r_max: int) -> TraceSequence:
         """tr(Q^r) for r = 1..r_max, accumulated over column blocks in O(r 4^N)."""
         r_max = _positive_int("r_max", r_max)
-        if self.n_sites > DEFAULTS.matrix_free_warn:
-            warnings.warn(
-                f"matrix-free trace accumulation costs O(r 4^N); N={self.n_sites} "
-                "will be slow",
-                RuntimeWarning,
-                stacklevel=2,
-            )
         values = np.zeros(r_max, dtype=np.complex128)
         for start, r, image in self._block_powers(r_max):
+            # warned only once the first block exists, so a size that cannot
+            # be allocated fails without announcing a slow run
+            if start == 0 and r == 1 and self.n_sites > DEFAULTS.matrix_free_warn:
+                warnings.warn(
+                    f"matrix-free trace accumulation costs O(r 4^N); N={self.n_sites} "
+                    "will be slow",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
             values[r - 1] += np.trace(image, offset=-start)
         return TraceSequence(self.n_sites, values)
 
@@ -178,7 +180,7 @@ class GlobalOperator:
         dim = self.dim
         width = min(dim, _BLOCK_COLUMNS)
         for start in range(0, dim, width):
-            flat = np.eye(dim, width, -start, dtype=np.complex128).reshape(-1)
+            flat = np.eye(dim, width, -start).reshape(-1)
             for r in range(1, r_max + 1):
                 flat = kernels.sweep(flat, self.local.entries, self.n_sites, tail=width)
                 yield start, r, flat.reshape(dim, width)
@@ -188,7 +190,7 @@ class GlobalOperator:
         if self._eigenvalues is None:
             dense = self.materialize()
             try:
-                eig = np.linalg.eigvals(dense)
+                eig = np.linalg.eigvals(dense).astype(np.complex128, copy=False)
             except np.linalg.LinAlgError as exc:
                 raise ConvergenceFailure(
                     f"eigensolver exhausted its {30 * self.dim} QR iteration budget: {exc}"

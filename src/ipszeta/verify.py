@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import DomainError
 from .models import LocalOperator, ModelSpec, TensorFactors, build_local
-from .operators import GlobalOperator
+from .operators import GlobalOperator, _positive_int
 from .serialize import complex_pair
 from .zeta import (
     SQRT2,
@@ -152,6 +152,7 @@ def _gaussian_limit(n_values, notes, **_):
     Passes when the gap sequence decreases up to the noise factor and the
     final gap is below tolerance; the gaps themselves go in the report.
     """
+    n_values = [_positive_int("n_sites", n) for n in n_values]
     limit = clt_limit_zeta(CLT_XI, CLT_U)
     gaps = [abs(binomial_zeta_qca1(n, CLT_XI / math.sqrt(n), CLT_U) - limit) for n in n_values]
     monotone = all(gaps[i + 1] <= gaps[i] * CLT_NOISE for i in range(len(gaps) - 1))

@@ -2,10 +2,11 @@
 
 import json
 import math
+import warnings
 
 import pytest
 
-from ipszeta import chebyshev_t
+from ipszeta import DomainError, chebyshev_t
 from ipszeta.config import DEFAULTS
 from ipszeta.cli import main, parse_angle, parse_complex, parse_n_values
 
@@ -43,6 +44,13 @@ class TestParsers:
         assert parse_angle("pi/6") == pytest.approx(math.pi / 6)
         assert parse_angle("-3pi/4") == pytest.approx(-3 * math.pi / 4)
         assert parse_angle("2pi") == pytest.approx(2 * math.pi)
+
+    @pytest.mark.parametrize("text", ("pi/0", "2pi/0.0", "-pi/0.00"))
+    def test_angle_with_zero_denominator_is_refused(self, capsys, text):
+        with pytest.raises(DomainError, match="divides by zero"):
+            parse_angle(text)
+        code, out, err = run(capsys, "validate", "--model", "qca1", f"--params={text},1")
+        assert code == 2 and out == "" and repr(text) in err
 
     def test_complex(self):
         assert parse_complex("0.3") == 0.3
@@ -311,6 +319,13 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "prop6_pi2", "--n", "1..3", "--rmax", "0")
         assert code == 2 and out == "" and "r_max" in err
 
+    @pytest.mark.parametrize("n", ("0", "-3"))
+    def test_gaussian_limit_site_count_below_one_exits_2(self, capsys, n):
+        # the grid is checked before the first sqrt(N)
+        code, out, err = run(capsys, "verify", "cor5_7", "--n", n)
+        assert code == 2 and out == ""
+        assert f"n_sites must be positive, got {n}" in err
+
     @pytest.mark.parametrize("argv, needle", [
         pytest.param(("prop6_r1", "--n", "3", "--rmax", "5"), "--rmax", id="prop6_r1-rmax"),
         pytest.param(("cor5_7", "--rmax", "3"), "--rmax", id="cor5_7-rmax"),
@@ -351,6 +366,19 @@ class TestEvolve:
         assert doc["states"][0]["components"][1] == [1.0, 0.0]
         assert doc["states"][1]["components"][3] == [1.0, 0.0]  # (0,1) -> (1,1)
         assert doc["states"][2]["components"][1] == [1.0, 0.0]  # period 2
+
+    def test_real_model_json_keeps_the_pair_layout(self, capsys):
+        # float64 states still print each component as an [re, im] pair
+        code, out, _ = run(capsys, "evolve", "--model", "dk", "--params", "0.5,0.25",
+                           "--n", "2", "--initial", "01", "--steps", "2", "--format", "json")
+        assert code == 0
+        assert json.loads(out) == {
+            "model": {"model": "dk", "params": [0.5, 0.25]}, "n_sites": 2,
+            "kind": "pca_probability", "states": [
+                {"step": 0, "components": [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]},
+                {"step": 1, "components": [[0.0, 0.0], [0.5, 0.0], [0.0, 0.0], [0.5, 0.0]]},
+                {"step": 2, "components": [[0.0, 0.0], [0.625, 0.0], [0.0, 0.0], [0.375, 0.0]]},
+            ]}
 
     def test_kind_flag(self, capsys):
         code, out, _ = run(capsys, "evolve", "--model", "gdk", "--params", "0,0,0,0",
@@ -402,11 +430,16 @@ class TestEvolve:
     ("zeta", "--model", "dk", "--params", "0.5,0.5", "--n", "40", "--rmax", "1",
      "--format", "csv"),
     ("evolve", "--model", "dk", "--params", "0.5,0.5", "--n", "50", "--initial", "0" * 50),
-], ids=["zeta-4PiB", "evolve-16PiB"])
+], ids=["zeta-2PiB", "evolve-8PiB"])
 def test_size_that_cannot_be_allocated_exits_2(capsys, argv):
-    # both arrays exceed any 64-bit address space, so numpy refuses them at once
-    code, out, err = run(capsys, *argv)
+    # both arrays (float64, as the dk weights are real) exceed any 64-bit
+    # address space, so numpy refuses them at once, and no slow run is announced
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and "allocate" in err
+    assert err.startswith("error: ") and "matrix-free" not in err
+    assert not [w for w in caught if "matrix-free" in str(w.message)]
 
 
 def test_nilpotent_radius_is_null_in_strict_json(capsys):

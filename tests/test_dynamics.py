@@ -26,6 +26,7 @@ from ipszeta import (
     site_marginals,
     state_kind,
 )
+from ipszeta.dynamics import evolve_states
 
 from helpers import one_step_distribution
 
@@ -131,6 +132,17 @@ class TestEvolve:
         state = initial_state(Configuration((0, 0)), StateKind.PCA_PROBABILITY)
         with pytest.raises(DimensionMismatch):
             evolve(state, _op(ModelSpec.dk(0.3, 0.7), 3), 1)
+
+    def test_states_follow_the_operator_format(self):
+        # a real model keeps float64 states; a complex one promotes them
+        start = initial_state(Configuration((0, 1, 1)), StateKind.PCA_PROBABILITY)
+        assert start.components.dtype == np.float64
+        for state in evolve_states(start, _op(ModelSpec.dk(0.3, 0.7), 3), 3):
+            assert state.components.dtype == np.float64
+        phase = _op(ModelSpec.tensor(np.eye(2), np.diag([1.0, 1j])), 3)
+        start = initial_state(Configuration((0, 0, 1)), StateKind.QCA_AMPLITUDE)
+        out = evolve(start, phase, 1)  # only pair (1, 2) sees a right site 1
+        assert out.components.dtype == np.complex128 and out.components[1] == 1j
 
     @pytest.mark.parametrize("p", (0.0, 0.35, 0.8, 1.0))
     @pytest.mark.parametrize("n", (2, 5, 10))

@@ -267,7 +267,12 @@ def _hand_written_layout(model, params):
                     [0.0, -s2, 0.0, c2],
                     [s1, 0.0, c1, 0.0],
                     [0.0, c2, 0.0, s2]]
-    return np.array(rows, dtype=np.complex128)
+    return np.array(rows, dtype=np.float64)
+
+
+def _stored(matrix):
+    """``matrix`` as a local operator keeps it: float64 unless an entry is complex."""
+    return matrix if matrix.imag.any() else matrix.real.copy()
 
 
 _ANGLE = st.floats(allow_nan=False, allow_infinity=False)
@@ -286,9 +291,11 @@ _BLOCK = st.lists(_ENTRY, min_size=4, max_size=4).map(
 @settings(max_examples=300, deadline=None)
 @given(FAMILY_SPECS)
 def test_family_entries_match_hand_written_layout(spec):
-    # byte equality also pins the signed zeros
+    # byte equality also pins the signed zeros; every family is real
     expected = _hand_written_layout(spec.model, spec.params)
-    assert build_local(spec).entries.tobytes() == expected.tobytes()
+    op = build_local(spec)
+    assert op.entries.dtype == op.block_right0.dtype == op.block_right1.dtype == np.float64
+    assert op.entries.tobytes() == expected.tobytes()
 
 
 @settings(max_examples=300, deadline=None)
@@ -314,7 +321,7 @@ def test_tensor_entries_and_round_trips(left, e, h):
     assume(left.any() and right.any())  # a zero factor is rejected
     spec = ModelSpec.tensor(left, right)
     op = build_local(spec)
-    assert op.entries.tobytes() == np.kron(left, right).tobytes()
+    assert op.entries.tobytes() == _stored(np.kron(left, right)).tobytes()
     np.testing.assert_array_equal(
         LocalOperator.from_blocks(op.block_right0, op.block_right1).entries, op.entries)
     back = ModelSpec.from_json(spec.to_json())
@@ -328,8 +335,27 @@ def test_custom_entries_and_round_trips(right0, right1):
     matrix[np.ix_((0, 2), (0, 2))] = right0
     matrix[np.ix_((1, 3), (1, 3))] = right1
     spec = ModelSpec.custom(matrix)
+    expected = _stored(matrix).tobytes()
     op = build_local(spec)
-    assert op.entries.tobytes() == matrix.tobytes()
-    assert LocalOperator.from_blocks(right0, right1).entries.tobytes() == matrix.tobytes()
+    assert op.entries.tobytes() == expected
+    assert LocalOperator.from_blocks(right0, right1).entries.tobytes() == expected
     back = ModelSpec.from_json(spec.to_json())
-    assert build_local(back).entries.tobytes() == matrix.tobytes()
+    assert build_local(back).entries.tobytes() == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(_BLOCK, _BLOCK, st.integers(0, 7), st.floats(1e-300, 1e3) | st.floats(-1e3, -1e-300))
+def test_a_nonzero_imaginary_entry_keeps_complex128(right0, right1, position, imag):
+    blocks = [right0.real.astype(np.complex128), right1.real.astype(np.complex128)]
+    blocks[position // 4][divmod(position % 4, 2)] += 1j * imag
+    assert LocalOperator.from_blocks(*blocks).entries.dtype == np.complex128
+    tensor = build_local(ModelSpec.tensor(rotation(0.3), np.diag([1.0, 1j * imag])))
+    assert tensor.entries.dtype == np.complex128
+
+
+def test_real_input_of_any_format_is_stored_as_float64():
+    for entries in (np.eye(4, dtype=int), np.eye(4, dtype=np.float32), np.eye(4) + 0j,
+                    np.eye(4).tolist()):
+        op = LocalOperator(entries)
+        assert op.entries.dtype == np.float64 and op.entries.flags.c_contiguous
+        np.testing.assert_array_equal(op.entries, np.eye(4))

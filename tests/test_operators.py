@@ -119,6 +119,25 @@ class TestApply:
         with pytest.raises(DimensionMismatch):
             _op(ModelSpec.dk(0.5, 0.5), 3).apply(np.ones(4))
 
+    @pytest.mark.parametrize("spec", MODELS, ids=[m.model for m in MODELS])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_complex_vector_through_real_operator(self, spec, n):
+        op = _op(spec, n)
+        v = random_vec(n, 2000 + n)
+        out = op.apply(v)
+        assert out.dtype == np.complex128
+        parts = op.apply(v.real) + 1j * op.apply(v.imag)
+        np.testing.assert_allclose(out, parts, rtol=0, atol=1e-13 * np.abs(v).sum())
+
+    @pytest.mark.parametrize("n", (1, 2, 3))
+    def test_integer_vector_promotes_to_the_operator_format(self, n):
+        # at N = 1 no site pair runs, so the promotion cannot come from matmul
+        basis = [1] + [0] * (2 ** n - 1)
+        real = _op(ModelSpec.dk(0.3, 0.6), n).apply(basis)
+        assert real.dtype == np.float64 and real.sum() == 1.0
+        tensor = ModelSpec.tensor(rotation(0.7), np.diag([1.0, 1j]))
+        assert _op(tensor, n).apply(basis).dtype == np.complex128
+
 
 class TestMaterialize:
     def test_two_sites_equals_local(self):
@@ -159,8 +178,9 @@ class TestMaterialize:
         # that is more than one block
         for spec in MODELS:
             op = _op(spec, n)
-            eye = np.eye(op.dim, dtype=np.complex128).reshape(-1)
+            eye = np.eye(op.dim).reshape(-1)
             full = kernels.sweep(eye, op.local.entries, n, tail=op.dim)
+            assert op.materialize().dtype == full.dtype == np.float64
             assert op.materialize().tobytes() == full.tobytes()
 
     def test_cap(self):
@@ -295,6 +315,18 @@ class TestEigenvalues:
         with pytest.raises(SizeExceeded):
             _op(ModelSpec.dk(0.5, 0.5), DEFAULTS.dense_cap + 1).eigenvalues()
 
+    @pytest.mark.parametrize("spec", MODELS + (ModelSpec.generalized_dk(0, 0, 0, 0),),
+                             ids=[m.model for m in MODELS] + ["rule90"])
+    @pytest.mark.parametrize("n", (1, 4, 7))
+    def test_real_operator_spectrum_is_complex128_with_exact_conjugate_pairs(self, spec, n):
+        op = _op(spec, n)
+        assert op.materialize().dtype == np.float64
+        eig = op.eigenvalues()
+        assert eig.dtype == np.complex128
+        # the conjugates, sorted the same way, are the spectrum itself, bit
+        # for bit, so each pair is listed as (-im, +im)
+        np.testing.assert_array_equal(np.sort_complex(eig.conj()), eig)
+
 
 class TestLogDetFactor:
     def test_identity_local(self):
@@ -396,3 +428,23 @@ def test_sweep_and_classification_agree_with_the_kron_oracle(blocks, n):
         np.testing.assert_allclose(q.real.sum(axis=0), 1.0, rtol=0, atol=tol)
     if cls.is_qca:
         np.testing.assert_allclose(q.conj().T @ q, np.eye(2 ** n), rtol=0, atol=tol)
+
+
+_REAL_BLOCK = st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).map(
+    lambda e: np.reshape(e, (2, 2)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_REAL_BLOCK, _REAL_BLOCK, st.integers(1, 7))
+def test_float64_sweep_matches_the_complex128_kron_oracle(right0, right1, n):
+    local = LocalOperator.from_blocks(right0, right1)
+    assert local.entries.dtype == np.float64
+    op = GlobalOperator(local, n)
+    q = kron_global(local.entries.astype(np.complex128), n)
+    dense = op.materialize()
+    assert dense.dtype == np.float64
+    np.testing.assert_allclose(dense, q, rtol=0, atol=1e-13)
+    vec = np.random.default_rng(n).standard_normal(2 ** n)
+    out = op.apply(vec)
+    assert out.dtype == np.float64
+    np.testing.assert_allclose(out, q @ vec, rtol=0, atol=1e-13 * np.abs(vec).sum())
