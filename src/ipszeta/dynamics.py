@@ -20,7 +20,7 @@ from .models import LocalOperator, classify
 from .operators import Configuration, GlobalOperator
 
 _CONSTRUCT_TOL = 1e-10  # normalization tolerance for freshly built states
-_REAL_TOL = 1e-12       # allowed imaginary / negative leakage of probabilities
+_REAL_TOL = 1e-12       # allowed imaginary / negative leakage of fresh probabilities
 
 
 class StateKind(str, enum.Enum):
@@ -32,18 +32,20 @@ class StateKind(str, enum.Enum):
 class StateVector:
     """Length-2^N configuration vector at a given time step.
 
-    ``norm_tol`` is the accepted normalization error at construction:
-    fresh states use the strict default, evolved states the drift
-    threshold.
+    A fresh state is held to strict tolerances, and a probability vector
+    that leaks below zero or off the real axis is invalid input
+    (DomainError).  An ``evolved`` state is held to ``DEFAULTS.drift_tol``:
+    its leakage, like its normalization error, is numerical drift of the
+    weights that classification accepted (InvariantDrift).
     """
 
     n_sites: int
     kind: StateKind
     components: np.ndarray
     time_step: int = 0
-    norm_tol: InitVar[float] = _CONSTRUCT_TOL
+    evolved: InitVar[bool] = False
 
-    def __post_init__(self, norm_tol):
+    def __post_init__(self, evolved):
         v = np.array(self.components).reshape(-1)
         if v.shape[0] != (1 << self.n_sites):
             raise DimensionMismatch(
@@ -52,15 +54,18 @@ class StateVector:
         v.setflags(write=False)
         object.__setattr__(self, "components", v)
         object.__setattr__(self, "kind", StateKind(self.kind))
-        self._check(norm_tol)
+        self._check(evolved)
 
-    def _check(self, norm_tol: float):
+    def _check(self, evolved: bool):
         v = self.components
+        norm_tol = DEFAULTS.drift_tol if evolved else _CONSTRUCT_TOL
         if self.kind is StateKind.PCA_PROBABILITY:
-            if np.max(np.abs(v.imag)) > _REAL_TOL:
-                raise DomainError("probabilities must be real")
-            if np.min(v.real) < -_REAL_TOL:
-                raise DomainError("probabilities must be nonnegative")
+            leak_tol, leak_error = ((norm_tol, InvariantDrift) if evolved
+                                    else (_REAL_TOL, DomainError))
+            for leak, rule in ((np.max(np.abs(v.imag)), "real"), (-np.min(v.real), "nonnegative")):
+                if leak > leak_tol:
+                    raise leak_error(f"probabilities must be {rule}: leakage {leak:.3e} "
+                                     f"exceeds {leak_tol:.1e}")
             drift = abs(v.real.sum() - 1.0)
         else:
             drift = abs(np.linalg.norm(v) - 1.0)
@@ -135,7 +140,7 @@ def evolve_states(state: StateVector, op: GlobalOperator, steps: int):
     yield state
     for _ in range(steps):
         state = StateVector(state.n_sites, state.kind, op.apply(state.components),
-                            state.time_step + 1, norm_tol=DEFAULTS.drift_tol)
+                            state.time_step + 1, evolved=True)
         yield state
 
 

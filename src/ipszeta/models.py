@@ -259,6 +259,8 @@ def build_local(spec: ModelSpec) -> LocalOperator:
     return LocalOperator(spec.params[0])
 
 
+# an overflow near the float limit fails the test that met it, silently
+@np.errstate(over="ignore", invalid="ignore")
 def classify(op: LocalOperator, tol: float = DEFAULTS.classify_tol) -> ModelClass:
     """Total classification of a local operator; never raises."""
     m = op.entries
@@ -272,6 +274,7 @@ def classify(op: LocalOperator, tol: float = DEFAULTS.classify_tol) -> ModelClas
     return ModelClass(is_pca, is_qca, is_ca, factors is not None, factors)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def factor_tensor(op: LocalOperator, tol: float = DEFAULTS.classify_tol) -> Optional[TensorFactors]:
     """Split a local operator into (left 2x2) kron (diagonal right 2x2).
 
@@ -279,8 +282,8 @@ def factor_tensor(op: LocalOperator, tol: float = DEFAULTS.classify_tol) -> Opti
     operator are proportional.  The scale gauge fixes the right factor's
     leading diagonal entry to 1 (the (0,0) entry when its block is
     nonzero, the (1,1) entry otherwise), which makes round-trips
-    deterministic.  Returns None when no factorization reproduces the
-    operator within ``tol``.
+    deterministic.  Returns None, never raises, when no finite factor
+    pair reproduces the operator within ``tol``.
     """
     b0 = op.block_right0
     b1 = op.block_right1
@@ -288,12 +291,15 @@ def factor_tensor(op: LocalOperator, tol: float = DEFAULTS.classify_tol) -> Opti
         return None  # the zero operator has no nonzero factor pair
     if b0.any():
         left = np.array(b0)
-        scale = np.vdot(b0, b1) / np.vdot(b0, b0)  # least-squares b1 ~ scale*b0
+        # least-squares b1 ~ scale*b0 on both blocks divided by b0's largest
+        # magnitude, so no product overflows unless the scale itself does
+        peak = np.max(np.abs(b0))
+        scale = np.vdot(b0 / peak, b1 / peak) / np.vdot(b0 / peak, b0 / peak)
         e, h = 1.0 + 0.0j, complex(scale)
     else:
         left = np.array(b1)
         e, h = 0.0j, 1.0 + 0.0j
     right = np.array([[e, 0.0], [0.0, h]])
-    if np.max(np.abs(np.kron(left, right) - op.entries)) > tol:
+    if not np.max(np.abs(np.kron(left, right) - op.entries)) <= tol:  # also NaN
         return None
     return TensorFactors(left, right)

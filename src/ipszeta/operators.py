@@ -140,7 +140,10 @@ class GlobalOperator:
         return kernels.sweep(v, self.local.entries, self.n_sites)
 
     def materialize(self) -> np.ndarray:
-        """Dense form; column j is the image of basis vector j.  Cached."""
+        """Dense form; column j is the image of basis vector j.  Cached.
+
+        An entry that overflows the float range raises DomainError.
+        """
         if self._dense is None:
             if self.n_sites > DEFAULTS.dense_cap:
                 raise SizeExceeded(
@@ -148,6 +151,9 @@ class GlobalOperator:
                 )
             dense = np.empty((self.dim, self.dim), dtype=self.local.entries.dtype)
             for start, _, image in self._block_powers(1):
+                if not np.isfinite(image).all():
+                    raise DomainError(f"the dense form at N={self.n_sites} overflows the "
+                                      "float range: an entry is not finite")
                 dense[:, start:start + image.shape[1]] = image
             dense.setflags(write=False)
             self._dense = dense

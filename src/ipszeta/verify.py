@@ -14,10 +14,10 @@ the tolerance.  Identifiers are the stable tokens the CLI exposes:
     prop6_r2          second-power trace recurrence, reflection family
     prop6_pi2         quarter-turn trace values and period-2 identity
     thm6_pi2zeta      quarter-turn arctanh closed form vs trace series
-    prop6_rule90_r    Rule 90 power-trace rule, proved range N in {2,3,4}
+    prop6_rule90_r    Rule 90 power-trace rule 2^min(2^k, N), any N
     thm6_rule90zeta   Rule 90 closed form vs trace series, N in {1..4}
-    conj_rule90       Rule 90 closed form beyond the proved range (labeled
-                      a conjecture check, never asserted)
+    conj_rule90       the same check on N in {5..8}; the paper leaves these
+                      N a conjecture, the README proves them
 
 Grids iterate in a fixed order and ties keep the earliest witness, so
 reports are deterministic.
@@ -38,7 +38,6 @@ from .operators import GlobalOperator, _positive_int
 from .serialize import complex_pair
 from .zeta import (
     SQRT2,
-    _rule90_zeta_formula,
     _unit_disk_point,
     binomial_zeta_qca1,
     chebyshev_t,
@@ -200,8 +199,8 @@ def _zeta_series(n_values, r_max, u_points, xi: float,
                  closed: Callable[[int, complex], complex], **_):
     """``closed(n, u)`` vs the truncated trace series of qca2(0, xi).
 
-    The closed form runs before the series, so an N outside its range is
-    rejected before any operator is built.
+    The closed form runs before the series, so an invalid N is rejected
+    before any operator is built.
     """
     for n in n_values:
         closed_values = [closed(n, u) for u in u_points]
@@ -210,17 +209,11 @@ def _zeta_series(n_values, r_max, u_points, xi: float,
             yield abs(value - series.evaluate(u)), {"n": n, "u": complex_pair(u)}
 
 
-def _conjectured_rule90_zeta(n: int, u: complex) -> complex:
-    """The Rule 90 closed form with m = ceil(log2 N), unproved for N >= 5."""
-    if n < 5:
-        raise DomainError(
-            f"conj_rule90 covers N >= 5; N <= 4 is proved (thm6_rule90zeta), got N={n}"
-        )
-    return _rule90_zeta_formula(n, u)
-
-
 # the lambdas look each closed form up by name at call time, so a wrapper
 # installed on the module attribute (a profiler, a tracer) sees every call
+_rule90_series = partial(_zeta_series, xi=0.0,
+                         closed=lambda n, u: zeta_closed_form_qca2(n, "rule90", u))
+
 FORMULAS: Dict[str, Formula] = {
     "thm5_3": Formula(
         _tensor_eigen_traces, tuple(range(2, 9)), 1e-9, r_max=12,
@@ -250,13 +243,10 @@ FORMULAS: Dict[str, Formula] = {
     "prop6_rule90_r": Formula(
         _rule90_power_traces, (2, 3, 4), 1e-8,
         fields={"k_max": RULE90_K_MAX, "s_max": RULE90_S_MAX}),
-    "thm6_rule90zeta": Formula(
-        partial(_zeta_series, xi=0.0,
-                closed=lambda n, u: zeta_closed_form_qca2(n, "rule90", u)),
-        (1, 2, 3, 4), 1e-8, r_max=60, u_points=U_POINTS),
+    "thm6_rule90zeta": Formula(_rule90_series, (1, 2, 3, 4), 1e-8, r_max=60, u_points=U_POINTS),
     "conj_rule90": Formula(
-        partial(_zeta_series, xi=0.0, closed=_conjectured_rule90_zeta),
-        (5, 6, 7, 8), 1e-8, r_max=64, u_points=(0.3, 0.5j), fields={"conjecture": True}),
+        _rule90_series, (5, 6, 7, 8), 1e-8, r_max=64, u_points=(0.3, 0.5j),
+        fields={"conjecture": False}),
 }
 
 FORMULA_IDS = tuple(FORMULAS)

@@ -6,7 +6,8 @@ computes that series from brute traces and evaluates every closed form the
 library verifies: the tensor-factor eigenvalue product, the binomial log
 sum and its Gaussian limit for the uniform-rotation family, and the
 recurrences, trace rules and arctanh forms for the reflection family
-(including Rule 90 and the quarter-turn angle).
+(including the quarter-turn angle, and Rule 90 for every N by the GF(2)
+proof in the README, "Rule 90 for every N").
 
 Branch convention: every closed form is a sum of principal logs of linear
 factors; arctanh(u) is (Log(1+u) - Log(1-u)) / 2.  Nothing takes a 2^N-th
@@ -243,28 +244,29 @@ def qca2_x2_recurrence(n_sites: int, xi: float) -> float:
 
 
 def rule90_trace_general_r(n_sites: int, k: int, s: int) -> float:
-    """Trace of the 2^k (2s-1) power of the Rule 90 operator, N in {2,3,4}.
+    """Trace of the 2^k (2s-1) power of the Rule 90 operator: 2^min(2^k, N).
 
-    Evaluates to 2^(2^k) while 2^k < N and saturates at 2^N once
-    2^k >= N; the regime beyond N = 4 belongs to the conjecture check.
+    Exact for every N >= 1 (README, "Rule 90 for every N"); a value above
+    the float range, 2^min(2^k, N) >= 2^1024, raises DomainError.
     """
-    if n_sites not in (2, 3, 4):
-        raise DomainError(f"proved range is N in {{2, 3, 4}}, got {n_sites}")
+    n_sites = _positive_int("n_sites", n_sites)
     if k < 0:
         raise DomainError(f"k must be >= 0, got {k}")
     if s < 1:
         raise DomainError(f"s must be >= 1, got {s}")
-    if (1 << k) < n_sites:
-        return float(2 ** (1 << k))
-    return float(2 ** n_sites)
+    # 2^k > N once k reaches the bit length of N, so no larger 2^k is built
+    exponent = min(1 << min(k, n_sites.bit_length()), n_sites)
+    if exponent >= 1024:
+        raise DomainError(f"trace 2^{exponent} of N={n_sites}, k={k} overflows a float")
+    return float(2 ** exponent)
 
 
 def _rule90_zeta_formula(n_sites: int, u: complex) -> complex:
     """log(1 - u^(2^m)) / 2^m - sum_{k<m} 2^-(N - 2^k + k) arctanh(u^(2^k)).
 
-    m = ceil(log2 N); proved for N <= 4, a conjecture beyond.
+    m = ceil(log2 N), the first k with 2^k >= N.
     """
-    m = math.ceil(math.log2(n_sites))
+    m = (n_sites - 1).bit_length()
     value = np.log(1.0 - u ** (2 ** m)) / 2 ** m
     for k in range(m):
         value -= 2.0 ** (-(n_sites - (2 ** k - k))) * arctanh(u ** (2 ** k))
@@ -274,8 +276,7 @@ def _rule90_zeta_formula(n_sites: int, u: complex) -> complex:
 def zeta_closed_form_qca2(n_sites: int, variant: str, u) -> complex:
     """Closed-form log of the inverse zeta value for the two solved angles.
 
-    ``pi_half`` holds for every N; ``rule90`` is proved for N <= 4 (plus
-    the trivial N = 1 value) and rejected elsewhere.
+    Both ``pi_half`` and ``rule90`` hold for every N >= 1.
     """
     _positive_int("n_sites", n_sites)
     u = _unit_disk_point(u)
@@ -283,9 +284,5 @@ def zeta_closed_form_qca2(n_sites: int, variant: str, u) -> complex:
         amplitude = 2.0 ** (-(n_sites - 1) / 2.0) * chebyshev_t(n_sites - 1, SQRT2 / 2.0)
         return complex(0.5 * (np.log(1.0 - u) + np.log(1.0 + u)) - amplitude * arctanh(u))
     if variant == "rule90":
-        if n_sites <= 4:
-            return _rule90_zeta_formula(n_sites, u)
-        raise DomainError(
-            f"rule90 closed form is proved for N in {{1, 2, 3, 4}}, got {n_sites}"
-        )
+        return _rule90_zeta_formula(n_sites, u)
     raise DomainError(f"unknown variant {variant!r}; expected 'pi_half' or 'rule90'")

@@ -1,10 +1,13 @@
 """Brute-force oracles used across the suite.
 
-Both oracles build the global operator without touching the library's
+Two oracles build the global operator without touching the library's
 sweep kernel: one from the closed product of transition weights (the
 weight of pair x is ``local[2*out_x + in_{x+1}, 2*in_x + in_{x+1}]`` and
 the last site never changes), the other by multiplying explicit Kronecker
-embeddings of the local operator.
+embeddings of the local operator.  Two more count the fixed points of
+Rule 90, the map x_i <- x_i + x_{i+1} (mod 2) with the last site fixed,
+in plain integers: by iterating the map on every state, and by GF(2)
+rank.
 """
 
 from itertools import product
@@ -56,3 +59,57 @@ def one_step_distribution(local: np.ndarray, start_bits) -> dict:
         if w != 0:
             dist[out_bits] = w
     return dist
+
+
+def rule90_step(state: int, n: int) -> int:
+    """One Rule 90 step of an n-site state (site 0 the most significant bit)."""
+    return state ^ ((state << 1) & ((1 << n) - 1))
+
+
+def rule90_fixed_points_enumerated(n: int, r_max: int) -> list:
+    """#Fix(A^r) for r = 1..r_max, iterating the map on all 2^n states."""
+    images = list(range(1 << n))
+    counts = []
+    for _ in range(r_max):
+        images = [rule90_step(state, n) for state in images]
+        counts.append(sum(image == state for state, image in enumerate(images)))
+    return counts
+
+
+def gf2_matmul(a, b) -> list:
+    """Product of two GF(2) matrices given as integer bit rows (bit j is column j)."""
+    out = []
+    for row in a:
+        acc = 0
+        while row:
+            low = row & -row
+            acc ^= b[low.bit_length() - 1]
+            row ^= low
+        out.append(acc)
+    return out
+
+
+def gf2_rank(rows) -> int:
+    """Rank over GF(2) of a matrix given as integer bit rows."""
+    basis = {}  # bit length (leading bit + 1) -> basis row
+    for row in rows:
+        while row and row.bit_length() in basis:
+            row ^= basis[row.bit_length()]
+        if row:
+            basis[row.bit_length()] = row
+    return len(basis)
+
+
+def rule90_fixed_points_gf2(n: int, r_max: int) -> list:
+    """#Fix(A^r) = 2^(n - rank(A^r + I)) for r = 1..r_max, exact in integers.
+
+    A = I + S over GF(2) with bit rows: row x holds bits x and x + 1 (site x
+    reads site x + 1), the last row only bit n - 1.
+    """
+    a = [(1 << x) | (1 << (x + 1)) if x < n - 1 else 1 << x for x in range(n)]
+    power = [1 << x for x in range(n)]
+    counts = []
+    for _ in range(r_max):
+        power = gf2_matmul(a, power)
+        counts.append(2 ** (n - gf2_rank(p ^ (1 << x) for x, p in enumerate(power))))
+    return counts

@@ -4,6 +4,7 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 from ipszeta import DomainError, chebyshev_t
@@ -35,6 +36,14 @@ FOREIGN_FLAGS = [
     ("spectrum", "--rmax", "2"), ("spectrum", "--u", "0.1"), ("spectrum", "--tol", "1e-6"),
     ("spectrum", "--format", "json"),
 ]
+
+
+def _pairs(rows) -> str:
+    """A 4x4 matrix as the --matrix JSON of 16 row-major [re, im] pairs."""
+    return json.dumps([[complex(x).real, complex(x).imag] for row in rows for x in row])
+
+
+BIG_IDENTITY = _pairs(1e200 * np.eye(4))
 
 
 class TestParsers:
@@ -87,6 +96,13 @@ class TestValidate:
     def test_dk_out_of_range_exits_2(self, capsys):
         code, _, err = run(capsys, "validate", "--model", "dk", "--params", "1.5,0.2")
         assert code == 2 and "error" in err
+
+    def test_operator_near_the_float_limit_factors(self, capsys):
+        code, out, err = run(capsys, "validate", "--model", "custom", "--matrix", BIG_IDENTITY)
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        assert doc["tensor_factorizable"] is True and not doc["is_pca"] and not doc["is_qca"]
+        assert doc["factors"]["right"] == [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
 
     def test_tensor_via_matrix_flag(self, capsys):
         left = [[1, 0], [0, 0], [0, 0], [1, 0]]   # identity, row-major pairs
@@ -304,10 +320,12 @@ class TestVerify:
         assert json.loads(out)["passed"] is True
 
     def test_conjecture_report(self, capsys):
-        code, out, _ = run(capsys, "verify", "conj_rule90", "--n", "5..6", "--rmax", "48")
-        doc = json.loads(out)
-        assert doc["grid"]["conjecture"] is True
-        assert code in (0, 3)  # the report, not the verdict, is the contract
+        # the Rule 90 form is proved for every N: the report passes, also on N <= 4
+        for n in ("5..6", "1..4"):
+            code, out, _ = run(capsys, "verify", "conj_rule90", "--n", n, "--rmax", "48")
+            doc = json.loads(out)
+            assert code == 0 and doc["passed"] is True
+            assert doc["grid"]["conjecture"] is False
 
     def test_failing_tolerance_exits_3(self, capsys):
         code, out, _ = run(capsys, "verify", "cor5_4", "--n", "2..3", "--rmax", "4",
@@ -417,6 +435,25 @@ class TestEvolve:
         assert code == 2 and out == "" and "--kind" not in err
         assert ("neither" if kind is None else "local operator") in err
 
+    def test_operator_near_the_float_limit_fits_no_kind(self, capsys):
+        code, out, err = run(capsys, "evolve", "--model", "custom", "--matrix", BIG_IDENTITY,
+                             "--n", "3", "--initial", "000")
+        assert code == 2 and out == "" and "neither stochastic nor unitary" in err
+
+    @pytest.mark.parametrize("rows", [
+        [[1 + 5e-10, 0, 0.5, 0], [0, 1, 0, 0], [-5e-10, 0, 0.5, 0], [0, 0, 0, 1]],
+        [[1 + 1e-10j, 0, 0.5, 0], [0, 1, 0, 0], [0, 0, 0.5, 0], [0, 0, 0, 1]],
+    ], ids=["negative", "imaginary"])
+    def test_weights_that_classify_as_pca_evolve(self, capsys, rows):
+        # within classify_tol of stochastic, so pca is inferred; each step's
+        # leakage below zero or off the real axis is drift, far below drift_tol
+        matrix = ("--model", "custom", "--matrix", _pairs(rows))
+        code, out, _ = run(capsys, "validate", *matrix)
+        assert code == 0 and json.loads(out)["is_pca"] is True
+        code, out, err = run(capsys, "evolve", *matrix, "--n", "3", "--initial", "000",
+                             "--steps", "2")
+        assert code == 0 and err == "" and len(out.splitlines()) == 4
+
     def test_unknown_config_kind_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({
@@ -467,6 +504,12 @@ class TestSpectrum:
             assert abs(abs(float(re_)) - 1.0) < 1e-9
             assert abs(float(im_)) < 1e-9
             assert float(mag) == pytest.approx(1.0, abs=1e-9)
+
+    def test_overflowing_dense_form_exits_2(self, capsys):
+        code, out, err = run(capsys, "spectrum", "--model", "custom", "--matrix", BIG_IDENTITY,
+                             "--n", "3")
+        assert code == 2 and out == ""
+        assert "overflows the float range" in err and "eigensolver" not in err
 
     def test_missing_model_exits_2(self, capsys):
         code, _, err = run(capsys, "spectrum", "--n", "3")

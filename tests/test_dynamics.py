@@ -26,6 +26,7 @@ from ipszeta import (
     site_marginals,
     state_kind,
 )
+from ipszeta.config import DEFAULTS
 from ipszeta.dynamics import evolve_states
 
 from helpers import one_step_distribution
@@ -80,6 +81,9 @@ class TestStateInvariants:
     def test_length_checked(self):
         with pytest.raises(DimensionMismatch):
             StateVector(3, StateKind.QCA_AMPLITUDE, np.ones(4) / 2.0)
+
+
+_LEAK_MESSAGE = {"negative": "must be nonnegative", "imaginary": "must be real"}
 
 
 class TestEvolve:
@@ -178,6 +182,32 @@ class TestEvolve:
         state = StateVector(4, StateKind.PCA_PROBABILITY, np.full(16, 1 / 16))
         with pytest.raises(InvariantDrift):
             evolve(state, op, 100)
+
+    @pytest.mark.parametrize("leak", ("negative", "imaginary"))
+    @pytest.mark.parametrize("factor", (0.5, 2.0))
+    def test_evolved_leakage_is_judged_as_drift(self, leak, factor):
+        # below drift_tol an evolved state stands; above it is InvariantDrift,
+        # while a fresh state with the same leakage is invalid input
+        eps = factor * DEFAULTS.drift_tol
+        v = np.array([1.0 + eps, -eps]) if leak == "negative" else np.array([1.0 + 1j * eps, 0])
+        if factor < 1:
+            StateVector(1, StateKind.PCA_PROBABILITY, v, 1, evolved=True)
+        else:
+            with pytest.raises(InvariantDrift, match=_LEAK_MESSAGE[leak]):
+                StateVector(1, StateKind.PCA_PROBABILITY, v, 1, evolved=True)
+        with pytest.raises(DomainError, match=_LEAK_MESSAGE[leak]):
+            StateVector(1, StateKind.PCA_PROBABILITY, v)
+
+    def test_imaginary_leakage_accumulates_into_drift(self):
+        # 1e-10j in one weight passes classification; the imaginary part of
+        # the state grows by 2e-10 per step and crosses drift_tol at step 51
+        m = [[1 + 1e-10j, 0, 0.5, 0], [0, 1, 0, 0], [0, 0, 0.5, 0], [0, 0, 0, 1]]
+        op = GlobalOperator(build_local(ModelSpec.custom(m)), 3)
+        start = initial_state(Configuration((0, 0, 0)), StateKind.PCA_PROBABILITY)
+        assert state_kind(op.local) is StateKind.PCA_PROBABILITY
+        evolve(start, op, 45)
+        with pytest.raises(InvariantDrift, match="must be real"):
+            evolve(start, op, 55)
 
 
 class TestObservables:

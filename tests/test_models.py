@@ -1,5 +1,6 @@
 """Local-operator construction, classification and tensor factorization."""
 
+import cmath
 import math
 
 import numpy as np
@@ -209,6 +210,23 @@ def test_factor_tensor_rejects_non_proportional_blocks():
     assert factor_tensor(op) is None
 
 
+def test_factor_tensor_near_the_float_limit():
+    # |b0|^2 = 2e400 overflows an unscaled fit; the scaled one is exact
+    op = LocalOperator(1e200 * np.eye(4))
+    factors = factor_tensor(op)
+    np.testing.assert_array_equal(factors.left, 1e200 * np.eye(2))
+    np.testing.assert_array_equal(factors.right, np.eye(2))
+    cls = classify(op)
+    assert cls.tensor_factorizable and not (cls.is_pca or cls.is_qca or cls.is_ca)
+
+
+def test_factor_tensor_without_a_finite_pair_is_none():
+    # proportional blocks whose ratio 1e600 is no float
+    op = LocalOperator.from_blocks(1e-300 * np.eye(2), 1e300 * np.eye(2))
+    assert factor_tensor(op) is None
+    assert not classify(op).tensor_factorizable
+
+
 def test_tensor_factors_reject_zero_matrix():
     with pytest.raises(DomainError):
         TensorFactors(np.zeros((2, 2)), np.eye(2))
@@ -359,3 +377,38 @@ def test_real_input_of_any_format_is_stored_as_float64():
         op = LocalOperator(entries)
         assert op.entries.dtype == np.float64 and op.entries.flags.c_contiguous
         np.testing.assert_array_equal(op.entries, np.eye(4))
+
+
+def _scaled_block(lo: float, hi: float):
+    """2x2 complex blocks whose entries are zero or of magnitude 10^lo .. 10^hi."""
+    entry = st.just(0j) | st.builds(lambda x, t: 10.0 ** x * cmath.exp(1j * t),
+                                    st.floats(lo, hi), st.floats(0.0, 2 * math.pi))
+    return st.lists(entry, min_size=4, max_size=4).map(
+        lambda v: np.array(v, dtype=np.complex128).reshape(2, 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_scaled_block(-150, 150), _scaled_block(-150, 150), _scaled_block(-150, 150).map(
+    lambda b: b[0, 0]), st.booleans())
+def test_classify_never_raises(right0, right1, ratio, proportional):
+    op = LocalOperator.from_blocks(right0, ratio * right0 if proportional else right1)
+    cls = classify(op)
+    if cls.factors is not None:
+        assert np.max(np.abs(cls.factors.kron() - op.entries)) <= 1e-9
+
+
+@settings(max_examples=300, deadline=None)
+@given(_scaled_block(-1.5, 1.5), _scaled_block(-1.5, 1.5).map(lambda b: np.diag(np.diag(b))))
+def test_factor_tensor_round_trips_in_its_gauge(left, right):
+    # kron entries of magnitude 1e-3 .. 1e3 (or zero)
+    assume(left.any() and right.any())
+    e, h = right[0, 0], right[1, 1]
+    factors = factor_tensor(LocalOperator(np.kron(left, right)))
+    assert factors is not None
+    if e != 0:
+        assert factors.right[0, 0] == 1
+        np.testing.assert_array_equal(factors.left, left * e)
+        assert factors.right[1, 1] == pytest.approx(h / e, rel=1e-12, abs=0)
+    else:
+        assert factors.right[0, 0] == 0 and factors.right[1, 1] == 1
+        np.testing.assert_array_equal(factors.left, left * h)

@@ -11,6 +11,7 @@ import ipszeta.operators
 from ipszeta import kernels
 from ipszeta import (
     Configuration,
+    ConvergenceFailure,
     DimensionMismatch,
     DomainError,
     E00,
@@ -192,6 +193,15 @@ class TestMaterialize:
         op = _op(ModelSpec.dk(0.5, 0.5), 3)
         assert op.materialize() is op.materialize()
 
+    def test_overflow_is_invalid_input(self):
+        # entries 1e200 are finite at N = 2; their products 1e400 at N = 3 are not
+        big = 1e200 * np.eye(4)
+        np.testing.assert_array_equal(GlobalOperator(big, 2).materialize(), big)
+        op = GlobalOperator(big, 3)
+        for stage in (op.materialize, op.eigenvalues):
+            with pytest.raises(DomainError, match="N=3 overflows the float range"):
+                stage()
+
 
 class TestStructurePreservation:
     @pytest.mark.parametrize("n", range(2, 11))
@@ -314,6 +324,15 @@ class TestEigenvalues:
     def test_requires_dense(self):
         with pytest.raises(SizeExceeded):
             _op(ModelSpec.dk(0.5, 0.5), DEFAULTS.dense_cap + 1).eigenvalues()
+
+    def test_solver_failure_is_a_convergence_failure(self, monkeypatch):
+        def fail(matrix):
+            assert np.isfinite(matrix).all()
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", fail)
+        with pytest.raises(ConvergenceFailure, match="did not converge"):
+            _op(ModelSpec.dk(0.5, 0.5), 3).eigenvalues()
 
     @pytest.mark.parametrize("spec", MODELS + (ModelSpec.generalized_dk(0, 0, 0, 0),),
                              ids=[m.model for m in MODELS] + ["rule90"])

@@ -374,10 +374,12 @@ class TestRule90TraceRule:
         assert rule90_trace_general_r(2, 0, 7) == 2.0
 
     def test_rejects_outside_proved_range(self):
+        # the rule holds for every N >= 1, not only the paper's N in {2, 3, 4}
+        assert rule90_trace_general_r(5, 1, 1) == 4.0
+        assert rule90_trace_general_r(5, 3, 1) == 32.0
+        assert rule90_trace_general_r(1, 0, 1) == 2.0
         with pytest.raises(DomainError):
-            rule90_trace_general_r(5, 1, 1)
-        with pytest.raises(DomainError):
-            rule90_trace_general_r(1, 0, 1)
+            rule90_trace_general_r(0, 0, 1)
         with pytest.raises(DomainError):
             rule90_trace_general_r(3, -1, 1)
         with pytest.raises(DomainError):
@@ -416,8 +418,10 @@ class TestClosedFormZeta:
             assert abs(got - series.evaluate(u)) < 1e-10
 
     def test_rejects_bad_input(self):
+        # every N >= 1 is valid; N = 0, |u| = 1 and an unknown variant are not
+        assert np.isfinite(zeta_closed_form_qca2(5, "rule90", 0.3))
         with pytest.raises(DomainError):
-            zeta_closed_form_qca2(5, "rule90", 0.3)
+            zeta_closed_form_qca2(0, "rule90", 0.3)
         with pytest.raises(DomainError):
             zeta_closed_form_qca2(3, "pi_half", 1.0)
         with pytest.raises(DomainError):
@@ -440,16 +444,19 @@ def test_points_off_the_open_unit_disk_are_refused(evaluate, u):
 
 
 class TestConjecture:
-    """The Rule 90 closed form beyond N = 4, run as the conj_rule90 verifier."""
+    """conj_rule90: the Rule 90 closed form on the paper's conjectured N = 5..8."""
 
     def test_rejects_proved_range(self):
-        with pytest.raises(DomainError):
-            run_formula("conj_rule90", n_values=(4,))
+        # N <= 4 runs exactly like thm6_rule90zeta on the same grid
+        grid = dict(n_values=(4,), r_max=64, u_points=(0.3, 0.5j))
+        report = run_formula("conj_rule90", **grid)
+        assert report.passed
+        assert report.max_abs_error == run_formula("thm6_rule90zeta", **grid).max_abs_error
 
     def test_report_structure(self):
         report = run_formula("conj_rule90", n_values=(5,), r_max=48, u_points=(0.3,))
         assert report.formula_id == "conj_rule90"
-        assert report.grid["conjecture"] is True
+        assert report.grid["conjecture"] is False and report.passed
         assert report.grid["u_points"] == [[0.3, 0.0]]
         assert np.isfinite(report.max_abs_error)
         assert set(report.witness) == {"n", "u", "error"}
