@@ -32,11 +32,13 @@ class StateKind(str, enum.Enum):
 class StateVector:
     """Length-2^N configuration vector at a given time step.
 
-    A fresh state is held to strict tolerances, and a probability vector
-    that leaks below zero or off the real axis is invalid input
-    (DomainError).  An ``evolved`` state is held to ``DEFAULTS.drift_tol``:
-    its leakage, like its normalization error, is numerical drift of the
-    weights that classification accepted (InvariantDrift).
+    A fresh state copies its components and is held to strict tolerances,
+    and a probability vector that leaks below zero or off the real axis is
+    invalid input (DomainError).  An ``evolved`` state takes ownership of
+    the fresh array the operator returned and is held to
+    ``DEFAULTS.drift_tol``: its leakage, like its normalization error, is
+    numerical drift of the weights that classification accepted
+    (InvariantDrift).
     """
 
     n_sites: int
@@ -46,7 +48,7 @@ class StateVector:
     evolved: InitVar[bool] = False
 
     def __post_init__(self, evolved):
-        v = np.array(self.components).reshape(-1)
+        v = (np.asarray if evolved else np.array)(self.components).reshape(-1)
         if v.shape[0] != (1 << self.n_sites):
             raise DimensionMismatch(
                 f"state length {v.shape[0]} does not match 2^{self.n_sites}"
@@ -62,7 +64,9 @@ class StateVector:
         if self.kind is StateKind.PCA_PROBABILITY:
             leak_tol, leak_error = ((norm_tol, InvariantDrift) if evolved
                                     else (_REAL_TOL, DomainError))
-            for leak, rule in ((np.max(np.abs(v.imag)), "real"), (-np.min(v.real), "nonnegative")):
+            # a real array has no imaginary part to leak into
+            leaks = ((np.max(np.abs(v.imag)), "real"),) if v.dtype.kind == "c" else ()
+            for leak, rule in leaks + ((-np.min(v.real), "nonnegative"),):
                 if leak > leak_tol:
                     raise leak_error(f"probabilities must be {rule}: leakage {leak:.3e} "
                                      f"exceeds {leak_tol:.1e}")

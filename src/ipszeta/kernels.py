@@ -18,8 +18,9 @@ def sweep(vec, local, n_sites, tail=1):
     (configuration index major, copy index minor), so a row-major dense
     matrix is swept column-by-column with ``tail`` equal to its column
     count.  Site pairs update left to right: (0, 1) first,
-    (n_sites-2, n_sites-1) last.  Entries of ``local`` at positions where
-    the right site would change are assumed to be zero.
+    (n_sites-2, n_sites-1) last.  Any 4x4 ``local`` is applied as given:
+    a local operator keeps the right site of each pair, and the trace
+    engine's space-time dual keeps the left one.
 
     Returns a fresh array in the inputs' promoted dtype, also at N = 1.
     """

@@ -4,10 +4,24 @@ The global operator chains the two-site local update across adjacent site
 pairs, pair (0, 1) first.  Site 0 is the most significant bit of the
 configuration index, so Kronecker products read left to right along the
 path.  N = 1 is the 2x2 identity by convention.
+
+Traces have two engines behind ``GlobalOperator.trace_powers``.  The brute
+engine sweeps blocks of identity columns in O(r 4^N).  The transfer engine
+reads the r-periodic space-time histories along space: the right site of
+each pair is read before it changes, so the weight of a history is a
+product over neighbouring sites of
+
+    T_r[a, b] = prod_t q[2 a_(t+1) + b_t, 2 a_t + b_t]
+
+(a and b the cyclic time histories of sites x and x+1), and
+tr(Q^r) = 1^T T_r^(N-1) c, with c the indicator of the two constant
+histories of the last site, which never changes.  That costs O(N r 2^r).
+A cost model picks the engine; see ``_transfer_cheaper``.
 """
 
 from __future__ import annotations
 
+import itertools
 import operator
 import warnings
 from dataclasses import dataclass
@@ -35,8 +49,12 @@ E11 = np.array([[0.0, 0.0], [0.0, 1.0]])
 for _m in (E00, E01, E10, E11):
     _m.setflags(write=False)
 
-# identity columns swept together by the trace and power engine
-_BLOCK_COLUMNS = 256
+# identity columns swept together by the brute trace and power engine
+_BLOCK_BITS = 8
+_BLOCK_COLUMNS = 1 << _BLOCK_BITS
+# time per swept entry of the transfer engine (small arrays) over the brute
+# engine's, as measured where the two cross at N = 9..11
+_TRANSFER_COST = 3
 
 
 @dataclass(frozen=True)
@@ -84,7 +102,8 @@ class TraceSequence:
     def __post_init__(self):
         v = np.array(self.values, dtype=np.complex128).reshape(-1)
         if not np.all(np.isfinite(v)):
-            raise DomainError("trace values must be finite")
+            raise DomainError(f"the traces at N={self.n_sites} leave the float range: "
+                              "a value is not finite")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
@@ -94,7 +113,37 @@ class TraceSequence:
 
     @property
     def c_values(self) -> np.ndarray:
-        return self.values / float(2 ** self.n_sites)
+        return _ldexp(self.values, -self.n_sites)
+
+
+def _ldexp(z: np.ndarray, exponent: int) -> np.ndarray:
+    """Complex ``z * 2**exponent`` for any int exponent; exact unless it leaves the float range."""
+    return np.ldexp(z.real, exponent) + 1j * np.ldexp(z.imag, exponent)
+
+
+def _transfer_cheaper(n_sites: int, r_max: int) -> bool:
+    """Whether the transfer engine does less work than the brute one, in no more memory.
+
+    Both make N - 1 pair steps per swept array.  Brute sweeps R 4^N
+    entries, transfer sum_{r<=R} r 2^(r+1) = (R - 1) 2^(R+2) + 4 at
+    ``_TRANSFER_COST`` times the cost per entry.  Transfer's largest array,
+    2^(R+1) entries, must fit in a brute block of 2^N min(2^N, 256).
+    """
+    if r_max + 1 > n_sites + min(n_sites, _BLOCK_BITS):
+        return False
+    return _TRANSFER_COST * (((r_max - 1) << (r_max + 2)) + 4) < r_max << (2 * n_sites)
+
+
+def _space_time_dual(q: np.ndarray) -> np.ndarray:
+    """M[2a + a', 2a + b] = q[2a' + b, 2a + b]: one time step of T_r.
+
+    It keeps the left site's value a and trades the right site's b for the
+    left site's next value a'.
+    """
+    m = np.zeros_like(q)
+    for a, a_next, b in itertools.product((0, 1), repeat=3):
+        m[2 * a + a_next, 2 * a + b] = q[2 * a_next + b, 2 * a + b]
+    return m
 
 
 def _positive_int(name: str, value) -> int:
@@ -112,10 +161,11 @@ class GlobalOperator:
     """Lazy 2^N x 2^N evolution operator built from one local operator.
 
     Vectors are applied matrix-free through the sweep kernel in
-    O(N 2^N), and so are traces and powers, one block of identity columns
-    at a time.  The dense form, which only the spectrum needs, is
-    assembled from the same blocks on demand (and cached) up to
-    ``DEFAULTS.dense_cap`` sites.
+    O(N 2^N), and so are powers, one block of identity columns at a
+    time.  Traces take those blocks or the space-time transfer engine,
+    whichever the cost model picks.  The dense form, which only the
+    spectrum needs, is assembled from the blocks on demand (and cached) up
+    to ``DEFAULTS.dense_cap`` sites.
     """
 
     def __init__(self, local: LocalOperator, n_sites: int):
@@ -139,6 +189,8 @@ class GlobalOperator:
             )
         return kernels.sweep(v, self.local.entries, self.n_sites)
 
+    # the blocks are checked for finiteness, so numpy need not warn of overflow
+    @np.errstate(over="ignore", invalid="ignore")
     def materialize(self) -> np.ndarray:
         """Dense form; column j is the image of basis vector j.  Cached.
 
@@ -160,8 +212,21 @@ class GlobalOperator:
         return self._dense
 
     def trace_powers(self, r_max: int) -> TraceSequence:
-        """tr(Q^r) for r = 1..r_max, accumulated over column blocks in O(r 4^N)."""
+        """tr(Q^r) for r = 1..r_max from the engine the cost model picks.
+
+        Transfer costs O(N r 2^r) per r, brute O(r 4^N); brute warns above
+        ``DEFAULTS.matrix_free_warn`` sites.  A trace that leaves the float
+        range raises DomainError.
+        """
         r_max = _positive_int("r_max", r_max)
+        engine = (self._transfer_traces if _transfer_cheaper(self.n_sites, r_max)
+                  else self._brute_traces)
+        # TraceSequence refuses what is not finite, so numpy need not warn of overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            return TraceSequence(self.n_sites, engine(r_max))
+
+    def _brute_traces(self, r_max: int) -> np.ndarray:
+        """tr(Q^r) for r = 1..r_max, accumulated over column blocks in O(r 4^N)."""
         values = np.zeros(r_max, dtype=np.complex128)
         for start, r, image in self._block_powers(r_max):
             # warned only once the first block exists, so a size that cannot
@@ -171,10 +236,30 @@ class GlobalOperator:
                     f"matrix-free trace accumulation costs O(r 4^N); N={self.n_sites} "
                     "will be slow",
                     RuntimeWarning,
-                    stacklevel=2,
+                    stacklevel=3,
                 )
             values[r - 1] += np.trace(image, offset=-start)
-        return TraceSequence(self.n_sites, values)
+        return values
+
+    def _transfer_traces(self, r_max: int) -> np.ndarray:
+        """tr(Q^r) = 1^T T_r^(N-1) c for r = 1..r_max in O(N r 2^r) per r.
+
+        Each application of T_r is one sweep of the space-time dual over
+        r + 1 "sites" (a_0, b_0, .., b_(r-1)): a_0 is a leading batch axis
+        and step t trades b_t for a_(t+1); the diagonal a_r = a_0 closes the
+        cycle.  Starting from c / 2 and halving after each application
+        carries C_r = tr(Q^r) / 2^N, so tr(Q^r) overflows only if it must.
+        """
+        dual = _space_time_dual(self.local.entries)
+        c_values = np.empty(r_max, dtype=np.complex128)
+        for r in range(1, r_max + 1):
+            v = np.zeros(1 << r, dtype=dual.dtype)
+            v[[0, -1]] = 0.5
+            for _ in range(self.n_sites - 1):
+                swept = kernels.sweep(np.concatenate((v, v)), dual, r + 1).reshape(2, -1, 2)
+                v = np.concatenate((swept[0, :, 0], swept[1, :, 1])) * 0.5
+            c_values[r - 1] = v.sum()
+        return _ldexp(c_values, self.n_sites)
 
     def _block_powers(self, r_max: int):
         """Yield ``(start, r, Q^r E)`` for r = 1..r_max over identity blocks E.

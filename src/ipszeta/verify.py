@@ -3,8 +3,9 @@
 Each identifier maps to one row of ``FORMULAS``: its default grid, its
 tolerance and a check that compares one closed form against brute-force
 linear algebra on the global operator.  ``run_formula`` resolves the grid,
-keeps the worst deviation and its witness point, and reports pass/fail at
-the tolerance.  Identifiers are the stable tokens the CLI exposes:
+keeps the worst deviation and its witness point (the first that is not
+finite, if any), and reports pass/fail at the tolerance.  Identifiers are
+the stable tokens the CLI exposes:
 
     thm5_3            tensor-factor eigenvalue product vs brute C_r
     cor5_4            cosine-polynomial C_r identity, uniform-rotation model
@@ -286,7 +287,8 @@ def run_formula(
     for err, point in formula.check(n_values=n_values, r_max=r_max, u_points=u_points,
                                     tol=tol, notes=notes):
         err = float(err)
-        if err > error or not witness:
+        # the first deviation that is not finite (NaN too) stays the witness and fails
+        if not witness or (math.isfinite(error) and not err <= error):
             error, witness = err, dict(point, error=err)
 
     grid = {"n_values": list(n_values)}

@@ -34,14 +34,17 @@ SQRT2 = math.sqrt(2.0)
 def _linear_recurrence(coeffs: tuple, seeds: tuple, index: int) -> float:
     """Term ``index`` of x_m = coeffs[0] x_{m-1} + coeffs[1] x_{m-2} + ...
     whose first terms are ``seeds``; each new term adds its products highest
-    order first."""
+    order first.  A term that leaves the float range raises DomainError."""
     window = list(seeds)
     for _ in range(index + 1 - len(seeds)):
         value = coeffs[0] * window[-1]
         for c, x in zip(coeffs[1:], window[-2::-1]):
             value += c * x
         window = window[1:] + [value]
-    return window[min(index, len(seeds) - 1)]
+    value = window[min(index, len(seeds) - 1)]
+    if not math.isfinite(value):
+        raise DomainError(f"recurrence term {index} leaves the float range")
+    return value
 
 
 def chebyshev_t(n: int, x: float) -> float:
@@ -122,7 +125,8 @@ def tensor_model_cr(factors: TensorFactors, n_sites: int, r: int) -> complex:
 
     Requires N >= 2 and a diagonal right factor; the value is
     (l+^r + l-^r) (m+^r + m-^r)^(N-2) (e^r + h^r) / 2^N with l the left
-    factor's eigenvalues and m those of left @ right.
+    factor's eigenvalues and m those of left @ right, taken as the product
+    of the three halved sums, so no 2^N is formed.
     """
     if n_sites < 2:
         raise DomainError(f"tensor C_r needs N >= 2, got {n_sites}")
@@ -134,8 +138,11 @@ def tensor_model_cr(factors: TensorFactors, n_sites: int, r: int) -> complex:
     mp, mm = _eig2(factors.left @ right)
     e = complex(right[0, 0])
     h = complex(right[1, 1])
-    return ((lp ** r + lm ** r) * (mp ** r + mm ** r) ** (n_sites - 2)
-            * (e ** r + h ** r)) / 2 ** n_sites
+
+    def half_sum(x, y):
+        return (x ** r + y ** r) / 2
+
+    return half_sum(lp, lm) * half_sum(mp, mm) ** (n_sites - 2) * half_sum(e, h)
 
 
 def _check_finite(name: str, value) -> None:
@@ -226,7 +233,8 @@ def qca2_c1_closed_form(n_sites: int, xi: float) -> TraceR1:
         trace = 2.0 * ((l2 - 1.0) * l1 ** (n_sites - 1)
                        - (l1 - 1.0) * l2 ** (n_sites - 1)) / (l2 - l1)
         trace = complex(trace)
-    return TraceR1(trace, trace / 2 ** n_sites)
+    return TraceR1(trace, complex(math.ldexp(trace.real, -n_sites),
+                                  math.ldexp(trace.imag, -n_sites)))
 
 
 def qca2_x2_recurrence(n_sites: int, xi: float) -> float:

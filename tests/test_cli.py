@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ipszeta import DomainError, chebyshev_t
+from ipszeta import DomainError, chebyshev_t, qca2_c1_closed_form, qca2_x2_recurrence
 from ipszeta.config import DEFAULTS
 from ipszeta.cli import main, parse_angle, parse_complex, parse_n_values
 
@@ -464,19 +464,60 @@ class TestEvolve:
 
 
 @pytest.mark.parametrize("argv", [
-    ("zeta", "--model", "dk", "--params", "0.5,0.5", "--n", "40", "--rmax", "1",
+    ("zeta", "--model", "dk", "--params", "0.5,0.5", "--n", "40", "--rmax", "60",
      "--format", "csv"),
     ("evolve", "--model", "dk", "--params", "0.5,0.5", "--n", "50", "--initial", "0" * 50),
 ], ids=["zeta-2PiB", "evolve-8PiB"])
 def test_size_that_cannot_be_allocated_exits_2(capsys, argv):
     # both arrays (float64, as the dk weights are real) exceed any 64-bit
-    # address space, so numpy refuses them at once, and no slow run is announced
+    # address space, so numpy refuses them at once, and no slow run is
+    # announced; R = 60 at N = 40 picks the brute engine and its 2^40 x 256
+    # block (the transfer engine would need 2^61 entries)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and "allocate" in err
     assert err.startswith("error: ") and "matrix-free" not in err
     assert not [w for w in caught if "matrix-free" in str(w.message)]
+
+
+def _trace_rows(out):
+    rows = [[float(v) for v in line.split(",")] for line in out.strip().splitlines()[1:]]
+    return [(complex(t_re, t_im), complex(c_re, c_im)) for _, t_re, t_im, c_re, c_im in rows]
+
+
+@pytest.mark.parametrize("n", (40, 512, 1024))
+def test_traces_past_the_brute_wall(capsys, n):
+    code, out, err = run(capsys, "zeta", "--model", "qca2", "--params", "0,1.0", "--n", str(n),
+                         "--rmax", "2", "--format", "csv")
+    assert code == 0 and err == ""
+    (trace1, c1), (trace2, c2) = _trace_rows(out)
+    if n < 1024:  # the root formula itself drifts by 1e-12 at N = 1024
+        assert trace1 == pytest.approx(qca2_c1_closed_form(n, 1.0).trace, rel=1e-12, abs=0)
+    assert trace2 == pytest.approx(qca2_x2_recurrence(n, 1.0), rel=1e-12, abs=0)
+    for trace, c in ((trace1, c1), (trace2, c2)):
+        assert c == complex(math.ldexp(trace.real, -n), math.ldexp(trace.imag, -n))
+
+
+def test_trace_past_the_float_range_exits_2(capsys):
+    code, out, err = run(capsys, "zeta", "--model", "qca2", "--params", "0,1.0", "--n", "2000",
+                         "--rmax", "2", "--format", "csv")
+    assert code == 2 and out == ""
+    assert err == "error: the traces at N=2000 leave the float range: a value is not finite\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("zeta", "--n", "3", "--format", "csv"),
+    ("zeta", "--n", "3", "--rmax", "1", "--format", "csv"),
+    ("spectrum", "--n", "3"),
+], ids=["zeta-brute", "zeta-transfer", "spectrum"])
+def test_overflow_is_one_error_line_and_no_warning(capsys, argv):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, *argv, "--model", "custom", "--matrix", BIG_IDENTITY)
+    assert code == 2 and out == "" and caught == []
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "N=3" in err and "float range" in err
 
 
 def test_nilpotent_radius_is_null_in_strict_json(capsys):

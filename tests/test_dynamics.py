@@ -1,6 +1,7 @@
 """State construction, evolution, probabilities and marginals."""
 
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -81,6 +82,31 @@ class TestStateInvariants:
     def test_length_checked(self):
         with pytest.raises(DimensionMismatch):
             StateVector(3, StateKind.QCA_AMPLITUDE, np.ones(4) / 2.0)
+
+
+class TestStateOwnership:
+    def test_state_copies_the_callers_array(self):
+        source = np.array([0.25, 0.75])
+        state = StateVector(1, StateKind.PCA_PROBABILITY, source)
+        source[0] = 0.5
+        np.testing.assert_array_equal(state.components, [0.25, 0.75])
+        assert source.flags.writeable
+
+    def test_evolved_state_takes_the_operators_array(self):
+        fresh = np.array([0.25, 0.75])
+        state = StateVector(1, StateKind.PCA_PROBABILITY, fresh, 1, evolved=True)
+        assert np.shares_memory(state.components, fresh)
+
+    def test_evolved_real_state_allocates_no_state_sized_array(self):
+        # no copy, and no all-zero imaginary part of a float64 state
+        fresh = np.full(1 << 16, 1.0 / (1 << 16))
+        tracemalloc.start()
+        try:
+            StateVector(16, StateKind.PCA_PROBABILITY, fresh, 1, evolved=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < fresh.nbytes / 4
 
 
 _LEAK_MESSAGE = {"negative": "must be nonnegative", "imaginary": "must be real"}

@@ -1,6 +1,7 @@
 """Global operator assembly, application, traces, spectra."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,14 +24,19 @@ from ipszeta import (
     ModelSpec,
     SingularAtU,
     SizeExceeded,
+    TensorFactors,
     TraceSequence,
     build_local,
     binomial_zeta_qca1,
     classify,
+    qca2_c1_closed_form,
+    qca2_x2_recurrence,
     reflection,
     rotation,
+    tensor_model_cr,
 )
 from ipszeta.config import DEFAULTS, Defaults
+from ipszeta.operators import _transfer_cheaper
 
 from helpers import kron_global, product_global
 
@@ -198,9 +204,12 @@ class TestMaterialize:
         big = 1e200 * np.eye(4)
         np.testing.assert_array_equal(GlobalOperator(big, 2).materialize(), big)
         op = GlobalOperator(big, 3)
-        for stage in (op.materialize, op.eigenvalues):
-            with pytest.raises(DomainError, match="N=3 overflows the float range"):
-                stage()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for stage in (op.materialize, op.eigenvalues):
+                with pytest.raises(DomainError, match="N=3 overflows the float range"):
+                    stage()
+        assert caught == []
 
 
 class TestStructurePreservation:
@@ -282,10 +291,16 @@ class TestTracePowers:
                                    rtol=1e-12, atol=1e-10)
 
     def test_matrix_free_warns_past_threshold(self, monkeypatch):
+        # only the brute engine warns: N = 4 picks it for R = 12, and the
+        # transfer engine for R = 2 (also at N = 512)
         monkeypatch.setattr(ipszeta.operators, "DEFAULTS", Defaults(matrix_free_warn=3))
         op = _op(ModelSpec.dk(0.4, 0.2), 4)
         with pytest.warns(RuntimeWarning, match="matrix-free"):
+            op.trace_powers(12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             op.trace_powers(2)
+            _op(ModelSpec.dk(0.4, 0.2), 512).trace_powers(2)
 
     def test_rejects_bad_order(self):
         with pytest.raises(DomainError):
@@ -305,6 +320,92 @@ class TestTracePowers:
     def test_sequence_finite_enforced(self):
         with pytest.raises(DomainError):
             TraceSequence(2, np.array([1.0, np.inf]))
+
+    def test_averages_past_the_float_range_of_2_to_the_n(self):
+        # 2^1100 is no float, but tr / 2^N is
+        c = TraceSequence(1100, [2.0 ** 1000, -3.0j * 2.0 ** 1000]).c_values
+        np.testing.assert_array_equal(c, [2.0 ** -100, -3.0j * 2.0 ** -100])
+
+
+_UNIT = st.floats(-1.0, 1.0)
+_REAL_BLOCK = st.lists(_UNIT, min_size=4, max_size=4)
+_COMPLEX_BLOCK = st.lists(st.builds(complex, _UNIT, _UNIT), min_size=4, max_size=4)
+
+
+def _no_cancellation_traces(local, n, r_max):
+    """tr(|Q|^r): every history weight taken by magnitude, an upper bound on |tr(Q^r)|."""
+    return GlobalOperator(np.abs(local.entries), n)._brute_traces(r_max).real
+
+
+class TestTraceEngines:
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(st.tuples(_REAL_BLOCK, _REAL_BLOCK), st.tuples(_COMPLEX_BLOCK, _COMPLEX_BLOCK)),
+           st.integers(1, 9), st.integers(1, 10))
+    def test_engines_agree(self, blocks, n, r_max):
+        local = LocalOperator.from_blocks(*(np.reshape(b, (2, 2)) for b in blocks))
+        op = GlobalOperator(local, n)
+        brute, transfer = op._brute_traces(r_max), op._transfer_traces(r_max)
+        scale = _no_cancellation_traces(local, n, r_max)
+        assert np.all(np.abs(transfer - brute) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("n, r_max, transfer", [
+        (10, 20, False), (10, 17, False), *((10, r, True) for r in range(1, 17)),
+        (13, 2, True), (13, 20, True), (13, 21, False), (4, 12, False), (4, 2, True),
+        (1, 1, False), (40, 60, False), (512, 2, True),
+    ])
+    def test_cost_model_picks(self, n, r_max, transfer):
+        assert _transfer_cheaper(n, r_max) is transfer
+
+    def test_trace_powers_runs_the_picked_engine(self, monkeypatch):
+        calls = []
+        for name in ("_brute_traces", "_transfer_traces"):
+            monkeypatch.setattr(GlobalOperator, name,
+                                lambda self, r_max, name=name: calls.append(name) or np.ones(r_max))
+        op = _op(ModelSpec.dk(0.4, 0.2), 4)
+        op.trace_powers(12)
+        op.trace_powers(2)
+        assert calls == ["_brute_traces", "_transfer_traces"]
+
+    # the recurrence and the root formula share no code with either engine;
+    # the double-root angle is left out, where the root formula itself loses digits
+    @pytest.mark.parametrize("xi", (0.3, 1.0, 2.0, math.pi / 6, 4.0, 5.5))
+    @pytest.mark.parametrize("n", (40, 64, 512))
+    def test_reflection_family_past_the_brute_wall(self, n, xi):
+        traces = _op(ModelSpec.qca2(0.0, xi), n).trace_powers(2).values
+        assert traces[0] == pytest.approx(qca2_c1_closed_form(n, xi).trace, rel=1e-12, abs=0)
+        assert traces[1] == pytest.approx(qca2_x2_recurrence(n, xi), rel=1e-12, abs=0)
+
+    def test_tensor_models_past_the_brute_wall(self):
+        # left = s * unitary and a diagonal unitary right factor: every
+        # eigenvalue has modulus s or 1, so s^(r(N-1)) bounds |C_r| without
+        # cancellation and stays far inside the float range at N = 256
+        n = 256
+        rng = np.random.default_rng(11)
+        for _ in range(6):
+            unitary, _ = np.linalg.qr(rng.standard_normal((2, 2))
+                                      + 1j * rng.standard_normal((2, 2)))
+            s = rng.uniform(0.95, 1.05)
+            factors = TensorFactors(s * unitary, np.diag(np.exp(1j * rng.uniform(0, 2 * math.pi, 2))))
+            c_values = GlobalOperator(factors.kron(), n).trace_powers(8).c_values
+            for r in range(1, 9):
+                error = abs(c_values[r - 1] - tensor_model_cr(factors, n, r))
+                assert error <= 1e-12 * s ** (r * (n - 1))
+
+    def test_trace_past_the_float_range_is_refused(self):
+        # tr(Q^2) of qca2(0, 1) grows like 1.64^N: 1.16e221 at N = 1024, no float at N = 2000
+        traces = _op(ModelSpec.qca2(0.0, 1.0), 1024).trace_powers(2).values
+        assert traces[1] == pytest.approx(qca2_x2_recurrence(1024, 1.0), rel=1e-12, abs=0)
+        with pytest.raises(DomainError, match="N=2000 leave the float range"):
+            _op(ModelSpec.qca2(0.0, 1.0), 2000).trace_powers(2)
+
+    @pytest.mark.parametrize("r_max", (1, 20), ids=("transfer", "brute"))
+    def test_overflow_is_refused_quietly(self, r_max):
+        op = GlobalOperator(1e200 * np.eye(4), 3)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DomainError, match="N=3 leave the float range"):
+                op.trace_powers(r_max)
+        assert caught == []
 
 
 class TestEigenvalues:

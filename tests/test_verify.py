@@ -1,11 +1,13 @@
 """The formula registry: every verifier runs, passes, and is deterministic."""
 
 import json
+import math
 
 import pytest
 
 from ipszeta import DomainError, FORMULA_IDS, run_formula
-from ipszeta.verify import FORMULAS
+from ipszeta.cli import main
+from ipszeta.verify import FORMULAS, Formula
 
 # small overrides keep this module fast; full default grids run in the
 # acceptance suite
@@ -90,3 +92,23 @@ def test_tolerance_override_can_fail():
 def test_conjecture_report_is_labeled():
     report = run_formula("conj_rule90", n_values=(5,), r_max=48)
     assert report.grid["conjecture"] is False and report.passed
+
+
+@pytest.mark.parametrize("errors, witness", [
+    ((1e-12, math.nan, 5.0), 1),
+    ((1e-12, math.inf, math.nan, 9.0), 1),
+    ((math.nan, 1e-12), 0),
+])
+def test_first_deviation_that_is_not_finite_fails_as_the_witness(monkeypatch, capsys,
+                                                                errors, witness):
+    def check(**_):
+        for i, error in enumerate(errors):
+            yield error, {"i": i}
+
+    monkeypatch.setitem(FORMULAS, "cor5_4", Formula(check, (1,), 1e-8))
+    report = run_formula("cor5_4")
+    assert not report.passed and report.witness["i"] == witness
+    assert report.max_abs_error is report.witness["error"] and not math.isfinite(
+        report.max_abs_error)
+    assert main(["verify", "cor5_4"]) == 3
+    capsys.readouterr()

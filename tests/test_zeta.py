@@ -131,6 +131,13 @@ class TestTensorModelCr:
             closed = tensor_model_cr(factors, 5, r)
             assert abs(closed - brute[r - 1]) <= 1e-10 * max(1.0, abs(brute[r - 1]))
 
+    def test_past_the_float_range_of_2_to_the_n(self):
+        # 2^1024 is no float; C_r = cos(r xi)^(N-1) is
+        factors = TensorFactors(rotation(0.3), np.eye(2))
+        for r in (1, 2, 5):
+            assert tensor_model_cr(factors, 1024, r) == pytest.approx(
+                math.cos(0.3 * r) ** 1023, rel=1e-12, abs=0)
+
     def test_rejects_bad_input(self):
         with pytest.raises(DomainError):
             tensor_model_cr(TensorFactors(np.eye(2), np.eye(2)), 1, 2)
@@ -300,6 +307,22 @@ class TestSecondPowerTrace:
     def test_matches_brute(self, xi, n):
         brute = _qca2_op(xi, n).trace_powers(2).values[1]
         assert qca2_x2_recurrence(n, xi) == pytest.approx(brute, abs=1e-8)
+
+
+class TestPastTheFloatRangeOf2ToTheN:
+    def test_first_power_closed_form_at_n_1024(self):
+        trace, c1 = qca2_c1_closed_form(1024, 1.0)
+        assert trace == pytest.approx(qca2_x1_recurrence(1024, 1.0), rel=1e-11, abs=0)
+        assert c1 == complex(math.ldexp(trace.real, -1024), math.ldexp(trace.imag, -1024))
+
+    def test_recurrence_term_past_the_float_range_is_refused(self):
+        # tr(Q^2) at N = 2000 is about 1e431; iterating gave inf - inf = nan
+        assert math.isfinite(qca2_x2_recurrence(1024, 1.0))
+        for evaluate in (qca2_x2_recurrence, qca2_x1_recurrence):
+            with pytest.raises(DomainError, match="leaves the float range"):
+                evaluate(3000, 1.0)
+        with pytest.raises(DomainError, match="leaves the float range"):
+            chebyshev_t(1100, 2.0)
 
 
 def _loop_t(n, x):
