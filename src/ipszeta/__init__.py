@@ -28,7 +28,6 @@ from .models import (
 )
 from .operators import E00, E01, E10, E11, Configuration, GlobalOperator, TraceSequence
 from .zeta import (
-    TraceR1,
     ZetaLogSeries,
     arctanh,
     binomial_zeta_qca1,
@@ -66,7 +65,7 @@ __all__ = [
     "LocalOperator", "ModelClass", "ModelSpec", "TensorFactors",
     "build_local", "classify", "factor_tensor", "reflection", "rotation",
     "E00", "E01", "E10", "E11", "Configuration", "GlobalOperator", "TraceSequence",
-    "ClosedFormReport", "TraceR1", "ZetaLogSeries", "arctanh",
+    "ClosedFormReport", "ZetaLogSeries", "arctanh",
     "binomial_zeta_qca1", "chebyshev_t", "chebyshev_u", "clt_limit_zeta",
     "qca2_c1_closed_form", "qca2_x1_recurrence",
     "qca2_x2_recurrence", "rule90_trace_general_r", "tensor_model_cr",

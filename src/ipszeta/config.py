@@ -14,9 +14,6 @@ class Defaults:
     # largest N materialized densely; 2^12 x 2^12 is ~134 MB in float64 (real
     # models), ~268 MB in complex128
     dense_cap: int = 12
-    # the brute trace engine costs O(r 4^N); it warns past this size (the
-    # cost model hands most large N to the transfer engine, which never warns)
-    matrix_free_warn: int = 14
     # default truncation order R of the log series
     series_order: int = 20
     # Gauss-Hermite node count for Gaussian expectations

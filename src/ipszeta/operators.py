@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -94,26 +93,32 @@ class Configuration:
 
 @dataclass(frozen=True)
 class TraceSequence:
-    """tr(Q^r) for r = 1..R plus the per-configuration averages C_r."""
+    """The averages C_r = tr(Q^r) / 2^N for r = 1..R; the traces on request."""
 
     n_sites: int
-    values: np.ndarray
+    c_values: np.ndarray
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=np.complex128).reshape(-1)
+        c = self._finite(np.array(self.c_values, dtype=np.complex128).reshape(-1))
+        c.setflags(write=False)
+        object.__setattr__(self, "c_values", c)
+
+    def _finite(self, v: np.ndarray) -> np.ndarray:
         if not np.all(np.isfinite(v)):
             raise DomainError(f"the traces at N={self.n_sites} leave the float range: "
                               "a value is not finite")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        return v
 
     @property
     def order(self) -> int:
-        return len(self.values)
+        return len(self.c_values)
 
     @property
-    def c_values(self) -> np.ndarray:
-        return _ldexp(self.values, -self.n_sites)
+    def values(self) -> np.ndarray:
+        """tr(Q^r) = 2^N C_r; a trace that leaves the float range raises DomainError."""
+        # the check refuses what is not finite, so numpy need not warn of overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._finite(_ldexp(self.c_values, self.n_sites))
 
 
 def _ldexp(z: np.ndarray, exponent: int) -> np.ndarray:
@@ -212,11 +217,11 @@ class GlobalOperator:
         return self._dense
 
     def trace_powers(self, r_max: int) -> TraceSequence:
-        """tr(Q^r) for r = 1..r_max from the engine the cost model picks.
+        """C_r for r = 1..r_max from the engine the cost model picks.
 
-        Transfer costs O(N r 2^r) per r, brute O(r 4^N); brute warns above
-        ``DEFAULTS.matrix_free_warn`` sites.  A trace that leaves the float
-        range raises DomainError.
+        Transfer costs O(N r 2^r) per r, brute O(r 4^N).  A C_r that leaves
+        the float range raises DomainError, and so does a trace read from
+        ``values`` that leaves it.
         """
         r_max = _positive_int("r_max", r_max)
         engine = (self._transfer_traces if _transfer_cheaper(self.n_sites, r_max)
@@ -226,29 +231,20 @@ class GlobalOperator:
             return TraceSequence(self.n_sites, engine(r_max))
 
     def _brute_traces(self, r_max: int) -> np.ndarray:
-        """tr(Q^r) for r = 1..r_max, accumulated over column blocks in O(r 4^N)."""
-        values = np.zeros(r_max, dtype=np.complex128)
+        """C_r for r = 1..r_max, traces accumulated over column blocks in O(r 4^N)."""
+        traces = np.zeros(r_max, dtype=np.complex128)
         for start, r, image in self._block_powers(r_max):
-            # warned only once the first block exists, so a size that cannot
-            # be allocated fails without announcing a slow run
-            if start == 0 and r == 1 and self.n_sites > DEFAULTS.matrix_free_warn:
-                warnings.warn(
-                    f"matrix-free trace accumulation costs O(r 4^N); N={self.n_sites} "
-                    "will be slow",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-            values[r - 1] += np.trace(image, offset=-start)
-        return values
+            traces[r - 1] += np.trace(image, offset=-start)
+        return _ldexp(traces, -self.n_sites)
 
     def _transfer_traces(self, r_max: int) -> np.ndarray:
-        """tr(Q^r) = 1^T T_r^(N-1) c for r = 1..r_max in O(N r 2^r) per r.
+        """C_r = 1^T T_r^(N-1) c / 2^N for r = 1..r_max in O(N r 2^r) per r.
 
         Each application of T_r is one sweep of the space-time dual over
         r + 1 "sites" (a_0, b_0, .., b_(r-1)): a_0 is a leading batch axis
         and step t trades b_t for a_(t+1); the diagonal a_r = a_0 closes the
         cycle.  Starting from c / 2 and halving after each application
-        carries C_r = tr(Q^r) / 2^N, so tr(Q^r) overflows only if it must.
+        carries C_r itself, so no 2^N is ever formed.
         """
         dual = _space_time_dual(self.local.entries)
         c_values = np.empty(r_max, dtype=np.complex128)
@@ -259,7 +255,7 @@ class GlobalOperator:
                 swept = kernels.sweep(np.concatenate((v, v)), dual, r + 1).reshape(2, -1, 2)
                 v = np.concatenate((swept[0, :, 0], swept[1, :, 1])) * 0.5
             c_values[r - 1] = v.sum()
-        return _ldexp(c_values, self.n_sites)
+        return c_values
 
     def _block_powers(self, r_max: int):
         """Yield ``(start, r, Q^r E)`` for r = 1..r_max over identity blocks E.

@@ -76,7 +76,12 @@ class ClosedFormReport:
     tolerance: float
 
     def to_json(self) -> dict:
-        return asdict(self)
+        """The report for strict JSON: a deviation that is not finite is None."""
+        doc = asdict(self)
+        for part, key in ((doc, "max_abs_error"), (doc["witness"], "error")):
+            if key in part and not math.isfinite(part[key]):
+                part[key] = None
+        return doc
 
 
 @dataclass(frozen=True)
@@ -164,11 +169,11 @@ def _gaussian_limit(n_values, notes, **_):
 
 
 def _reflection_trace(n_values, power: int, closed: Callable[[int, float], complex], **_):
-    """Brute power-th trace of qca2(0, xi) vs ``closed(n, xi)``."""
+    """Brute power-th trace of qca2(0, xi) vs ``closed(n, xi)``, relative."""
     for xi in R1_XI_GRID:
         for n in n_values:
             brute = _qca2_operator(xi, n).trace_powers(power).values[power - 1]
-            yield abs(brute - closed(n, xi)), {"xi": xi, "n": n}
+            yield abs(brute - closed(n, xi)) / max(1.0, abs(brute)), {"xi": xi, "n": n}
 
 
 def _quarter_turn(n_values, r_max, tol, **_):
@@ -230,12 +235,14 @@ FORMULAS: Dict[str, Formula] = {
         fields={"xi": CLT_XI, "u": complex_pair(CLT_U)}),
     "prop6_r1": Formula(
         partial(_reflection_trace, power=1,
-                closed=lambda n, xi: qca2_c1_closed_form(n, xi).trace),
-        tuple(range(1, 11)), 1e-8, fields={"xi_values": list(R1_XI_GRID)}),
+                closed=lambda n, xi: qca2_c1_closed_form(n, xi)),
+        tuple(range(1, 11)), 1e-8,
+        fields={"xi_values": list(R1_XI_GRID), "error_kind": "relative"}),
     "prop6_r2": Formula(
         partial(_reflection_trace, power=2,
                 closed=lambda n, xi: qca2_x2_recurrence(n, xi)),
-        tuple(range(1, 11)), 1e-8, fields={"xi_values": list(R1_XI_GRID)}),
+        tuple(range(1, 11)), 1e-8,
+        fields={"xi_values": list(R1_XI_GRID), "error_kind": "relative"}),
     "prop6_pi2": Formula(_quarter_turn, tuple(range(1, 11)), 1e-10, r_max=8),
     "thm6_pi2zeta": Formula(
         partial(_zeta_series, xi=math.pi / 2,

@@ -19,7 +19,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -194,13 +193,6 @@ def clt_limit_zeta(xi: float, u, quad_nodes: int = DEFAULTS.quad_nodes) -> compl
     return complex((weights @ values) / math.sqrt(math.pi))
 
 
-class TraceR1(NamedTuple):
-    """First-power trace of the reflection-family operator and its C_1."""
-
-    trace: complex
-    c1: complex
-
-
 def qca2_x1_recurrence(n_sites: int, xi: float) -> float:
     """First-power trace by iterating the order-2 recurrence (stable path).
 
@@ -213,7 +205,7 @@ def qca2_x1_recurrence(n_sites: int, xi: float) -> float:
     return _linear_recurrence((1.0 + s, -2.0 * s), (2.0, 2.0), n_sites - 1)
 
 
-def qca2_c1_closed_form(n_sites: int, xi: float) -> TraceR1:
+def qca2_c1_closed_form(n_sites: int, xi: float) -> complex:
     """Root-formula value of the first-power trace (verification path).
 
     Uses the double-root expression when the discriminant of
@@ -225,16 +217,14 @@ def qca2_c1_closed_form(n_sites: int, xi: float) -> TraceR1:
     s = math.sin(xi)
     disc = (1.0 + s) ** 2 - 8.0 * s
     if abs(disc) < DEFAULTS.double_root_tol:
-        trace = complex((SQRT2 * (n_sites - 1) + 2.0) * (2.0 - SQRT2) ** (n_sites - 1))
+        trace = (SQRT2 * (n_sites - 1) + 2.0) * (2.0 - SQRT2) ** (n_sites - 1)
     else:
         root = np.sqrt(complex(disc))
         l1 = (1.0 + s - root) / 2.0
         l2 = (1.0 + s + root) / 2.0
         trace = 2.0 * ((l2 - 1.0) * l1 ** (n_sites - 1)
                        - (l1 - 1.0) * l2 ** (n_sites - 1)) / (l2 - l1)
-        trace = complex(trace)
-    return TraceR1(trace, complex(math.ldexp(trace.real, -n_sites),
-                                  math.ldexp(trace.imag, -n_sites)))
+    return complex(trace)
 
 
 def qca2_x2_recurrence(n_sites: int, xi: float) -> float:

@@ -7,9 +7,11 @@ the last site never changes), the other by multiplying explicit Kronecker
 embeddings of the local operator.  Two more count the fixed points of
 Rule 90, the map x_i <- x_i + x_{i+1} (mod 2) with the last site fixed,
 in plain integers: by iterating the map on every state, and by GF(2)
-rank.
+rank.  The last runs the reflection family's second-power trace
+recurrence on the scale of C_2, for N past the float range of 2^N.
 """
 
+import math
 from itertools import product
 
 import numpy as np
@@ -113,3 +115,16 @@ def rule90_fixed_points_gf2(n: int, r_max: int) -> list:
         power = gf2_matmul(a, power)
         counts.append(2 ** (n - gf2_rank(p ^ (1 << x) for x, p in enumerate(power))))
     return counts
+
+
+def qca2_c2_recurrence(n: int, xi: float) -> float:
+    """C_2 = tr(Q^2) / 2^N of qca2(0, xi) by the order-3 trace recurrence on the C scale.
+
+    y_N = x_N / 2^N turns x_(N+3) = a x_(N+2) + b x_(N+1) + c x_N into
+    y_(N+3) = (a/2) y_(N+2) + (b/4) y_(N+1) + (c/8) y_N, so no 2^N is formed.
+    """
+    s, sc = math.sin(xi), 2.0 * math.sin(xi) * math.cos(xi) ** 2
+    y = [1.0, 1.0, (1.0 + s * s) / 2.0]
+    while len(y) < n:
+        y.append((1.0 + s * s) / 2.0 * y[-1] + sc / 4.0 * y[-2] - 2.0 * sc / 8.0 * y[-3])
+    return y[n - 1]

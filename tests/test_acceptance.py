@@ -70,12 +70,12 @@ def test_criterion_05_first_power_closed_form():
     assert report.tolerance == 1e-8
     special = 0.0
     for n in range(1, 11):
-        got_zero = qca2_c1_closed_form(n, 0.0).trace
+        got_zero = qca2_c1_closed_form(n, 0.0)
         special = max(special, abs(got_zero - 2.0))
         brute_zero = _qca2_op(0.0, n).trace_powers(1).values[0]
         special = max(special, abs(brute_zero - 2.0))
         expected = (1 + 1j) ** (n - 1) + (1 - 1j) ** (n - 1)
-        got_quarter = qca2_c1_closed_form(n, math.pi / 2).trace
+        got_quarter = qca2_c1_closed_form(n, math.pi / 2)
         special = max(special, abs(got_quarter - expected))
         brute_quarter = _qca2_op(math.pi / 2, n).trace_powers(1).values[0]
         special = max(special, abs(brute_quarter - expected))

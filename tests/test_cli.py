@@ -11,6 +11,8 @@ from ipszeta import DomainError, chebyshev_t, qca2_c1_closed_form, qca2_x2_recur
 from ipszeta.config import DEFAULTS
 from ipszeta.cli import main, parse_angle, parse_complex, parse_n_values
 
+from helpers import qca2_c2_recurrence
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -493,7 +495,7 @@ def test_traces_past_the_brute_wall(capsys, n):
     assert code == 0 and err == ""
     (trace1, c1), (trace2, c2) = _trace_rows(out)
     if n < 1024:  # the root formula itself drifts by 1e-12 at N = 1024
-        assert trace1 == pytest.approx(qca2_c1_closed_form(n, 1.0).trace, rel=1e-12, abs=0)
+        assert trace1 == pytest.approx(qca2_c1_closed_form(n, 1.0), rel=1e-12, abs=0)
     assert trace2 == pytest.approx(qca2_x2_recurrence(n, 1.0), rel=1e-12, abs=0)
     for trace, c in ((trace1, c1), (trace2, c2)):
         assert c == complex(math.ldexp(trace.real, -n), math.ldexp(trace.imag, -n))
@@ -504,6 +506,25 @@ def test_trace_past_the_float_range_exits_2(capsys):
                          "--rmax", "2", "--format", "csv")
     assert code == 2 and out == ""
     assert err == "error: the traces at N=2000 leave the float range: a value is not finite\n"
+
+
+def test_coefficients_past_the_float_range_of_the_traces(capsys):
+    # C_2 = 3.2e-171 at N = 2000, whose trace the table above refuses
+    code, out, err = run(capsys, "zeta", "--model", "qca2", "--params", "0,1.0", "--n", "2000",
+                         "--rmax", "2", "--format", "csv", "--coefficients")
+    assert code == 0 and err == ""
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert [row[0] for row in rows] == ["1", "2"]
+    assert float(rows[1][1]) == pytest.approx(-qca2_c2_recurrence(2000, 1.0) / 2, rel=1e-12, abs=0)
+    assert float(rows[1][2]) == 0.0
+
+
+def test_verify_averages_past_the_float_range_of_the_traces(capsys):
+    # tr(Q^r) = 2^1500 for the identity rotation, its C_r = 1
+    code, out, err = run(capsys, "verify", "cor5_4", "--n", "1500", "--rmax", "3")
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["passed"] and report["max_abs_error"] <= 1e-9
 
 
 @pytest.mark.parametrize("argv", [

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import ipszeta.operators
 from ipszeta import kernels
 from ipszeta import (
     Configuration,
@@ -35,10 +34,10 @@ from ipszeta import (
     rotation,
     tensor_model_cr,
 )
-from ipszeta.config import DEFAULTS, Defaults
+from ipszeta.config import DEFAULTS
 from ipszeta.operators import _transfer_cheaper
 
-from helpers import kron_global, product_global
+from helpers import kron_global, product_global, qca2_c2_recurrence
 
 MODELS = (
     ModelSpec.dk(0.3, 0.6),
@@ -245,6 +244,10 @@ def test_append_site_recursion(xi, n):
     np.testing.assert_allclose(q_n1, expected, rtol=0, atol=1e-12)
 
 
+# any finite float: a signed mantissa of at most 1 times 2^e
+_SCALED = st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1074, 1023))
+
+
 class TestTracePowers:
     def test_identity_local(self):
         for n in (1, 3, 6):
@@ -290,18 +293,6 @@ class TestTracePowers:
         np.testing.assert_allclose(_op(spec, n).trace_powers(6).values, expected,
                                    rtol=1e-12, atol=1e-10)
 
-    def test_matrix_free_warns_past_threshold(self, monkeypatch):
-        # only the brute engine warns: N = 4 picks it for R = 12, and the
-        # transfer engine for R = 2 (also at N = 512)
-        monkeypatch.setattr(ipszeta.operators, "DEFAULTS", Defaults(matrix_free_warn=3))
-        op = _op(ModelSpec.dk(0.4, 0.2), 4)
-        with pytest.warns(RuntimeWarning, match="matrix-free"):
-            op.trace_powers(12)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            op.trace_powers(2)
-            _op(ModelSpec.dk(0.4, 0.2), 512).trace_powers(2)
-
     def test_rejects_bad_order(self):
         with pytest.raises(DomainError):
             _op(ModelSpec.dk(0.5, 0.5), 2).trace_powers(0)
@@ -322,9 +313,25 @@ class TestTracePowers:
             TraceSequence(2, np.array([1.0, np.inf]))
 
     def test_averages_past_the_float_range_of_2_to_the_n(self):
-        # 2^1100 is no float, but tr / 2^N is
-        c = TraceSequence(1100, [2.0 ** 1000, -3.0j * 2.0 ** 1000]).c_values
-        np.testing.assert_array_equal(c, [2.0 ** -100, -3.0j * 2.0 ** -100])
+        # C_r is stored: 2^-50 is a float, its trace 2^1050 at N = 1100 is not
+        ts = TraceSequence(1100, [2.0 ** -100, -3.0j * 2.0 ** -50])
+        np.testing.assert_array_equal(ts.c_values, [2.0 ** -100, -3.0j * 2.0 ** -50])
+        with pytest.raises(DomainError, match="N=1100 leave the float range"):
+            ts.values
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.builds(complex, _SCALED, _SCALED), min_size=1, max_size=4),
+           st.integers(1, 5000))
+    def test_sequence_stores_c_and_forms_traces_on_request(self, c, n):
+        ts = TraceSequence(n, c)
+        assert ts.c_values.tobytes() == np.array(c, dtype=np.complex128).tobytes()
+        try:
+            expected = [complex(math.ldexp(z.real, n), math.ldexp(z.imag, n)) for z in c]
+        except OverflowError:
+            with pytest.raises(DomainError, match=f"N={n} leave the float range"):
+                ts.values
+        else:
+            np.testing.assert_array_equal(ts.values, expected)
 
 
 _UNIT = st.floats(-1.0, 1.0)
@@ -333,7 +340,7 @@ _COMPLEX_BLOCK = st.lists(st.builds(complex, _UNIT, _UNIT), min_size=4, max_size
 
 
 def _no_cancellation_traces(local, n, r_max):
-    """tr(|Q|^r): every history weight taken by magnitude, an upper bound on |tr(Q^r)|."""
+    """C_r of |Q|: every history weight taken by magnitude, an upper bound on |C_r|."""
     return GlobalOperator(np.abs(local.entries), n)._brute_traces(r_max).real
 
 
@@ -372,7 +379,7 @@ class TestTraceEngines:
     @pytest.mark.parametrize("n", (40, 64, 512))
     def test_reflection_family_past_the_brute_wall(self, n, xi):
         traces = _op(ModelSpec.qca2(0.0, xi), n).trace_powers(2).values
-        assert traces[0] == pytest.approx(qca2_c1_closed_form(n, xi).trace, rel=1e-12, abs=0)
+        assert traces[0] == pytest.approx(qca2_c1_closed_form(n, xi), rel=1e-12, abs=0)
         assert traces[1] == pytest.approx(qca2_x2_recurrence(n, xi), rel=1e-12, abs=0)
 
     def test_tensor_models_past_the_brute_wall(self):
@@ -392,11 +399,14 @@ class TestTraceEngines:
                 assert error <= 1e-12 * s ** (r * (n - 1))
 
     def test_trace_past_the_float_range_is_refused(self):
-        # tr(Q^2) of qca2(0, 1) grows like 1.64^N: 1.16e221 at N = 1024, no float at N = 2000
+        # tr(Q^2) of qca2(0, 1) grows like 1.64^N: 1.16e221 at N = 1024, no float at
+        # N = 2000, where C_2 is 3.2e-171
         traces = _op(ModelSpec.qca2(0.0, 1.0), 1024).trace_powers(2).values
         assert traces[1] == pytest.approx(qca2_x2_recurrence(1024, 1.0), rel=1e-12, abs=0)
+        ts = _op(ModelSpec.qca2(0.0, 1.0), 2000).trace_powers(2)
+        assert ts.c_values[1] == pytest.approx(qca2_c2_recurrence(2000, 1.0), rel=1e-12, abs=0)
         with pytest.raises(DomainError, match="N=2000 leave the float range"):
-            _op(ModelSpec.qca2(0.0, 1.0), 2000).trace_powers(2)
+            ts.values
 
     @pytest.mark.parametrize("r_max", (1, 20), ids=("transfer", "brute"))
     def test_overflow_is_refused_quietly(self, r_max):

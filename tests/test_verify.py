@@ -111,4 +111,9 @@ def test_first_deviation_that_is_not_finite_fails_as_the_witness(monkeypatch, ca
     assert report.max_abs_error is report.witness["error"] and not math.isfinite(
         report.max_abs_error)
     assert main(["verify", "cor5_4"]) == 3
-    capsys.readouterr()
+
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    doc = json.loads(capsys.readouterr().out, parse_constant=refuse)
+    assert doc["max_abs_error"] is None and doc["witness"] == {"i": witness, "error": None}
