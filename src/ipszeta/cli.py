@@ -17,6 +17,8 @@ import re
 import sys
 from typing import Optional
 
+import numpy as np
+
 from .config import DEFAULTS
 from .errors import DimensionMismatch, DomainError, InvalidInput, IpsZetaError, SizeExceeded
 from .models import MODEL_NAMES, ModelSpec, build_local, classify
@@ -209,6 +211,7 @@ def cmd_zeta(args) -> int:
     if args.format == "csv":
         _emit(series_csv(series) if args.coefficients else trace_csv(traces), args.out)
         return 0
+    values = traces.values
     doc = {
         "model": spec.to_json(),
         "n_sites": n,
@@ -216,7 +219,7 @@ def cmd_zeta(args) -> int:
         "table": [
             {
                 "r": i + 1,
-                "trace": complex_pair(traces.values[i]),
+                "trace": complex_pair(values[i]),
                 "c_r": complex_pair(traces.c_values[i]),
                 "coefficient": complex_pair(series.coefficients[i]),
             }
@@ -224,7 +227,7 @@ def cmd_zeta(args) -> int:
         ],
     }
     if dense:
-        spectral_radius = float(max(abs(l) for l in op.eigenvalues()))
+        spectral_radius = float(np.max(np.abs(op.eigenvalues())))
         # the series radius is reported empirically, never asserted
         doc["empirical_radius"] = None if spectral_radius == 0 else 1.0 / spectral_radius
         doc["evaluations"] = []

@@ -11,8 +11,9 @@ from dataclasses import dataclass
 class Defaults:
     # classification of local operators as stochastic / unitary / CA
     classify_tol: float = 1e-9
-    # largest N materialized densely; 2^12 x 2^12 is ~134 MB in float64 (real
-    # models), ~268 MB in complex128
+    # largest N with a dense spectrum; it solves the two 2^(N-1)-square parity
+    # blocks one after the other, 2 4^(N-1) entries in all: at N = 12 each
+    # block is ~34 MB in float64 (real models), ~67 MB in complex128
     dense_cap: int = 12
     # default truncation order R of the log series
     series_order: int = 20

@@ -5,11 +5,17 @@ pairs, pair (0, 1) first.  Site 0 is the most significant bit of the
 configuration index, so Kronecker products read left to right along the
 path.  N = 1 is the 2x2 identity by convention.
 
+The last site never changes, so Q splits by index parity into two
+2^(N-1)-square blocks, Q = Q_0 (+) Q_1, and everything dense works on
+them: the brute traces, ``materialize``, ``eigenvalues`` and
+``power_equals_identity``.
+
 Traces have two engines behind ``GlobalOperator.trace_powers``.  The brute
-engine sweeps blocks of identity columns in O(r 4^N).  The transfer engine
-reads the r-periodic space-time histories along space: the right site of
-each pair is read before it changes, so the weight of a history is a
-product over neighbouring sites of
+engine sweeps blocks of identity columns through both halves in
+O(r 4^N / 2).  The transfer engine reads the r-periodic space-time
+histories along space: the right site of each pair is read before it
+changes, so the weight of a history is a product over neighbouring sites
+of
 
     T_r[a, b] = prod_t q[2 a_(t+1) + b_t, 2 a_t + b_t]
 
@@ -127,16 +133,18 @@ def _ldexp(z: np.ndarray, exponent: int) -> np.ndarray:
 
 
 def _transfer_cheaper(n_sites: int, r_max: int) -> bool:
-    """Whether the transfer engine does less work than the brute one, in no more memory.
+    """Whether the transfer engine does less work than the brute one, in bounded memory.
 
-    Both make N - 1 pair steps per swept array.  Brute sweeps R 4^N
-    entries, transfer sum_{r<=R} r 2^(r+1) = (R - 1) 2^(R+2) + 4 at
-    ``_TRANSFER_COST`` times the cost per entry.  Transfer's largest array,
-    2^(R+1) entries, must fit in a brute block of 2^N min(2^N, 256).
+    Both make about N - 1 pair steps per swept array.  Brute sweeps the two
+    parity blocks, R 2 4^(N-1) = R 2^(2N-1) entries; transfer sweeps
+    sum_{r<=R} r 2^(r+1) = (R - 1) 2^(R+2) + 4 at ``_TRANSFER_COST`` times
+    the cost per entry.  Transfer's largest array, 2^(R+1) entries, must
+    fit in one brute block of each parity together, 2^N min(2^(N-1), 256),
+    so the choice at most doubles the array that peak memory scales with.
     """
-    if r_max + 1 > n_sites + min(n_sites, _BLOCK_BITS):
+    if r_max + 1 > n_sites + min(n_sites - 1, _BLOCK_BITS):
         return False
-    return _TRANSFER_COST * (((r_max - 1) << (r_max + 2)) + 4) < r_max << (2 * n_sites)
+    return _TRANSFER_COST * (((r_max - 1) << (r_max + 2)) + 4) < r_max << (2 * n_sites - 1)
 
 
 def _space_time_dual(q: np.ndarray) -> np.ndarray:
@@ -166,11 +174,12 @@ class GlobalOperator:
     """Lazy 2^N x 2^N evolution operator built from one local operator.
 
     Vectors are applied matrix-free through the sweep kernel in
-    O(N 2^N), and so are powers, one block of identity columns at a
-    time.  Traces take those blocks or the space-time transfer engine,
-    whichever the cost model picks.  The dense form, which only the
-    spectrum needs, is assembled from the blocks on demand (and cached) up
-    to ``DEFAULTS.dense_cap`` sites.
+    O(N 2^N).  Powers run on the two parity blocks Q_0 and Q_1 of
+    2^(N-1) dimensions each, one block of identity columns at a time.
+    Traces take those blocks or the space-time transfer engine, whichever
+    the cost model picks.  The spectrum solves the two blocks apart, and
+    ``materialize`` places them in the dense form on demand (cached), both
+    up to ``DEFAULTS.dense_cap`` sites.
     """
 
     def __init__(self, local: LocalOperator, n_sites: int):
@@ -194,32 +203,46 @@ class GlobalOperator:
             )
         return kernels.sweep(v, self.local.entries, self.n_sites)
 
-    # the blocks are checked for finiteness, so numpy need not warn of overflow
-    @np.errstate(over="ignore", invalid="ignore")
     def materialize(self) -> np.ndarray:
         """Dense form; column j is the image of basis vector j.  Cached.
 
-        An entry that overflows the float range raises DomainError.
+        Q_0 fills the even rows and columns, Q_1 the odd ones, and every
+        entry whose row and column parities differ is 0.  Refused above
+        ``DEFAULTS.dense_cap``; an entry that overflows the float range
+        raises DomainError.
         """
         if self._dense is None:
-            if self.n_sites > DEFAULTS.dense_cap:
-                raise SizeExceeded(
-                    f"N={self.n_sites} exceeds the dense cap {DEFAULTS.dense_cap}"
-                )
-            dense = np.empty((self.dim, self.dim), dtype=self.local.entries.dtype)
-            for start, _, image in self._block_powers(1):
-                if not np.isfinite(image).all():
-                    raise DomainError(f"the dense form at N={self.n_sites} overflows the "
-                                      "float range: an entry is not finite")
-                dense[:, start:start + image.shape[1]] = image
+            q_0 = self._half(0)  # refused past the cap before the dense form is allocated
+            dense = np.zeros((self.dim, self.dim), dtype=q_0.dtype)
+            dense[0::2, 0::2] = q_0
+            dense[1::2, 1::2] = self._half(1)
             dense.setflags(write=False)
             self._dense = dense
         return self._dense
 
+    # the blocks are checked for finiteness, so numpy need not warn of overflow
+    @np.errstate(over="ignore", invalid="ignore")
+    def _half(self, b: int) -> np.ndarray:
+        """Q_b as a dense 2^(N-1)-square array, filled from ``_block_powers``.
+
+        Refused with SizeExceeded above ``DEFAULTS.dense_cap`` before any
+        allocation, and with DomainError when an entry is not finite.
+        """
+        if self.n_sites > DEFAULTS.dense_cap:
+            raise SizeExceeded(f"N={self.n_sites} exceeds the dense cap {DEFAULTS.dense_cap}")
+        half = self.dim >> 1
+        q_b = np.empty((half, half), dtype=self.local.entries.dtype)
+        for _, start, _, image in self._block_powers(1, parities=(b,)):
+            if not np.isfinite(image).all():
+                raise DomainError(f"the dense form at N={self.n_sites} overflows the "
+                                  "float range: an entry is not finite")
+            q_b[:, start:start + image.shape[1]] = image
+        return q_b
+
     def trace_powers(self, r_max: int) -> TraceSequence:
         """C_r for r = 1..r_max from the engine the cost model picks.
 
-        Transfer costs O(N r 2^r) per r, brute O(r 4^N).  A C_r that leaves
+        Transfer costs O(N r 2^r) per r, brute O(r 4^N / 2).  A C_r that leaves
         the float range raises DomainError, and so does a trace read from
         ``values`` that leaves it.
         """
@@ -231,9 +254,9 @@ class GlobalOperator:
             return TraceSequence(self.n_sites, engine(r_max))
 
     def _brute_traces(self, r_max: int) -> np.ndarray:
-        """C_r for r = 1..r_max, traces accumulated over column blocks in O(r 4^N)."""
+        """C_r for r = 1..r_max from the diagonals of both parity blocks, in O(r 4^N / 2)."""
         traces = np.zeros(r_max, dtype=np.complex128)
-        for start, r, image in self._block_powers(r_max):
+        for _, start, r, image in self._block_powers(r_max):
             traces[r - 1] += np.trace(image, offset=-start)
         return _ldexp(traces, -self.n_sites)
 
@@ -257,31 +280,46 @@ class GlobalOperator:
             c_values[r - 1] = v.sum()
         return c_values
 
-    def _block_powers(self, r_max: int):
-        """Yield ``(start, r, Q^r E)`` for r = 1..r_max over identity blocks E.
+    def _block_powers(self, r_max: int, parities=(0, 1)):
+        """Yield ``(b, start, r, Q_b^r E)`` for b in ``parities`` and r = 1..r_max.
 
-        E holds columns ``start .. start + width - 1`` of the identity, with
-        width ``min(2^N, 256)``.  Blocks come in a fixed order, so sums over
-        them are deterministic.
+        Q_b is Q on the configurations whose last site holds b, the indices
+        of parity b; the last site never changes, so Q = Q_0 (+) Q_1 and
+        each is 2^(N-1) square.  One step of Q_b sweeps the first N - 1
+        sites with the local operator, then acts on site N - 2 with
+        ``local.block_right{b}``.  E holds columns ``start .. start +
+        width - 1`` of the 2^(N-1) identity, with width
+        ``min(2^(N-1), 256)``.  At N = 1 both blocks are the 1x1 identity.
+        Blocks come in a fixed order, so sums over them are deterministic.
         """
-        dim = self.dim
-        width = min(dim, _BLOCK_COLUMNS)
-        for start in range(0, dim, width):
-            flat = np.eye(dim, width, -start).reshape(-1)
-            for r in range(1, r_max + 1):
-                flat = kernels.sweep(flat, self.local.entries, self.n_sites, tail=width)
-                yield start, r, flat.reshape(dim, width)
+        local = self.local
+        half = self.dim >> 1
+        width = min(half, _BLOCK_COLUMNS)
+        for b in parities:
+            right = local.block_right1 if b else local.block_right0
+            for start in range(0, half, width):
+                image = np.eye(half, width, -start, dtype=local.entries.dtype)
+                for r in range(1, r_max + 1):
+                    if self.n_sites > 1:
+                        swept = kernels.sweep(image, local.entries, self.n_sites - 1, tail=width)
+                        image = np.matmul(right, swept.reshape(-1, 2, width)).reshape(half, width)
+                    yield b, start, r, image
 
     def eigenvalues(self) -> np.ndarray:
-        """All 2^N eigenvalues of the dense form, sorted by (re, im).  Cached."""
+        """All 2^N eigenvalues, sorted by (re, im).  Cached.
+
+        The spectrum of Q is that of Q_0 followed by that of Q_1, each
+        solved as a dense 2^(N-1)-square block; the 2^N-square form is
+        never built.  Refused above ``DEFAULTS.dense_cap``.
+        """
         if self._eigenvalues is None:
-            dense = self.materialize()
             try:
-                eig = np.linalg.eigvals(dense).astype(np.complex128, copy=False)
+                eig = np.concatenate([np.linalg.eigvals(self._half(b)) for b in (0, 1)])
             except np.linalg.LinAlgError as exc:
                 raise ConvergenceFailure(
-                    f"eigensolver exhausted its {30 * self.dim} QR iteration budget: {exc}"
+                    f"eigensolver exhausted its {30 * (self.dim >> 1)} QR iteration budget: {exc}"
                 )
+            eig = eig.astype(np.complex128, copy=False)
             eig = eig[np.lexsort((eig.imag, eig.real))]
             eig.setflags(write=False)
             self._eigenvalues = eig
@@ -300,11 +338,14 @@ class GlobalOperator:
         return complex(np.sum(np.log(factors)) / self.dim)
 
     def power_equals_identity(self, r: int, tol: float) -> bool:
-        """Whether Q^r is the identity to max-abs tolerance ``tol``."""
+        """Whether Q^r is the identity to max-abs tolerance ``tol``, block by block.
+
+        A NaN or negative ``tol`` raises DomainError; a NaN entry fails.
+        """
         r = _positive_int("power", r)
-        for start, power, image in self._block_powers(r):
-            if power == r:
-                block = np.eye(self.dim, image.shape[1], -start)
-                if np.max(np.abs(image - block)) > tol:
-                    return False
+        if not tol >= 0:
+            raise DomainError(f"tol must be a number >= 0, got {tol!r}")
+        for _, start, power, image in self._block_powers(r):
+            if power == r and not np.max(np.abs(image - np.eye(*image.shape, -start))) <= tol:
+                return False
         return True

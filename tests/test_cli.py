@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ipszeta import DomainError, chebyshev_t, qca2_c1_closed_form, qca2_x2_recurrence
+from ipszeta import DomainError, TraceSequence, chebyshev_t, qca2_c1_closed_form, qca2_x2_recurrence
 from ipszeta.config import DEFAULTS
 from ipszeta.cli import main, parse_angle, parse_complex, parse_n_values
 
@@ -143,6 +143,16 @@ class TestZeta:
         assert doc["empirical_radius"] == pytest.approx(1.0, abs=1e-9)
         for ev in doc["evaluations"]:
             assert ev["difference"] < 1e-9
+
+    def test_json_forms_the_traces_once(self, capsys, monkeypatch):
+        reads = []
+        values = TraceSequence.values
+        monkeypatch.setattr(TraceSequence, "values",
+                            property(lambda ts: reads.append(ts) or values.fget(ts)))
+        code, out, _ = run(capsys, "zeta", "--model", "dk", "--params", "0.3,0.7",
+                           "--n", "4", "--rmax", "6")
+        assert code == 0 and len(json.loads(out)["table"]) == 6
+        assert len(reads) == 1
 
     def test_config_file_with_flag_override(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
