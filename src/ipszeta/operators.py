@@ -140,7 +140,7 @@ def _transfer_cheaper(n_sites: int, r_max: int) -> bool:
     sum_{r<=R} r 2^(r+1) = (R - 1) 2^(R+2) + 4 at ``_TRANSFER_COST`` times
     the cost per entry.  Transfer's largest array, 2^(R+1) entries, must
     fit in one brute block of each parity together, 2^N min(2^(N-1), 256),
-    so the choice at most doubles the array that peak memory scales with.
+    at most twice the block brute sweeps.
     """
     if r_max + 1 > n_sites + min(n_sites - 1, _BLOCK_BITS):
         return False
