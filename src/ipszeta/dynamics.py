@@ -161,9 +161,24 @@ def configuration_probability(state: StateVector, config: Configuration) -> floa
 
 
 def site_marginals(state: StateVector) -> np.ndarray:
-    """P(site x occupied) for each x, summed over configurations."""
-    probs = state.probabilities()
-    return np.array([probs.reshape(1 << x, 2, -1)[:, 1].sum() for x in range(state.n_sites)])
+    """P(site x occupied) for each x, summed over configurations.
+
+    One fold per site from the last: the odd entries of the array hold the
+    last remaining site occupied, and adding each odd entry to its even
+    neighbour sums that site out.
+    """
+    v = state.components
+    if state.kind is StateKind.PCA_PROBABILITY:
+        p = v.real
+    elif v.dtype.kind == "c":
+        p = v.real ** 2 + v.imag ** 2
+    else:
+        p = v * v
+    marginals = np.empty(state.n_sites)
+    for x in range(state.n_sites - 1, -1, -1):
+        marginals[x] = p[1::2].sum()
+        p = p[0::2] + p[1::2]
+    return marginals
 
 
 def evolve_trajectory(state: StateVector, op: GlobalOperator, steps: int):

@@ -1,14 +1,63 @@
-"""Two-site sweep kernel.
+"""Site-blocked sweep kernel.
 
-The hot loop of every global-operator application is the sweep of 2x2
-block updates across the site chain, done here with one batched numpy
-matmul per site pair.
+The hot loop of every global-operator application is the chain of
+two-site updates across the sites, pair (0, 1) first.  The kernel fuses
+runs of up to four consecutive pairs (five sites) into one dense
+2^w-square block and applies each block with one batched numpy matmul,
+as state-vector simulators fuse gates (Haener and Steiger, "0.5 Petabyte
+Simulation of a 45-Qubit Quantum Circuit", SC '17).  Each block is built
+once per local operator and width, by the pairwise loop on the identity,
+and kept in a bounded cache.
 """
+
+import functools
 
 import numpy as np
 
 # reported as ``ipszeta.KERNEL_BACKEND``; the numpy sweep is the only one
 BACKEND = "python"
+
+# widest fused block: 5 sites, 4 pairs, a 32 x 32 matrix
+_GROUP_SITES = 5
+# rows of each batched right product of the last group when tail = 1; one
+# tall product there raises the peak RSS under a threaded BLAS
+_ROWS = 256
+
+
+@functools.lru_cache(maxsize=64)
+def _block(local_bytes: bytes, dtype: str, width: int) -> np.ndarray:
+    """The width - 1 pair updates of ``width`` sites as one 2^width-square matrix.
+
+    Column j is the image of basis vector j under the pairwise loop.
+    """
+    q = np.frombuffer(local_bytes, dtype=dtype).reshape(4, 4)
+    dim = 1 << width
+    out = np.eye(dim, dtype=dtype).reshape(-1)
+    for x in range(width - 1):
+        inner = (1 << (width - 2 - x)) * dim
+        # middle axis is the packed site pair 2k+l, exactly the row index of q
+        out = np.matmul(q, out.reshape(-1, 4, inner)).reshape(-1)
+    # column-major, so that the transpose of the right product is row-major
+    block = np.asfortranarray(out.reshape(dim, dim))
+    block.setflags(write=False)
+    return block
+
+
+def _groups(n_sites: int):
+    """(first site, width) of each fused group, left to right.
+
+    Groups are laid out from the right end and overlap by one site, so
+    each pair falls in exactly one group and every group but the last
+    leaves at least 2^4 entries per copy to its right.
+    """
+    groups = []
+    end = n_sites
+    while True:
+        start = max(0, end - _GROUP_SITES)
+        groups.append((start, end - start))
+        if start == 0:
+            return groups[::-1]
+        end = start + 1
 
 
 def sweep(vec, local, n_sites, tail=1):
@@ -26,11 +75,21 @@ def sweep(vec, local, n_sites, tail=1):
     """
     q = np.asarray(local)
     out = np.asarray(vec).reshape(-1)
-    out = out.astype(np.result_type(out, q))
-    for x in range(n_sites - 1):
-        inner = (1 << (n_sites - 2 - x)) * tail
-        # middle axis is the packed site pair 2k+l, exactly the row index of q
-        out = np.matmul(q, out.reshape(-1, 4, inner)).reshape(-1)
+    out = out.astype(np.result_type(out, q), copy=False)
+    if n_sites < 2:
+        return out.copy()
+    key = q.tobytes(), q.dtype.str
+    for start, width in _groups(n_sites):
+        block = _block(*key, width)
+        dim = 1 << width
+        inner = (1 << (n_sites - start - width)) * tail
+        if inner > 1:
+            out = np.matmul(block, out.reshape(-1, dim, inner))
+        else:
+            # the last group with tail = 1: a batched product from the right
+            rows = min(_ROWS, out.size >> width)
+            out = np.matmul(out.reshape(-1, rows, dim), block.T)
+        out = out.reshape(-1)
     return out
 
 

@@ -58,8 +58,8 @@ for _m in (E00, E01, E10, E11):
 _BLOCK_BITS = 8
 _BLOCK_COLUMNS = 1 << _BLOCK_BITS
 # time per swept entry of the transfer engine (small arrays) over the brute
-# engine's, as measured where the two cross at N = 9..11
-_TRANSFER_COST = 3
+# engine's, as measured where the two cross at N = 8..11
+_TRANSFER_COST = 2
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,13 @@
 """Brute-force oracles used across the suite.
 
-Two oracles build the global operator without touching the library's
+Three oracles build the global operator without touching the library's
 sweep kernel: one from the closed product of transition weights (the
 weight of pair x is ``local[2*out_x + in_{x+1}, 2*in_x + in_{x+1}]`` and
-the last site never changes), the other by multiplying explicit Kronecker
-embeddings of the local operator.  Two more count the fixed points of
+the last site never changes), its mirror for a 4x4 that keeps the left
+site of each pair, and one that multiplies explicit Kronecker embeddings
+of the local operator.  The pairwise sweep applies the pairs one batched
+matmul at a time, the loop the kernel builds its fused blocks from.  Two
+more count the fixed points of
 Rule 90, the map x_i <- x_i + x_{i+1} (mod 2) with the last site fixed,
 in plain integers: by iterating the map on every state, and by GF(2)
 rank.  The last runs the reflection family's second-power trace
@@ -17,10 +20,6 @@ from itertools import product
 import numpy as np
 
 
-def bits_of(index: int, n: int) -> tuple:
-    return tuple((index >> (n - 1 - x)) & 1 for x in range(n))
-
-
 def product_entry(local: np.ndarray, out_bits, in_bits) -> complex:
     if out_bits[-1] != in_bits[-1]:
         return 0.0j
@@ -30,16 +29,45 @@ def product_entry(local: np.ndarray, out_bits, in_bits) -> complex:
     return w
 
 
+def _bit_grid(n: int):
+    """Bits of the row (out) and the column (in) of every entry of a 2^n-square matrix."""
+    bits = (np.arange(2 ** n)[:, None] >> (n - 1 - np.arange(n))) & 1
+    return bits[:, None, :], bits[None, :, :]
+
+
 def product_global(local: np.ndarray, n: int) -> np.ndarray:
-    if n == 1:
-        return np.eye(2, dtype=complex)
-    dim = 2 ** n
-    g = np.zeros((dim, dim), dtype=complex)
-    for col in range(dim):
-        in_bits = bits_of(col, n)
-        for row in range(dim):
-            g[row, col] = product_entry(local, bits_of(row, n), in_bits)
+    """``product_entry`` of every (row, column), one site pair at a time."""
+    out, inp = _bit_grid(n)
+    g = (out[..., -1] == inp[..., -1]).astype(complex)
+    for x in range(n - 1):
+        g = g * local[2 * out[..., x] + inp[..., x + 1], 2 * inp[..., x] + inp[..., x + 1]]
     return g
+
+
+def dual_product_global(dual: np.ndarray, n: int) -> np.ndarray:
+    """Closed product of a 4x4 that keeps the left site of each pair.
+
+    Pair x reads site x after pair x - 1 has set it and keeps it, so its
+    weight is ``dual[2*out_x + out_{x+1}, 2*out_x + in_{x+1}]``, and site 0
+    never changes.
+    """
+    out, inp = _bit_grid(n)
+    g = (out[..., 0] == inp[..., 0]).astype(complex)
+    for x in range(n - 1):
+        g = g * dual[2 * out[..., x] + out[..., x + 1], 2 * out[..., x] + inp[..., x + 1]]
+    return g
+
+
+def pairwise_sweep(vec, local, n: int, tail: int = 1) -> np.ndarray:
+    """The site pairs of ``kernels.sweep`` applied one batched matmul at a time."""
+    q = np.asarray(local)
+    out = np.asarray(vec).reshape(-1)
+    out = out.astype(np.result_type(out, q))
+    for x in range(n - 1):
+        inner = (1 << (n - 2 - x)) * tail
+        # middle axis is the packed site pair 2k+l, exactly the row index of q
+        out = np.matmul(q, out.reshape(-1, 4, inner)).reshape(-1)
+    return out
 
 
 def kron_global(local: np.ndarray, n: int) -> np.ndarray:

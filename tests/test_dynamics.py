@@ -6,6 +6,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ipszeta.dynamics
 from ipszeta import (
@@ -261,6 +263,26 @@ class TestObservables:
         probs = state.probabilities()
         oracle = [math.fsum(probs[i] for i in range(2 ** n) if i >> (n - 1 - x) & 1)
                   for x in range(n)]
+        np.testing.assert_allclose(site_marginals(state), oracle, rtol=0, atol=1e-14)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 12), st.sampled_from(tuple(StateKind)), st.booleans(),
+           st.integers(0, 2 ** 32 - 1))
+    def test_marginals_match_a_per_site_sum(self, n, kind, complex_dtype, seed):
+        # oracle: math.fsum, site by site, over the configurations whose bit x is set
+        rng = np.random.default_rng(seed)
+        p = rng.random(2 ** n)
+        p /= p.sum()
+        if kind is StateKind.QCA_AMPLITUDE:
+            signs = rng.choice((-1.0, 1.0), 2 ** n)
+            phases = np.exp(2j * math.pi * rng.random(2 ** n)) if complex_dtype else signs
+            components = np.sqrt(p) * phases
+            p = np.abs(components) ** 2
+        else:
+            components = p.astype(complex) if complex_dtype else p
+        state = StateVector(n, kind, components)
+        index = np.arange(2 ** n)
+        oracle = [math.fsum(p[index >> (n - 1 - x) & 1 == 1]) for x in range(n)]
         np.testing.assert_allclose(site_marginals(state), oracle, rtol=0, atol=1e-14)
 
     def test_dk_one_step_marginals_match_enumeration(self):

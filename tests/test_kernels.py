@@ -1,12 +1,15 @@
-"""Correctness of the two-site sweep kernel."""
+"""Correctness of the site-blocked sweep kernel."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ipszeta
 from ipszeta import ModelSpec, build_local, kernels
+from ipszeta.operators import _space_time_dual
 
-from helpers import product_global
+from helpers import dual_product_global, pairwise_sweep, product_global
 
 MODELS = (
     ModelSpec.dk(0.3, 0.6),
@@ -14,11 +17,22 @@ MODELS = (
     ModelSpec.qca1(0.4, 1.1),
     ModelSpec.qca2(0.7, 2.2),
 )
+# one copy, an odd count and the brute engine's block width
+TAILS = (1, 3, 256)
 
 
-def random_vec(n, seed):
+def random_vec(n, seed, tail=1):
     rng = np.random.default_rng(seed)
-    return rng.standard_normal(2 ** n) + 1j * rng.standard_normal(2 ** n)
+    shape = (2 ** n, tail)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def assert_sweeps(oracle, local, n, seed):
+    """The sweep of 2^n x tail random columns equals ``oracle`` times them, for every tail."""
+    for tail in TAILS:
+        v = random_vec(n, seed, tail)
+        np.testing.assert_allclose(kernels.sweep(v.reshape(-1), local, n, tail=tail),
+                                   (oracle @ v).reshape(-1), rtol=0, atol=1e-12)
 
 
 def test_backend_reported():
@@ -26,25 +40,63 @@ def test_backend_reported():
     assert ipszeta.KERNEL_BACKEND == kernels.BACKEND
 
 
+# from N = 6 on the pairs span two fused groups, from N = 10 three
 @pytest.mark.parametrize("spec", MODELS, ids=[m.model for m in MODELS])
-@pytest.mark.parametrize("n", range(2, 6))
+@pytest.mark.parametrize("n", range(2, 11))
 def test_sweep_matches_product_oracle(spec, n):
     local = build_local(spec).entries
-    oracle = product_global(local, n)
-    v = random_vec(n, seed=7 * n + 1)
-    np.testing.assert_allclose(kernels.sweep(v, local, n), oracle @ v,
-                               rtol=0, atol=1e-12)
+    assert_sweeps(product_global(local, n), local, n, seed=7 * n + 1)
+
+
+@pytest.mark.parametrize("spec", MODELS, ids=[m.model for m in MODELS])
+@pytest.mark.parametrize("n", range(2, 11))
+def test_dual_sweep_matches_product_oracle(spec, n):
+    # the transfer engine's space-time dual keeps the left site of each pair
+    dual = _space_time_dual(build_local(spec).entries)
+    assert_sweeps(dual_product_global(dual, n), dual, n, seed=5 * n + 2)
+
+
+_ENTRY = st.floats(-1.0, 1.0)
+_REAL_LOCAL = st.lists(_ENTRY, min_size=16, max_size=16)
+_COMPLEX_LOCAL = st.lists(st.builds(complex, _ENTRY, _ENTRY), min_size=16, max_size=16)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_REAL_LOCAL, _COMPLEX_LOCAL), st.integers(1, 14),
+       st.sampled_from(TAILS[:2]), st.integers(0, 2 ** 32 - 1))
+def test_sweep_matches_pairwise_loop(entries, n, tail, seed):
+    local = np.reshape(entries, (4, 4))
+    v = random_vec(n, seed, tail).reshape(-1)
+    swept = kernels.sweep(v, local, n, tail=tail)
+    expected = pairwise_sweep(v, local, n, tail=tail)
+    # rounding is relative to the sum of magnitudes, whatever cancels; below
+    # the smallest normal float the spacing of subnormals bounds it instead
+    scale = pairwise_sweep(np.abs(v), np.abs(local), n, tail=tail)
+    assert swept.dtype == expected.dtype
+    assert np.all(np.abs(swept - expected) <= 1e-13 * scale + np.finfo(np.float64).tiny)
 
 
 def test_sweep_leaves_input_untouched():
     local = build_local(ModelSpec.qca2(0.3, 0.8)).entries
-    v = random_vec(3, seed=5)
-    keep = v.copy()
-    kernels.sweep(v, local, 3)
-    np.testing.assert_array_equal(v, keep)
+    for n, tail in ((3, 1), (7, 1), (7, 3)):
+        v = random_vec(n, seed=5, tail=tail).reshape(-1)
+        keep = v.copy()
+        kernels.sweep(v, local, n, tail=tail)
+        np.testing.assert_array_equal(v, keep)
+
+
+def test_result_is_fresh_in_promoted_dtype():
+    local = build_local(ModelSpec.dk(0.2, 0.9)).entries
+    for n in (1, 2, 6):
+        v = np.zeros(2 ** n)
+        v[0] = 1.0
+        for vec, dtype in ((v, np.float64), (v.astype(int), np.float64),
+                           (v.astype(complex), np.complex128)):
+            out = kernels.sweep(vec, local, n)
+            assert out.dtype == dtype and not np.shares_memory(out, vec)
 
 
 def test_single_site_is_identity():
     local = build_local(ModelSpec.dk(0.2, 0.9)).entries
-    v = random_vec(1, seed=2)
+    v = random_vec(1, seed=2).reshape(-1)
     np.testing.assert_allclose(kernels.sweep(v, local, 1), v, rtol=0, atol=0)
