@@ -12,8 +12,9 @@ class Defaults:
     # classification of local operators as stochastic / unitary / CA
     classify_tol: float = 1e-9
     # largest N with a dense spectrum; it solves the two 2^(N-1)-square parity
-    # blocks one after the other, 2 4^(N-1) entries in all: at N = 12 each
-    # block is ~34 MB in float64 (real models), ~67 MB in complex128
+    # blocks one after the other: at N = 12 each block is ~34 MB in float64
+    # (real models), ~67 MB in complex128; the unitary solver holds about five
+    # such buffers during eigh (qca2 peaks at ~200 MB RSS), QR about two (104 MB)
     dense_cap: int = 12
     # default truncation order R of the log series
     series_order: int = 20

@@ -26,7 +26,7 @@ class SizeExceeded(InvalidInput):
 
 
 class ConvergenceFailure(IpsZetaError):
-    """The eigensolver exhausted its iteration budget."""
+    """An eigensolver (LAPACK, through numpy) did not converge; the CLI exits 1."""
 
 
 class SingularAtU(IpsZetaError):

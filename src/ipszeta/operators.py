@@ -8,7 +8,9 @@ path.  N = 1 is the 2x2 identity by convention.
 The last site never changes, so Q splits by index parity into two
 2^(N-1)-square blocks, Q = Q_0 (+) Q_1, and everything dense works on
 them: the brute traces, ``materialize``, ``eigenvalues`` and
-``power_equals_identity``.
+``power_equals_identity``.  The blocks of a unitary Q are normal, so
+``eigenvalues`` solves them through the Hermitian eigensolver; every other
+block goes to nonsymmetric QR.
 
 Traces have two engines behind ``GlobalOperator.trace_powers``.  The brute
 engine sweeps blocks of identity columns through both halves in
@@ -60,6 +62,15 @@ _BLOCK_COLUMNS = 1 << _BLOCK_BITS
 # time per swept entry of the transfer engine (small arrays) over the brute
 # engine's, as measured where the two cross at N = 8..11
 _TRANSFER_COST = 2
+_EPS = np.finfo(np.float64).eps
+# a local operator whose Gram matrix is the identity to this many ulps takes
+# the unitary spectrum path; a wider gate would admit a Q far enough from
+# normal that the compressions below miss its eigenvalues by more than rounding
+_UNITARY_TOL = 8 * _EPS
+# sorted eigenvalues of the Hermitian part split into clusters at gaps above
+# this; eigh's eigenvectors then span each cluster's subspace to within an
+# angle ~eps / gap, and the compression's eigenvalues err by its square
+_CLUSTER_GAP = _EPS ** (1 / 3)
 
 
 @dataclass(frozen=True)
@@ -145,6 +156,13 @@ def _transfer_cheaper(n_sites: int, r_max: int) -> bool:
     if r_max + 1 > n_sites + min(n_sites - 1, _BLOCK_BITS):
         return False
     return _TRANSFER_COST * (((r_max - 1) << (r_max + 2)) + 4) < r_max << (2 * n_sites - 1)
+
+
+# an entry whose square overflows fails the test, silently
+@np.errstate(over="ignore", invalid="ignore")
+def _is_unitary(q: np.ndarray) -> bool:
+    """Whether q^H q is the identity to ``_UNITARY_TOL`` in every entry."""
+    return bool(np.max(np.abs(q.conj().T @ q - np.eye(len(q)))) <= _UNITARY_TOL)
 
 
 def _space_time_dual(q: np.ndarray) -> np.ndarray:
@@ -308,22 +326,103 @@ class GlobalOperator:
     def eigenvalues(self) -> np.ndarray:
         """All 2^N eigenvalues, sorted by (re, im).  Cached.
 
-        The spectrum of Q is that of Q_0 followed by that of Q_1, each
-        solved as a dense 2^(N-1)-square block; the 2^N-square form is
-        never built.  Refused above ``DEFAULTS.dense_cap``.
+        The spectrum of Q is that of Q_0 and Q_1, each solved as a
+        2^(N-1)-square block; the 2^N-square form is never built.  A
+        unitary local operator (to ``_UNITARY_TOL``) makes both blocks
+        unitary, and ``_unitary_spectrum`` solves them through the
+        Hermitian eigensolver; any other block goes to nonsymmetric QR,
+        ``np.linalg.eigvals``.  Refused above ``DEFAULTS.dense_cap``.
         """
         if self._eigenvalues is None:
             try:
-                eig = np.concatenate([np.linalg.eigvals(self._half(b)) for b in (0, 1)])
+                if _is_unitary(self.local.entries):
+                    eig = self._unitary_spectrum()
+                else:
+                    eig = np.concatenate([np.linalg.eigvals(self._half(b)) for b in (0, 1)])
             except np.linalg.LinAlgError as exc:
-                raise ConvergenceFailure(
-                    f"eigensolver exhausted its {30 * (self.dim >> 1)} QR iteration budget: {exc}"
-                )
+                raise ConvergenceFailure(f"the eigensolver did not converge on a parity block "
+                                         f"at N={self.n_sites}: {exc}")
             eig = eig.astype(np.complex128, copy=False)
             eig = eig[np.lexsort((eig.imag, eig.real))]
             eig.setflags(write=False)
             self._eigenvalues = eig
         return self._eigenvalues
+
+    def _unitary_spectrum(self) -> np.ndarray:
+        """Eigenvalues of the unitary blocks Q_0 and Q_1, from their Hermitian parts.
+
+        H = (Q_b + Q_b^H) / 2 has Q_b's eigenvectors and the eigenvalues
+        cos(theta) of its e^(i theta), so ``eigh`` gives them; the sorted
+        eigenvalues split into clusters at gaps above ``_CLUSTER_GAP``.
+        Each cluster's columns V_c of the eigenvector matrix span an
+        invariant subspace of Q_b, and the eigenvalues of the compression
+        V_c^H Q_b V_c are the cluster's.  A conjugate pair of a real block
+        shares its cosine, so it never splits, and a real block stays in
+        float64 throughout, which keeps the pair exact.  One block at a
+        time, H overwrites Q_b; the compressions of both blocks are solved
+        after the last ``eigh``, by one ``np.linalg.eigvals`` per cluster
+        size.
+        """
+        compressions = {}
+        for b in (0, 1):
+            h = self._half(b)
+            h += h.conj().T  # numpy buffers the overlapping operand
+            h *= 0.5
+            w, v = np.linalg.eigh(h)
+            del h
+            for k, stack in self._compressions(b, w, v).items():
+                compressions.setdefault(k, []).append(stack)
+            del v  # before the next block's eigh
+        return np.concatenate([np.linalg.eigvals(np.concatenate(c)).reshape(-1)
+                               for c in compressions.values()])
+
+    def _compressions(self, b: int, w: np.ndarray, v: np.ndarray) -> dict:
+        """V_c^H Q_b V_c of each cluster of the sorted ``w``, stacked by cluster size.
+
+        Q_b V is formed again by ``_step``, at most 256 columns at a time,
+        on spans of whole clusters.  The stacks are allocated before those
+        sweeps, so the sweeps' freed arrays leave no hole under a live one
+        and the next block's ``eigh`` reuses their memory.
+        """
+        starts = np.flatnonzero(np.diff(w, prepend=-np.inf) > _CLUSTER_GAP)
+        sizes = np.diff(starts, append=len(w))
+        # bincount, not np.unique, which imports numpy.ma (18 ms, 1.1 MB)
+        counts = np.bincount(sizes)
+        stacks = {k: np.empty((counts[k], k, k), v.dtype) for k in np.flatnonzero(counts)}
+        filled = dict.fromkeys(stacks, 0)
+        # a span holds the clusters that start in one 256-column window
+        firsts = np.flatnonzero(np.diff(starts // _BLOCK_COLUMNS, prepend=-1))
+        for span in map(slice, firsts, np.append(firsts[1:], len(starts))):
+            lo = starts[span][0]
+            hi = lo + sizes[span].sum()
+            # V^H Q_b V on the span; its diagonal blocks are the compressions
+            projected = np.empty((hi - lo, hi - lo), dtype=v.dtype)
+            for j in range(lo, hi, _BLOCK_COLUMNS):
+                cols = slice(j, min(hi, j + _BLOCK_COLUMNS))
+                projected[:, j - lo:cols.stop - lo] = (v[:, lo:hi].conj().T
+                                                       @ self._step(b, v[:, cols]))
+            for k in np.flatnonzero(np.bincount(sizes[span])):
+                idx = starts[span][sizes[span] == k, None] - lo + np.arange(k)
+                stacks[k][filled[k]:filled[k] + len(idx)] = (
+                    projected[idx[:, :, None], idx[:, None, :]])
+                filled[k] += len(idx)
+        return stacks
+
+    def _step(self, b: int, columns: np.ndarray) -> np.ndarray:
+        """Q_b applied to each column of a (2^(N-1), width) array.
+
+        The same step as in ``_block_powers``, which keeps it inline: there
+        the swept array lives on into the next step, and the allocator
+        reuses the freed arrays.  Through a call per step, the brute traces
+        at N = 10, R = 20 took four times the page faults and 1.5 times as
+        long.
+        """
+        if self.n_sites == 1:
+            return columns
+        half, width = columns.shape
+        right = self.local.block_right1 if b else self.local.block_right0
+        swept = kernels.sweep(columns, self.local.entries, self.n_sites - 1, tail=width)
+        return np.matmul(right, swept.reshape(-1, 2, width)).reshape(half, width)
 
     def log_det_factor(self, u) -> complex:
         """Mean principal log of the factors 1 - u*lambda over the spectrum.

@@ -583,6 +583,19 @@ class TestSpectrum:
         assert code == 2 and out == ""
         assert "overflows the float range" in err and "eigensolver" not in err
 
+    # qca2 is unitary and solved through eigh, dk through eigvals
+    @pytest.mark.parametrize("model, params, solver", (("qca2", "0.3,0.7", "eigh"),
+                                                       ("dk", "0.6,0.8", "eigvals")))
+    def test_solver_failure_exits_1(self, capsys, monkeypatch, model, params, solver):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, solver, fail)
+        code, out, err = run(capsys, "spectrum", "--model", model, "--params", params, "--n", "4")
+        assert code == 1 and out == ""
+        assert err == ("error: the eigensolver did not converge on a parity block at N=4: "
+                       "Eigenvalues did not converge\n")
+
     def test_missing_model_exits_2(self, capsys):
         code, _, err = run(capsys, "spectrum", "--n", "3")
         assert code == 2 and "model" in err

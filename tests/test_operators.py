@@ -37,7 +37,7 @@ from ipszeta import (
     tensor_model_cr,
 )
 from ipszeta.config import DEFAULTS
-from ipszeta.operators import _transfer_cheaper
+from ipszeta.operators import _UNITARY_TOL, _is_unitary, _transfer_cheaper
 
 from helpers import kron_global, product_global, qca2_c2_recurrence
 
@@ -633,12 +633,62 @@ def test_parity_block_spectrum_matches_the_kron_oracle(right0, right1, n):
 
 
 def test_spectrum_never_allocates_the_dense_form():
-    # the 2^10-square float64 form alone is 8 MiB, one parity block 2 MiB
-    op = _op(ModelSpec.qca2(0.3, 0.7), 10)
-    tracemalloc.start()
-    try:
-        op.eigenvalues()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 9 * 2 ** 20
+    # the 2^10-square float64 form alone is 8 MiB, one parity block 2 MiB;
+    # qca2 takes the unitary path, dk the general one
+    for spec, unitary in ((ModelSpec.qca2(0.3, 0.7), True), (ModelSpec.dk(0.6, 0.8), False)):
+        op = _op(spec, 10)
+        assert _is_unitary(op.local.entries) == unitary
+        tracemalloc.start()
+        try:
+            op.eigenvalues()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 9 * 2 ** 20, spec
+
+
+def _largest_matched_distance(eig, expected):
+    """Largest |eig - expected| over the pairing that minimizes the total distance."""
+    distance = np.abs(eig[:, None] - expected[None, :])
+    rows, cols = linear_sum_assignment(distance)
+    return distance[rows, cols].max()
+
+
+# rotations and reflections; the exact angles give clusters of equal cosines
+# up to the whole parity block (Rule 90, the identity, the quarter turn)
+_ORTHOGONAL = st.tuples(st.sampled_from((rotation, reflection)),
+                        st.sampled_from((0.0, math.pi / 2, math.pi)) | _PHASE).map(
+    lambda a: a[0](a[1]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.tuples(_ORTHOGONAL, _ORTHOGONAL), st.tuples(_UNITARY, _UNITARY)),
+       st.integers(1, 8))
+def test_unitary_spectrum_matches_the_oracles(blocks, n):
+    local = LocalOperator.from_blocks(*blocks)
+    assert _is_unitary(local.entries)
+    op = GlobalOperator(local, n)
+    eig = op.eigenvalues()
+    assert _largest_matched_distance(eig, np.linalg.eigvals(kron_global(local.entries, n))) <= 1e-12
+    assert np.abs(np.abs(eig) - 1.0).max() <= 1e-13
+    power_sums = [np.sum(eig ** r) for r in (1, 2, 3)]
+    np.testing.assert_allclose(power_sums, op._brute_traces(3) * 2.0 ** n,
+                               rtol=0, atol=1e-12 * 2 ** n)
+    if local.entries.dtype == np.float64:
+        # each conjugate pair is exact: the conjugates are the spectrum, bit for bit
+        np.testing.assert_array_equal(np.sort_complex(eig.conj()), eig)
+
+
+# a Gram matrix off the identity by 4 ulps passes the gate, by 15 it does not
+@pytest.mark.parametrize("scale, unitary", ((1 + _UNITARY_TOL / 4, True),
+                                            (1 + _UNITARY_TOL, False)),
+                         ids=["inside", "past"])
+def test_an_operator_past_the_unitary_gate_takes_the_general_path(monkeypatch, scale, unitary):
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+    local = LocalOperator.from_blocks(scale * rotation(0.3), reflection(0.7))
+    assert _is_unitary(local.entries) == unitary
+    eig = GlobalOperator(local, 6).eigenvalues()
+    assert calls == ([(32, 32)] * 2 if unitary else [])
+    assert _largest_matched_distance(eig, np.linalg.eigvals(kron_global(local.entries, 6))) <= 1e-12
