@@ -165,11 +165,12 @@ def _load_config(args) -> None:
 
 
 def _emit(text: str, out: Optional[str]) -> None:
+    text = text if text.endswith("\n") else text + "\n"
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
 
 
 def _require_model(args) -> ModelSpec:

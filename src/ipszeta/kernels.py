@@ -5,9 +5,10 @@ two-site updates across the sites, pair (0, 1) first.  The kernel fuses
 runs of up to four consecutive pairs (five sites) into one dense
 2^w-square block and applies each block with one batched numpy matmul,
 as state-vector simulators fuse gates (Haener and Steiger, "0.5 Petabyte
-Simulation of a 45-Qubit Quantum Circuit", SC '17).  Each block is built
-once per local operator and width, by the pairwise loop on the identity,
-and kept in a bounded cache.
+Simulation of a 45-Qubit Quantum Circuit", SC '17).  A site held fixed
+to the right of the array joins the last block, which keeps the rows and
+columns where that site holds its value.  Blocks are built by the
+pairwise loop on the identity and kept in a bounded cache.
 """
 
 import functools
@@ -25,20 +26,25 @@ _ROWS = 256
 
 
 @functools.lru_cache(maxsize=64)
-def _block(local_bytes: bytes, dtype: str, width: int) -> np.ndarray:
-    """The width - 1 pair updates of ``width`` sites as one 2^width-square matrix.
+def _block(local_bytes: bytes, dtype: str, width: int, held=None) -> np.ndarray:
+    """The pair updates of ``width`` sites as one 2^width-square matrix.
 
-    Column j is the image of basis vector j under the pairwise loop.
+    Column j is the image of basis vector j under the pairwise loop.  With
+    ``held`` = b it runs over width + 1 sites, keeping the parity-b rows and columns.
     """
     q = np.frombuffer(local_bytes, dtype=dtype).reshape(4, 4)
-    dim = 1 << width
+    sites = width + (held is not None)
+    dim = 1 << sites
     out = np.eye(dim, dtype=dtype).reshape(-1)
-    for x in range(width - 1):
-        inner = (1 << (width - 2 - x)) * dim
+    for x in range(sites - 1):
+        inner = (1 << (sites - 2 - x)) * dim
         # middle axis is the packed site pair 2k+l, exactly the row index of q
         out = np.matmul(q, out.reshape(-1, 4, inner)).reshape(-1)
+    out = out.reshape(dim, dim)
+    if held is not None:
+        out = out[held::2, held::2]
     # column-major, so that the transpose of the right product is row-major
-    block = np.asfortranarray(out.reshape(dim, dim))
+    block = np.asfortranarray(out)
     block.setflags(write=False)
     return block
 
@@ -60,27 +66,31 @@ def _groups(n_sites: int):
         end = start + 1
 
 
-def sweep(vec, local, n_sites, tail=1):
+def sweep(vec, local, n_sites, tail=1, held=None):
     """Apply the chain of two-site updates to a flat array.
 
     The array holds ``tail`` interleaved vectors of length ``2**n_sites``
     (configuration index major, copy index minor), so a row-major dense
     matrix is swept column-by-column with ``tail`` equal to its column
     count.  Site pairs update left to right: (0, 1) first,
-    (n_sites-2, n_sites-1) last.  Any 4x4 ``local`` is applied as given:
-    a local operator keeps the right site of each pair, and the trace
-    engine's space-time dual keeps the left one.
+    (n_sites-2, n_sites-1) last.  ``held`` = b adds the pair (n_sites-1,
+    n_sites) with site n_sites held at b: the array is placed at the
+    parity-b indices of n_sites + 1 sites, swept, and read back from them.
+    Any 4x4 ``local`` is applied as given: a local operator keeps the
+    right site of each pair, and the trace engine's space-time dual keeps
+    the left one.
 
-    Returns a fresh array in the inputs' promoted dtype, also at N = 1.
+    Returns a fresh array in the inputs' promoted dtype, even with no pair.
     """
     q = np.asarray(local)
     out = np.asarray(vec).reshape(-1)
     out = out.astype(np.result_type(out, q), copy=False)
-    if n_sites < 2:
+    if n_sites + (held is not None) < 2:
         return out.copy()
     key = q.tobytes(), q.dtype.str
     for start, width in _groups(n_sites):
-        block = _block(*key, width)
+        # the held site joins the group that ends at the array's last site
+        block = _block(*key, width, held if start + width == n_sites else None)
         dim = 1 << width
         inner = (1 << (n_sites - start - width)) * tail
         if inner > 1:

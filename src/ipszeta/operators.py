@@ -8,9 +8,10 @@ path.  N = 1 is the 2x2 identity by convention.
 The last site never changes, so Q splits by index parity into two
 2^(N-1)-square blocks, Q = Q_0 (+) Q_1, and everything dense works on
 them: the brute traces, ``materialize``, ``eigenvalues`` and
-``power_equals_identity``.  The blocks of a unitary Q are normal, so
-``eigenvalues`` solves them through the Hermitian eigensolver; every other
-block goes to nonsymmetric QR.
+``power_equals_identity``.  A step of Q_b is one kernel sweep of the
+first N - 1 sites with the last held at b.  The blocks of a unitary Q
+are normal, so ``eigenvalues`` solves them through the Hermitian
+eigensolver; every other block goes to nonsymmetric QR.
 
 Traces have two engines behind ``GlobalOperator.trace_powers``.  The brute
 engine sweeps blocks of identity columns through both halves in
@@ -302,25 +303,17 @@ class GlobalOperator:
         """Yield ``(b, start, r, Q_b^r E)`` for b in ``parities`` and r = 1..r_max.
 
         Q_b is Q on the configurations whose last site holds b, the indices
-        of parity b; the last site never changes, so Q = Q_0 (+) Q_1 and
-        each is 2^(N-1) square.  One step of Q_b sweeps the first N - 1
-        sites with the local operator, then acts on site N - 2 with
-        ``local.block_right{b}``.  E holds columns ``start .. start +
-        width - 1`` of the 2^(N-1) identity, with width
-        ``min(2^(N-1), 256)``.  At N = 1 both blocks are the 1x1 identity.
-        Blocks come in a fixed order, so sums over them are deterministic.
+        of parity b.  E holds columns ``start .. start + width - 1`` of the
+        2^(N-1) identity, with width ``min(2^(N-1), 256)``.  Blocks come in
+        a fixed order, so sums over them are deterministic.
         """
-        local = self.local
         half = self.dim >> 1
         width = min(half, _BLOCK_COLUMNS)
         for b in parities:
-            right = local.block_right1 if b else local.block_right0
             for start in range(0, half, width):
-                image = np.eye(half, width, -start, dtype=local.entries.dtype)
+                image = np.eye(half, width, -start, dtype=self.local.entries.dtype)
                 for r in range(1, r_max + 1):
-                    if self.n_sites > 1:
-                        swept = kernels.sweep(image, local.entries, self.n_sites - 1, tail=width)
-                        image = np.matmul(right, swept.reshape(-1, 2, width)).reshape(half, width)
+                    image = self._step(b, image)
                     yield b, start, r, image
 
     def eigenvalues(self) -> np.ndarray:
@@ -409,20 +402,9 @@ class GlobalOperator:
         return stacks
 
     def _step(self, b: int, columns: np.ndarray) -> np.ndarray:
-        """Q_b applied to each column of a (2^(N-1), width) array.
-
-        The same step as in ``_block_powers``, which keeps it inline: there
-        the swept array lives on into the next step, and the allocator
-        reuses the freed arrays.  Through a call per step, the brute traces
-        at N = 10, R = 20 took four times the page faults and 1.5 times as
-        long.
-        """
-        if self.n_sites == 1:
-            return columns
-        half, width = columns.shape
-        right = self.local.block_right1 if b else self.local.block_right0
-        swept = kernels.sweep(columns, self.local.entries, self.n_sites - 1, tail=width)
-        return np.matmul(right, swept.reshape(-1, 2, width)).reshape(half, width)
+        """Q_b applied to each column of a (2^(N-1), width) array, in one held sweep."""
+        return kernels.sweep(columns, self.local.entries, self.n_sites - 1,
+                             tail=columns.shape[1], held=b).reshape(columns.shape)
 
     def log_det_factor(self, u) -> complex:
         """Mean principal log of the factors 1 - u*lambda over the spectrum.

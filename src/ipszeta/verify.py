@@ -269,9 +269,12 @@ def run_formula(
 ) -> ClosedFormReport:
     """Run one registered verifier; None keeps the default of an axis.
 
-    An override of an axis the verifier lacks, an empty grid or a point
-    with |u| >= 1 raises DomainError.
+    An override of an axis the verifier lacks, an empty grid, a point
+    with |u| >= 1 or a ``tol`` that is not finite and >= 0 raises
+    DomainError.
     """
+    if tol is not None and not 0.0 <= tol < math.inf:
+        raise DomainError(f"tol must be finite and >= 0, got {tol!r}")
     try:
         formula = FORMULAS[formula_id]
     except KeyError:

@@ -269,6 +269,16 @@ def test_flag_the_command_does_not_take_exits_2(capsys, command, flag, value):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("command", BASE_ARGV)
+def test_out_file_holds_what_stdout_gets(capsys, tmp_path, command):
+    code, out, _ = run(capsys, *BASE_ARGV[command])
+    assert code == 0 and out.endswith("\n")
+    target = tmp_path / "out.txt"
+    code, rest, _ = run(capsys, *BASE_ARGV[command], "--out", str(target))
+    assert code == 0 and rest == ""
+    assert target.read_text(encoding="utf-8") == out
+
+
 class TestConfigFile:
     BASE = {"model": "qca1", "params": [0.9, 0.9], "n": 3}
 

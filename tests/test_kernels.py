@@ -19,6 +19,8 @@ MODELS = (
 )
 # one copy, an odd count and the brute engine's block width
 TAILS = (1, 3, 256)
+# no held site, or one more site to the right held at 0 or at 1
+HELD = (None, 0, 1)
 
 
 def random_vec(n, seed, tail=1):
@@ -27,11 +29,24 @@ def random_vec(n, seed, tail=1):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def assert_sweeps(oracle, local, n, seed):
+def held_pairwise_sweep(vec, local, n, tail, held):
+    """``pairwise_sweep`` of n + 1 sites on the copies placed at the indices of parity ``held``.
+
+    Returns the rows of that parity; with ``held`` None, the plain sweep of n sites.
+    """
+    if held is None:
+        return pairwise_sweep(vec, local, n, tail=tail)
+    placed = np.zeros((2 ** n, 2, tail), dtype=np.asarray(vec).dtype)
+    placed[:, held] = np.reshape(vec, (2 ** n, tail))
+    swept = pairwise_sweep(placed.reshape(-1), local, n + 1, tail=tail)
+    return swept.reshape(2 ** n, 2, tail)[:, held].reshape(-1)
+
+
+def assert_sweeps(oracle, local, n, seed, held=None):
     """The sweep of 2^n x tail random columns equals ``oracle`` times them, for every tail."""
     for tail in TAILS:
         v = random_vec(n, seed, tail)
-        np.testing.assert_allclose(kernels.sweep(v.reshape(-1), local, n, tail=tail),
+        np.testing.assert_allclose(kernels.sweep(v.reshape(-1), local, n, tail=tail, held=held),
                                    (oracle @ v).reshape(-1), rtol=0, atol=1e-12)
 
 
@@ -46,6 +61,10 @@ def test_backend_reported():
 def test_sweep_matches_product_oracle(spec, n):
     local = build_local(spec).entries
     assert_sweeps(product_global(local, n), local, n, seed=7 * n + 1)
+    # a held site to the right: n + 1 sites on the rows and columns of its parity
+    oracle = product_global(local, n + 1)
+    for held in (0, 1):
+        assert_sweeps(oracle[held::2, held::2], local, n, seed=7 * n + 2 + held, held=held)
 
 
 @pytest.mark.parametrize("spec", MODELS, ids=[m.model for m in MODELS])
@@ -63,15 +82,15 @@ _COMPLEX_LOCAL = st.lists(st.builds(complex, _ENTRY, _ENTRY), min_size=16, max_s
 
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(_REAL_LOCAL, _COMPLEX_LOCAL), st.integers(1, 14),
-       st.sampled_from(TAILS[:2]), st.integers(0, 2 ** 32 - 1))
-def test_sweep_matches_pairwise_loop(entries, n, tail, seed):
+       st.sampled_from(TAILS[:2]), st.sampled_from(HELD), st.integers(0, 2 ** 32 - 1))
+def test_sweep_matches_pairwise_loop(entries, n, tail, held, seed):
     local = np.reshape(entries, (4, 4))
     v = random_vec(n, seed, tail).reshape(-1)
-    swept = kernels.sweep(v, local, n, tail=tail)
-    expected = pairwise_sweep(v, local, n, tail=tail)
+    swept = kernels.sweep(v, local, n, tail=tail, held=held)
+    expected = held_pairwise_sweep(v, local, n, tail, held)
     # rounding is relative to the sum of magnitudes, whatever cancels; below
     # the smallest normal float the spacing of subnormals bounds it instead
-    scale = pairwise_sweep(np.abs(v), np.abs(local), n, tail=tail)
+    scale = held_pairwise_sweep(np.abs(v), np.abs(local), n, tail, held)
     assert swept.dtype == expected.dtype
     assert np.all(np.abs(swept - expected) <= 1e-13 * scale + np.finfo(np.float64).tiny)
 
@@ -81,22 +100,28 @@ def test_sweep_leaves_input_untouched():
     for n, tail in ((3, 1), (7, 1), (7, 3)):
         v = random_vec(n, seed=5, tail=tail).reshape(-1)
         keep = v.copy()
-        kernels.sweep(v, local, n, tail=tail)
-        np.testing.assert_array_equal(v, keep)
+        for held in HELD:
+            kernels.sweep(v, local, n, tail=tail, held=held)
+            np.testing.assert_array_equal(v, keep)
 
 
 def test_result_is_fresh_in_promoted_dtype():
     local = build_local(ModelSpec.dk(0.2, 0.9)).entries
-    for n in (1, 2, 6):
+    for n in (0, 1, 2, 6):
         v = np.zeros(2 ** n)
         v[0] = 1.0
         for vec, dtype in ((v, np.float64), (v.astype(int), np.float64),
                            (v.astype(complex), np.complex128)):
-            out = kernels.sweep(vec, local, n)
-            assert out.dtype == dtype and not np.shares_memory(out, vec)
+            for held in HELD:
+                out = kernels.sweep(vec, local, n, held=held)
+                assert out.dtype == dtype and not np.shares_memory(out, vec)
 
 
 def test_single_site_is_identity():
     local = build_local(ModelSpec.dk(0.2, 0.9)).entries
     v = random_vec(1, seed=2).reshape(-1)
     np.testing.assert_allclose(kernels.sweep(v, local, 1), v, rtol=0, atol=0)
+    # no site beside the held one: the 1x1 identity on every copy
+    w = random_vec(0, seed=3, tail=3).reshape(-1)
+    for held in (0, 1):
+        np.testing.assert_array_equal(kernels.sweep(w, local, 0, tail=3, held=held), w)

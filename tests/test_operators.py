@@ -360,13 +360,15 @@ class TestTraceEngines:
         scale = _no_cancellation_traces(local, n, r_max)
         assert np.all(np.abs(transfer - brute) <= 1e-12 * scale)
 
-    # the brute engine sweeps two 2^(N-1) parity blocks.  Brute vs transfer,
-    # best of 9 (3 at N = 11, 1 above), in-process, qca2(0.3, 0.7), 2 vCPUs:
-    # (8, 11) 1.4 vs 1.2 ms, (8, 12) 1.5 vs 1.6, (8, 13) 1.7 vs 2.5, (9, 14)
-    # 9.6 vs 4.8, (9, 15) 9.5 vs 10.5, (10, 16) 48 vs 34, (10, 17) 52 vs 51
-    # (a tie; 53 vs 55 in a rerun), (11, 18) 378 vs 135, (12, 20) 1.27 vs
-    # 0.78 s and (13, 21) 6.2 vs 2.1 s.  Each pick at N = 8..13 is the engine
-    # measured faster but the near tie (8, 12), and (12, 20) and (13, 21),
+    # the brute engine sweeps two 2^(N-1) parity blocks, the last site held in
+    # the kernel.  Brute vs transfer, best of 9, in-process, qca2(0.3, 0.7),
+    # 2 vCPUs, ranges over 2-4 runs: (8, 12) 1.3-1.5 vs 2.5-2.7 ms, (8, 13)
+    # 1.2-1.7 vs 2.5-4.0, (9, 14) 8.7-10.2 vs 7.2-7.9, (9, 15) 8.6-10.6 vs
+    # 11-16, (10, 16) 37-48 vs 25-37, (10, 17) 35-45 vs 52-72, (11, 17) 311
+    # vs 71, (11, 18) 170-188 vs 134-144, (12, 19) 0.87 vs 0.35 s, (12, 20)
+    # 0.92 vs 0.76 s, (13, 20) 4.6 vs 0.82 s and (13, 21) 4.6 vs 2.0 s.  Each
+    # pick timed here is the engine measured faster but (8, 12), where brute
+    # led by 0.1 ms before the held kernel too, and (12, 20) and (13, 21),
     # which the memory guard hands to brute
     @pytest.mark.parametrize("n, r_max, transfer", [
         (10, 20, False), (10, 17, False), *((10, r, True) for r in range(1, 17)),

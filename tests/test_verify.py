@@ -72,6 +72,14 @@ def test_empty_grid_is_rejected(axis):
         run_formula("thm6_pi2zeta", **{axis: ()})
 
 
+@pytest.mark.parametrize("formula_id", FORMULA_IDS)
+def test_tol_that_is_not_finite_and_nonnegative_is_rejected(formula_id):
+    # refused before any check runs, so no report carries a NaN tolerance
+    for tol in (math.nan, -1e-3, -math.inf, math.inf):
+        with pytest.raises(DomainError, match="tol"):
+            run_formula(formula_id, tol=tol)
+
+
 def test_unknown_formula_id():
     with pytest.raises(DomainError):
         run_formula("thm9_9")
