@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
 import json
 import math
 import re
@@ -82,8 +83,7 @@ _OPTIONS = {
                         "not with --params"}, None),
     "n": ({"help": "site count, or inclusive range like 5..8 where supported"}, (int, str)),
     "rmax": ({"type": int, "help": "trace/series truncation order"}, (int,)),
-    "u": ({"help": "comma-separated complex points like 0.1,0.4j,0.2+0.3j; "
-                   "write --u=<points> when the first starts with -"}, (list, str)),
+    "u": ({"help": "comma-separated complex points like 0.1,0.4j,-0.2-0.3j"}, (list, str)),
     "tol": ({"type": float, "help": "tolerance override"}, (int, float)),
     "format": ({"choices": ("json", "csv"),
                 "help": "output format (zeta defaults to json, evolve to csv)"}, (str,)),
@@ -164,13 +164,52 @@ def _load_config(args) -> None:
         raise DomainError(f"--tol must be finite and >= 0, got {args.tol!r}")
 
 
-def _emit(text: str, out: Optional[str]) -> None:
-    text = text if text.endswith("\n") else text + "\n"
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(text, out: Optional[str]) -> None:
+    """Write ``text``, a str or an iterable of str chunks, ending in a newline.
+
+    The first chunk is drawn before ``out`` is opened, so a run that fails
+    before its first chunk writes nothing.
+    """
+    chunks = iter((text,) if isinstance(text, str) else text)
+    chunk = next(chunks)
+    with open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout) as fh:
+        fh.write(chunk)
+        for chunk in chunks:
+            fh.write(chunk)
+        if not chunk.endswith("\n"):
+            fh.write("\n")
+
+
+# one [re, im] component of a state, at its depth in the evolve document
+_PAIR = "        [\n          {},\n          {}\n        ]"
+# components formatted per chunk of the evolve document
+_CHUNK = 1 << 12
+
+
+def states_json(head: dict, states):
+    """``json.dumps({**head, "states": [...]}, indent=2)`` as chunks of text.
+
+    Each state becomes ``{"step": time_step, "components": [[re, im], ...]}``,
+    formatted ``_CHUNK`` components at a time, so neither the document nor
+    the component list of a state is built.  The numbers are cut from
+    ``json.dumps`` of a flat list, so they read as in the whole document.
+    Nothing is yielded before the first state is drawn, so an error in
+    drawing it comes before any output.
+    """
+    empty = json.dumps({**head, "states": []}, indent=2)
+    lead = empty[:-len("]\n}")]  # the document up to the bracket that opens "states"
+    for state in states:
+        yield f'{lead}\n    {{\n      "step": {state.time_step},\n      "components": [\n'
+        lead = ","
+        v = state.components
+        for start in range(0, len(v), _CHUNK):
+            part = v[start:start + _CHUNK]
+            flat = np.stack((part.real, part.imag), axis=-1).reshape(-1).tolist()
+            numbers = json.dumps(flat)[1:-1].split(", ")
+            yield (",\n" if start else "") + ",\n".join(
+                map(_PAIR.format, numbers[0::2], numbers[1::2]))
+        yield "\n      ]\n    }"
+    yield "\n  ]\n}" if lead == "," else empty
 
 
 def _require_model(args) -> ModelSpec:
@@ -268,11 +307,9 @@ def cmd_evolve(args) -> int:
     evolution = evolve_states if args.format == "json" else evolve_trajectory
     rows = evolution(initial_state(Configuration(bits), kind, n), op, steps)
     if args.format == "json":
-        doc = {"model": spec.to_json(), "n_sites": n, "kind": kind.value, "states": [
-            {"step": s.time_step, "components": [complex_pair(z) for z in s.components]}
-            for s in rows
-        ]}
-        _emit(json.dumps(doc, indent=2), args.out)
+        # streamed: no document is built, and at most two states are alive
+        head = {"model": spec.to_json(), "n_sites": n, "kind": kind.value}
+        _emit(states_json(head, rows), args.out)
     else:
         _emit(trajectory_csv(rows, n), args.out)
     return 0
@@ -321,8 +358,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_dash_values(argv) -> list:
+    """``--flag=value`` for each ``--flag value`` whose value starts with one dash.
+
+    argparse reads such a token as an option unless it is a plain negative
+    number, so ``--u -0.2-0.1j`` would leave ``--u`` without its value.
+    """
+    takes_value = {f"--{key}" for key, (settings, _) in _OPTIONS.items()
+                   if "action" not in settings}
+    joined = []
+    for arg in argv:
+        dash_value = arg[:1] == "-" and arg[:2] != "--" and arg != "-h"
+        if dash_value and joined and joined[-1] in takes_value:
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    return joined
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_attach_dash_values(sys.argv[1:] if argv is None else argv))
     try:
         _load_config(args)
         return args.func(args)

@@ -3,10 +3,14 @@
 The hot loop of every global-operator application is the chain of
 two-site updates across the sites, pair (0, 1) first.  The kernel fuses
 runs of up to four consecutive pairs (five sites) into one dense
-2^w-square block and applies each block with one batched numpy matmul,
-as state-vector simulators fuse gates (Haener and Steiger, "0.5 Petabyte
-Simulation of a 45-Qubit Quantum Circuit", SC '17).  A site held fixed
-to the right of the array joins the last block, which keeps the rows and
+2^w-square block, as state-vector simulators fuse gates (Haener and
+Steiger, "0.5 Petabyte Simulation of a 45-Qubit Quantum Circuit",
+SC '17).  The first block reads the input and writes the fresh result
+with one batched numpy matmul; every later block updates that result in
+place, one part of at most ``_SLAB_BYTES`` at a time, through one
+buffer of that size, so a call holds one result-sized array plus that
+buffer.  A site held fixed to the
+right of the array joins the last block, which keeps the rows and
 columns where that site holds its value.  Blocks are built by the
 pairwise loop on the identity and kept in a bounded cache.
 """
@@ -23,6 +27,9 @@ _GROUP_SITES = 5
 # rows of each batched right product of the last group when tail = 1; one
 # tall product there raises the peak RSS under a threaded BLAS
 _ROWS = 256
+# bytes of the buffer through which every group after the first updates the
+# result in place; 512 KB was the fastest of 128 KB..2 MB at N = 20..22
+_SLAB_BYTES = 1 << 19
 
 
 @functools.lru_cache(maxsize=64)
@@ -80,7 +87,10 @@ def sweep(vec, local, n_sites, tail=1, held=None):
     right site of each pair, and the trace engine's space-time dual keeps
     the left one.
 
-    Returns a fresh array in the inputs' promoted dtype, even with no pair.
+    Returns a fresh array in the inputs' promoted dtype, even with no pair,
+    and leaves the input untouched.  Besides that result, a call holds one
+    buffer of at most ``_SLAB_BYTES`` (and, for an input of another dtype,
+    its promoted copy).
     """
     q = np.asarray(local)
     out = np.asarray(vec).reshape(-1)
@@ -88,19 +98,52 @@ def sweep(vec, local, n_sites, tail=1, held=None):
     if n_sites + (held is not None) < 2:
         return out.copy()
     key = q.tobytes(), q.dtype.str
-    for start, width in _groups(n_sites):
+    groups = _groups(n_sites)
+    # every group after the first updates the result in place through buf
+    buf = (np.empty(min(out.size, _SLAB_BYTES // out.itemsize), out.dtype)
+           if len(groups) > 1 else None)
+    for i, (start, width) in enumerate(groups):
         # the held site joins the group that ends at the array's last site
         block = _block(*key, width, held if start + width == n_sites else None)
         dim = 1 << width
         inner = (1 << (n_sites - start - width)) * tail
-        if inner > 1:
-            out = np.matmul(block, out.reshape(-1, dim, inner))
+        if i:
+            _update(out.reshape(-1, dim, inner), block, buf)
+        elif inner > 1:
+            # the first group reads the input and writes the fresh result
+            out = np.matmul(block, out.reshape(-1, dim, inner)).reshape(-1)
         else:
-            # the last group with tail = 1: a batched product from the right
+            # the only group with tail = 1: a batched product from the right
             rows = min(_ROWS, out.size >> width)
-            out = np.matmul(out.reshape(-1, rows, dim), block.T)
-        out = out.reshape(-1)
+            out = np.matmul(out.reshape(-1, rows, dim), block.T).reshape(-1)
     return out
+
+
+def _update(slabs, block, buf):
+    """Apply ``block`` to each (dim, inner) slab of ``slabs`` in place, through ``buf``.
+
+    The group is block-diagonal over the slabs, so each part is multiplied
+    into the front of ``buf`` and copied back: batches of whole slabs when
+    they fit, column chunks of one slab when they do not, and batches of
+    rows of the right product when inner = 1.
+    """
+    count, dim, inner = slabs.shape
+    right = inner == 1
+    if right:
+        # the right product, in batches of _ROWS rows
+        slabs = slabs.reshape(-1, min(_ROWS, count), dim)
+    rows, cols = slabs.shape[1:]
+    batch = max(1, buf.size // (rows * cols))
+    width = min(cols, buf.size // rows)
+    for i in range(0, len(slabs), batch):
+        for j in range(0, cols, width):
+            part = slabs[i:i + batch, :, j:j + width]
+            tmp = buf[:part.size].reshape(part.shape)
+            if right:
+                np.matmul(part, block.T, out=tmp)
+            else:
+                np.matmul(block, part, out=tmp)
+            part[...] = tmp
 
 
 __all__ = ["sweep", "BACKEND"]

@@ -3,13 +3,18 @@
 import json
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from ipszeta import DomainError, TraceSequence, chebyshev_t, qca2_c1_closed_form, qca2_x2_recurrence
+from ipszeta import (Configuration, DomainError, GlobalOperator, ModelSpec, StateKind,
+                     TraceSequence, build_local, chebyshev_t, initial_state, qca2_c1_closed_form,
+                     qca2_x2_recurrence)
+from ipszeta.dynamics import evolve_states
+from ipszeta.serialize import complex_pair
 from ipszeta.config import DEFAULTS
-from ipszeta.cli import main, parse_angle, parse_complex, parse_n_values
+from ipszeta.cli import main, parse_angle, parse_complex, parse_n_values, states_json
 
 from helpers import qca2_c2_recurrence
 
@@ -190,6 +195,22 @@ class TestZeta:
         code, out, err = run(capsys, "zeta", "--model", "dk", "--params", "0.3,0.7",
                              "--n", "3", "--rmax", "2", "--coefficients")
         assert code == 2 and out == "" and "--coefficients" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("zeta", "--model", "qca2", "--params", "0.3,0.7", "--n", "4", "--rmax", "6"),
+        ("verify", "thm6_pi2zeta", "--n", "2..3"),
+    ], ids=["zeta", "verify"])
+    def test_negative_complex_u_as_a_separate_argument(self, capsys, argv):
+        # argparse alone reads a separate -0.2-0.1j as an option and exits 2
+        code, joined, _ = run(capsys, *argv, "--u=-0.2-0.1j,0.3")
+        assert code == 0
+        assert run(capsys, *argv, "--u", "-0.2-0.1j,0.3") == (0, joined, "")
+
+    def test_negative_params_as_a_separate_argument(self, capsys):
+        argv = ("zeta", "--model", "qca1", "--n", "3", "--rmax", "2", "--format", "csv")
+        code, joined, _ = run(capsys, *argv, "--params=-pi/4,0.3")
+        assert code == 0
+        assert run(capsys, *argv, "--params", "-pi/4,0.3") == (0, joined, "")
 
     def test_u_needs_json(self, capsys):
         # the csv tables hold no evaluations, so the points would be dropped
@@ -419,6 +440,48 @@ class TestEvolve:
                 {"step": 1, "components": [[0.0, 0.0], [0.5, 0.0], [0.0, 0.0], [0.5, 0.0]]},
                 {"step": 2, "components": [[0.0, 0.0], [0.625, 0.0], [0.0, 0.0], [0.375, 0.0]]},
             ]}
+
+    @pytest.mark.parametrize("model, params, bits, kind", [
+        ("dk", "0.6,0.8", "01101001", StateKind.PCA_PROBABILITY),
+        ("qca1", "0.4,1.1", "01101001", StateKind.QCA_AMPLITUDE),
+        ("qca2", "0.3,0.7", "1101", StateKind.QCA_AMPLITUDE),
+    ])
+    def test_json_is_streamed_as_the_whole_document(self, capsys, tmp_path, model, params,
+                                                      bits, kind):
+        # the bytes of json.dumps of the whole document, on stdout and in --out
+        spec = ModelSpec.from_json({"model": model,
+                                    "params": [float(p) for p in params.split(",")]})
+        start = initial_state(Configuration(tuple(map(int, bits))), kind)
+        op = GlobalOperator(build_local(spec), len(bits))
+        doc = {"model": spec.to_json(), "n_sites": len(bits), "kind": kind.value, "states": [
+            {"step": s.time_step, "components": [complex_pair(z) for z in s.components]}
+            for s in evolve_states(start, op, 3)]}
+        expected = json.dumps(doc, indent=2) + "\n"
+        argv = ("evolve", "--model", model, "--params", params, "--n", str(len(bits)),
+                "--initial", bits, "--kind", kind.value[:3], "--steps", "3", "--format", "json")
+        assert run(capsys, *argv)[:2] == (0, expected)
+        path = tmp_path / "states.json"
+        assert run(capsys, *argv, "--out", str(path))[:2] == (0, "")
+        assert path.read_text(encoding="utf-8") == expected
+
+    @pytest.mark.parametrize("dtype", (np.float64, np.complex128),
+                             ids=("float64", "complex128"))
+    def test_states_json_equals_the_whole_document(self, dtype):
+        # 2^13 components span two chunks; NaN, infinities and -0.0 read as json writes them
+        rng = np.random.default_rng(4)
+        states = []
+        for step in range(3):
+            v = rng.standard_normal(1 << 13).astype(dtype)
+            if dtype is np.complex128:
+                v += 1j * rng.standard_normal(1 << 13)
+            v[:4] = (np.nan, np.inf, -np.inf, -0.0)
+            states.append(SimpleNamespace(time_step=step, components=v))
+        head = {"model": {"model": "dk", "params": [0.5, 0.25]}, "n_sites": 13, "kind": "k"}
+        for drawn in (states, []):
+            doc = {**head, "states": [
+                {"step": s.time_step, "components": [complex_pair(z) for z in s.components]}
+                for s in drawn]}
+            assert "".join(states_json(head, drawn)) == json.dumps(doc, indent=2)
 
     def test_kind_flag(self, capsys):
         code, out, _ = run(capsys, "evolve", "--model", "gdk", "--params", "0,0,0,0",

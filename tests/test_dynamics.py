@@ -26,6 +26,7 @@ from ipszeta import (
     evolve,
     evolve_trajectory,
     initial_state,
+    kernels,
     site_marginals,
     state_kind,
 )
@@ -109,6 +110,32 @@ class TestStateOwnership:
         finally:
             tracemalloc.stop()
         assert peak < fresh.nbytes / 4
+
+    def test_sweep_holds_one_result_sized_array(self):
+        # every fused group after the first updates the fresh result in place
+        v = np.full(1 << 20, 1.0 / (1 << 20))
+        local = build_local(ModelSpec.dk(0.6, 0.8)).entries
+        tracemalloc.start()
+        try:
+            out = kernels.sweep(v, local, 20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.dtype == np.float64 and peak <= 1.25 * out.nbytes
+
+    def test_evolution_step_holds_two_states(self):
+        # the state being evolved and the one it evolves into, nothing else state-sized
+        bits = tuple(int(b) for b in "01101001011010010110")
+        start = initial_state(Configuration(bits), StateKind.PCA_PROBABILITY)
+        states = evolve_states(start, _op(ModelSpec.dk(0.6, 0.8), 20), 1)
+        next(states)
+        tracemalloc.start()
+        try:
+            state = next(states)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert state.time_step == 1 and peak <= 1.25 * state.components.nbytes
 
 
 _LEAK_MESSAGE = {"negative": "must be nonnegative", "imaginary": "must be real"}

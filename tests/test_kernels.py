@@ -95,9 +95,34 @@ def test_sweep_matches_pairwise_loop(entries, n, tail, held, seed):
     assert np.all(np.abs(swept - expected) <= 1e-13 * scale + np.finfo(np.float64).tiny)
 
 
+# Every group after the first is applied in place, one slab at a time, in
+# three layouts.  At N = 18, tail 1 the second group (1, 5) takes column
+# chunks of its two slabs, the middle groups batches of slabs and the last
+# group batches of rows of its right product; at N = 10, tail 256 the second
+# group takes column chunks and the third batches; at N = 15, tail 3 every
+# later group takes batches.  Each layout loops at least twice there.
+LAYOUT_SIZES = ((18, 1), (10, 256), (15, 3))
+
+
+@pytest.mark.parametrize("n, tail", LAYOUT_SIZES)
+@pytest.mark.parametrize("dtype", (np.float64, np.complex128), ids=("float64", "complex128"))
+def test_in_place_layouts_match_pairwise_loop(n, tail, dtype):
+    local = build_local(ModelSpec.qca2(0.7, 2.2)).entries.astype(dtype)
+    v = random_vec(n, seed=n + tail, tail=tail).reshape(-1)
+    v = v.real.copy() if dtype is np.float64 else v
+    assert kernels._SLAB_BYTES < v.nbytes
+    for held in HELD:
+        swept = kernels.sweep(v, local, n, tail=tail, held=held)
+        expected = held_pairwise_sweep(v, local, n, tail, held)
+        scale = held_pairwise_sweep(np.abs(v), np.abs(local), n, tail, held)
+        assert swept.dtype == dtype
+        assert np.all(np.abs(swept - expected) <= 1e-13 * scale)
+
+
 def test_sweep_leaves_input_untouched():
     local = build_local(ModelSpec.qca2(0.3, 0.8)).entries
-    for n, tail in ((3, 1), (7, 1), (7, 3)):
+    # the last sizes are above the slab, so later groups work in place
+    for n, tail in ((3, 1), (7, 1), (7, 3), (17, 1), (9, 256)):
         v = random_vec(n, seed=5, tail=tail).reshape(-1)
         keep = v.copy()
         for held in HELD:
@@ -107,7 +132,8 @@ def test_sweep_leaves_input_untouched():
 
 def test_result_is_fresh_in_promoted_dtype():
     local = build_local(ModelSpec.dk(0.2, 0.9)).entries
-    for n in (0, 1, 2, 6):
+    # 2^17 entries are above the slab in both dtypes
+    for n in (0, 1, 2, 6, 17):
         v = np.zeros(2 ** n)
         v[0] = 1.0
         for vec, dtype in ((v, np.float64), (v.astype(int), np.float64),
