@@ -303,7 +303,8 @@ def cmd_evolve(args) -> int:
         raise DomainError(f"--initial takes site bits like 001, got {args.initial!r}")
     kind = state_kind(op.local) if args.kind is None else _STATE_KINDS[args.kind]
     steps = 1 if args.steps is None else args.steps
-    # no name holds the start state, so each state is freed after its step
+    # no name holds the start state: csv frees it once its working copy is made,
+    # json after the first step
     evolution = evolve_states if args.format == "json" else evolve_trajectory
     rows = evolution(initial_state(Configuration(bits), kind, n), op, steps)
     if args.format == "json":

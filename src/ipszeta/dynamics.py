@@ -3,7 +3,9 @@
 Probabilistic states carry configuration probabilities directly; quantum
 states carry amplitudes whose squared moduli are the probabilities.
 States are immutable snapshots; evolution returns a new state and
-re-checks normalization instead of silently renormalizing.
+re-checks normalization instead of silently renormalizing.  A trajectory
+of site marginals needs no snapshots: it steps one working array in
+place and checks a read-only view of it after every step.
 """
 
 from __future__ import annotations
@@ -34,11 +36,13 @@ class StateVector:
 
     A fresh state copies its components and is held to strict tolerances,
     and a probability vector that leaks below zero or off the real axis is
-    invalid input (DomainError).  An ``evolved`` state takes ownership of
-    the fresh array the operator returned and is held to
+    invalid input (DomainError).  An ``evolved`` state is held to
     ``DEFAULTS.drift_tol``: its leakage, like its normalization error, is
     numerical drift of the weights that classification accepted
-    (InvariantDrift).
+    (InvariantDrift).  A NaN component fails either check.  An evolved
+    state, or one built ``owned``, takes the array it is given (the
+    operator's fresh result, a new basis vector) without copying it and
+    holds a read-only view of it.
     """
 
     n_sites: int
@@ -46,9 +50,10 @@ class StateVector:
     components: np.ndarray
     time_step: int = 0
     evolved: InitVar[bool] = False
+    owned: InitVar[bool] = False
 
-    def __post_init__(self, evolved):
-        v = (np.asarray if evolved else np.array)(self.components).reshape(-1)
+    def __post_init__(self, evolved, owned):
+        v = (np.asarray if evolved or owned else np.array)(self.components).reshape(-1)
         if v.shape[0] != (1 << self.n_sites):
             raise DimensionMismatch(
                 f"state length {v.shape[0]} does not match 2^{self.n_sites}"
@@ -61,20 +66,24 @@ class StateVector:
     def _check(self, evolved: bool):
         v = self.components
         norm_tol = DEFAULTS.drift_tol if evolved else _CONSTRUCT_TOL
+        # invalid input in a fresh state, numerical drift in an evolved one
+        error = InvariantDrift if evolved else DomainError
+        # each test below is written so that NaN fails it
         if self.kind is StateKind.PCA_PROBABILITY:
-            leak_tol, leak_error = ((norm_tol, InvariantDrift) if evolved
-                                    else (_REAL_TOL, DomainError))
-            # a real array has no imaginary part to leak into
-            leaks = ((np.max(np.abs(v.imag)), "real"),) if v.dtype.kind == "c" else ()
-            for leak, rule in leaks + ((-np.min(v.real), "nonnegative"),):
-                if leak > leak_tol:
-                    raise leak_error(f"probabilities must be {rule}: leakage {leak:.3e} "
-                                     f"exceeds {leak_tol:.1e}")
+            leak_tol = norm_tol if evolved else _REAL_TOL
+            # a real array has no imaginary part to leak into; no temporary either way
+            leaks = (((max(v.imag.max(), -v.imag.min()), "real"),)
+                     if v.dtype.kind == "c" else ())
+            for leak, rule in leaks + ((-v.real.min(), "nonnegative"),):
+                if not leak <= leak_tol:
+                    raise error(f"probabilities must be {rule}: leakage {leak:.3e} "
+                                f"exceeds {leak_tol:.1e}")
             drift = abs(v.real.sum() - 1.0)
         else:
             drift = abs(np.linalg.norm(v) - 1.0)
-        if drift > norm_tol:
-            raise InvariantDrift(
+        if not drift <= norm_tol:
+            # a fresh state's non-finite norm is invalid input, not drift
+            raise (InvariantDrift if np.isfinite(drift) else error)(
                 f"normalization error {drift:.3e} exceeds {norm_tol:.1e}"
             )
 
@@ -90,11 +99,12 @@ def initial_state(config: Configuration, kind: StateKind, n_sites: Optional[int]
     """Point mass on one configuration at time step 0.
 
     A given ``n_sites`` (say, the operator's) is compared with the
-    configuration before the 2^N vector is allocated.
+    configuration before the 2^N vector is allocated, and the state owns
+    that vector: no copy is made.
     """
     if n_sites is not None and config.n_sites != n_sites:
         raise DimensionMismatch(f"configuration has {config.n_sites} sites, need {n_sites}")
-    return StateVector(config.n_sites, StateKind(kind), config.basis_vector(), 0)
+    return StateVector(config.n_sites, StateKind(kind), config.basis_vector(), 0, owned=True)
 
 
 def state_kind(local: LocalOperator, kind: Optional[StateKind] = None) -> StateKind:
@@ -132,8 +142,19 @@ def evolve_states(state: StateVector, op: GlobalOperator, steps: int):
     """Yield ``state`` and the state after each of the next ``steps`` steps.
 
     The kind is checked against the operator once, before the first yield,
-    and normalization after every step.
+    and normalization after every step.  Each state is a fresh snapshot,
+    so a step holds two states.
     """
+    _check_evolution(state, op, steps)
+    yield state
+    for _ in range(steps):
+        state = StateVector(state.n_sites, state.kind, op.apply(state.components),
+                            state.time_step + 1, evolved=True)
+        yield state
+
+
+def _check_evolution(state: StateVector, op: GlobalOperator, steps: int) -> None:
+    """Refuse a negative step count, a size mismatch or a kind that does not suit ``op``."""
     if steps < 0:
         raise DomainError(f"steps must be nonnegative, got {steps}")
     if state.n_sites != op.n_sites:
@@ -141,11 +162,6 @@ def evolve_states(state: StateVector, op: GlobalOperator, steps: int):
             f"state has {state.n_sites} sites, operator has {op.n_sites}"
         )
     state_kind(op.local, state.kind)
-    yield state
-    for _ in range(steps):
-        state = StateVector(state.n_sites, state.kind, op.apply(state.components),
-                            state.time_step + 1, evolved=True)
-        yield state
 
 
 def configuration_probability(state: StateVector, config: Configuration) -> float:
@@ -163,25 +179,51 @@ def configuration_probability(state: StateVector, config: Configuration) -> floa
 def site_marginals(state: StateVector) -> np.ndarray:
     """P(site x occupied) for each x, summed over configurations.
 
-    One fold per site from the last: the odd entries of the array hold the
-    last remaining site occupied, and adding each odd entry to its even
-    neighbour sums that site out.
+    Read as a (2^floor(N/2), 2^ceil(N/2)) matrix, the probabilities hold
+    the leading sites in the row index and the trailing sites in the
+    column index, so the leading marginals come from the row sums and the
+    trailing ones from the column sums.  Each of those vectors is folded
+    one site at a time from its last: the odd entries hold that site
+    occupied, and adding each odd entry to its even neighbour sums the site
+    out.  No state-sized temporary is made: squared moduli are summed as
+    dot products of the real and the imaginary parts.
     """
-    v = state.components
+    n = state.n_sites
+    lead = n // 2
+    v = state.components.reshape(1 << lead, -1)
     if state.kind is StateKind.PCA_PROBABILITY:
-        p = v.real
-    elif v.dtype.kind == "c":
-        p = v.real ** 2 + v.imag ** 2
+        rows, cols = v.real.sum(axis=1), v.real.sum(axis=0)
     else:
-        p = v * v
-    marginals = np.empty(state.n_sites)
-    for x in range(state.n_sites - 1, -1, -1):
-        marginals[x] = p[1::2].sum()
-        p = p[0::2] + p[1::2]
+        parts = (v.real, v.imag) if v.dtype.kind == "c" else (v,)
+        rows = sum(np.einsum("ij,ij->i", w, w) for w in parts)
+        cols = sum(np.einsum("ij,ij->j", w, w) for w in parts)
+    marginals = np.empty(n)
+    for sums, sites in ((rows, range(lead)), (cols, range(lead, n))):
+        for x in reversed(sites):
+            marginals[x] = sums[1::2].sum()
+            sums = sums[0::2] + sums[1::2]
     return marginals
 
 
 def evolve_trajectory(state: StateVector, op: GlobalOperator, steps: int):
-    """Yield (time_step, site_marginals) from the start state onward."""
-    for state in evolve_states(state, op, steps):  # rebinding frees each state after its step
-        yield state.time_step, site_marginals(state)
+    """Yield (time_step, site_marginals) from the start state onward.
+
+    The run holds one 2^N array: a copy of the start state in the dtype
+    the operator promotes it to, which every step sweeps in place.  The
+    start state is not held past that copy.  After every step a read-only
+    view of the array is checked as an evolved state, as in
+    ``evolve_states``.
+    """
+    _check_evolution(state, op, steps)
+    n, kind, t = state.n_sites, state.kind, state.time_step
+    marginals = site_marginals(state)
+    v = state.components
+    work = np.zeros(v.size, np.result_type(v, op.local.entries))
+    # zeros are not written: the pages of a sparse start (a basis vector)
+    # are first touched by the sweep, once the start state is freed
+    np.copyto(work, v, where=v != 0)
+    del state, v
+    yield t, marginals
+    for t in range(t + 1, t + steps + 1):
+        op.apply(work, in_place=True)
+        yield t, site_marginals(StateVector(n, kind, work, t, evolved=True))

@@ -9,10 +9,12 @@ SC '17).  The first block reads the input and writes the fresh result
 with one batched numpy matmul; every later block updates that result in
 place, one part of at most ``_SLAB_BYTES`` at a time, through one
 buffer of that size, so a call holds one result-sized array plus that
-buffer.  A site held fixed to the
-right of the array joins the last block, which keeps the rows and
-columns where that site holds its value.  Blocks are built by the
-pairwise loop on the identity and kept in a bounded cache.
+buffer.  An in-place sweep (state evolution's one working array) and a
+promoted copy of the input run the first block through that buffer
+too.  A site held fixed to the right of the array joins the last block,
+which keeps the rows and columns where that site holds its value.
+Blocks are built by the pairwise loop on the identity and kept in a
+bounded cache.
 """
 
 import functools
@@ -27,8 +29,9 @@ _GROUP_SITES = 5
 # rows of each batched right product of the last group when tail = 1; one
 # tall product there raises the peak RSS under a threaded BLAS
 _ROWS = 256
-# bytes of the buffer through which every group after the first updates the
-# result in place; 512 KB was the fastest of 128 KB..2 MB at N = 20..22
+# bytes of the buffer through which a group updates the result in place (every
+# group of an in-place sweep, every one after the first otherwise); 512 KB was
+# the fastest of 128 KB..2 MB at N = 20..22
 _SLAB_BYTES = 1 << 19
 
 
@@ -73,7 +76,7 @@ def _groups(n_sites: int):
         end = start + 1
 
 
-def sweep(vec, local, n_sites, tail=1, held=None):
+def sweep(vec, local, n_sites, tail=1, held=None, in_place=False):
     """Apply the chain of two-site updates to a flat array.
 
     The array holds ``tail`` interleaved vectors of length ``2**n_sites``
@@ -88,26 +91,35 @@ def sweep(vec, local, n_sites, tail=1, held=None):
     the left one.
 
     Returns a fresh array in the inputs' promoted dtype, even with no pair,
-    and leaves the input untouched.  Besides that result, a call holds one
-    buffer of at most ``_SLAB_BYTES`` (and, for an input of another dtype,
-    its promoted copy).
+    and leaves the input untouched; an input of another dtype is promoted
+    once, and that copy is swept in place as the result.  With
+    ``in_place`` the input, which must be a writable contiguous array in
+    the promoted dtype, is swept in place and returned.  Besides the
+    result, a call holds one buffer of at most ``_SLAB_BYTES``.
     """
     q = np.asarray(local)
-    out = np.asarray(vec).reshape(-1)
-    out = out.astype(np.result_type(out, q), copy=False)
+    v = np.asarray(vec)
+    dtype = np.result_type(v, q)
+    if in_place:
+        if v.dtype != dtype or not (v.flags.c_contiguous and v.flags.writeable):
+            raise ValueError(f"an in-place sweep needs a writable contiguous {dtype} array")
+    elif v.dtype != dtype:
+        # the promoted copy is the result: no second result-sized array
+        v, in_place = v.astype(dtype, order="C"), True
+    out = v.reshape(-1)
     if n_sites + (held is not None) < 2:
-        return out.copy()
+        return out if in_place else out.copy()
     key = q.tobytes(), q.dtype.str
     groups = _groups(n_sites)
-    # every group after the first updates the result in place through buf
+    # every group but an out-of-place first one updates the result through buf
     buf = (np.empty(min(out.size, _SLAB_BYTES // out.itemsize), out.dtype)
-           if len(groups) > 1 else None)
+           if in_place or len(groups) > 1 else None)
     for i, (start, width) in enumerate(groups):
         # the held site joins the group that ends at the array's last site
         block = _block(*key, width, held if start + width == n_sites else None)
         dim = 1 << width
         inner = (1 << (n_sites - start - width)) * tail
-        if i:
+        if i or in_place:
             _update(out.reshape(-1, dim, inner), block, buf)
         elif inner > 1:
             # the first group reads the input and writes the fresh result

@@ -213,14 +213,19 @@ class GlobalOperator:
     def dim(self) -> int:
         return 1 << self.n_sites
 
-    def apply(self, vec) -> np.ndarray:
-        """Matrix-free product with a length-2^N vector (pair (0,1) first)."""
-        v = np.asarray(vec).reshape(-1)
-        if v.shape[0] != self.dim:
+    def apply(self, vec, in_place: bool = False) -> np.ndarray:
+        """Matrix-free product with a length-2^N vector (pair (0,1) first).
+
+        Returns a fresh array; ``in_place`` overwrites ``vec`` instead (see
+        ``kernels.sweep``).
+        """
+        # not flattened here: a flattened copy would take an in-place update
+        v = np.asarray(vec)
+        if v.size != self.dim:
             raise DimensionMismatch(
-                f"vector length {v.shape[0]} does not match 2^{self.n_sites}"
+                f"vector length {v.size} does not match 2^{self.n_sites}"
             )
-        return kernels.sweep(v, self.local.entries, self.n_sites)
+        return kernels.sweep(v, self.local.entries, self.n_sites, in_place=in_place)
 
     def materialize(self) -> np.ndarray:
         """Dense form; column j is the image of basis vector j.  Cached.

@@ -36,6 +36,9 @@ from ipszeta.dynamics import evolve_states
 from helpers import one_step_distribution
 
 RULE90 = build_local(ModelSpec.qca2(0, 0))
+# a unitary local operator with complex entries: qca1 with a phase on each site pair
+COMPLEX_QCA = ModelSpec.custom(build_local(ModelSpec.qca1(0.4, 1.1)).entries
+                               @ np.diag(np.exp(1j * np.array([0.3, 0.0, 1.1, 0.0]))))
 
 
 def _op(spec, n):
@@ -81,6 +84,18 @@ class TestStateInvariants:
     def test_qca_rejects_unnormalized(self):
         with pytest.raises(InvariantDrift):
             StateVector(1, StateKind.QCA_AMPLITUDE, np.array([0.5, 0.5]))
+
+    @pytest.mark.parametrize("kind", tuple(StateKind))
+    @pytest.mark.parametrize("components", ([np.nan, np.nan], [1.0, np.nan],
+                                            [1.0, complex(0.0, np.nan)], [np.inf, 0.0]))
+    def test_non_finite_components_are_refused(self, kind, components):
+        # NaN compares False with every tolerance: invalid input when fresh,
+        # drift when evolved
+        v = np.array(components)
+        with pytest.raises(DomainError):
+            StateVector(1, kind, v)
+        with pytest.raises(InvariantDrift):
+            StateVector(1, kind, v, 1, evolved=True)
 
     def test_length_checked(self):
         with pytest.raises(DimensionMismatch):
@@ -136,6 +151,42 @@ class TestStateOwnership:
         finally:
             tracemalloc.stop()
         assert state.time_step == 1 and peak <= 1.25 * state.components.nbytes
+
+    def test_initial_state_owns_its_basis_vector(self):
+        tracemalloc.start()
+        try:
+            state = initial_state(Configuration((1,) * 18), StateKind.PCA_PROBABILITY)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= state.components.nbytes + (64 << 10)
+
+    @pytest.mark.parametrize("spec, kind", ((ModelSpec.dk(0.6, 0.8), StateKind.PCA_PROBABILITY),
+                                            (COMPLEX_QCA, StateKind.QCA_AMPLITUDE)))
+    def test_trajectory_holds_one_state(self, spec, kind):
+        # from the first step on: the working array, the sweep's buffer and
+        # the marginals' row and column sums; a complex run promotes the start once
+        bits = tuple(int(b) for b in "011010010110100101")
+        rows = evolve_trajectory(initial_state(Configuration(bits), kind), _op(spec, 18), 3)
+        next(rows)
+        tracemalloc.start()
+        try:
+            steps = [step for step, _ in rows]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        itemsize = np.result_type(float, build_local(spec).entries).itemsize
+        assert steps == [1, 2, 3]
+        assert peak <= (itemsize << 18) + kernels._SLAB_BYTES + (64 << 10)
+
+    def test_trajectory_matches_the_evolved_states(self):
+        # a float64 start under a complex local: the working array is promoted once
+        op = _op(COMPLEX_QCA, 7)
+        start = initial_state(Configuration((0, 1, 1, 0, 1, 0, 0)), StateKind.QCA_AMPLITUDE)
+        rows = list(evolve_trajectory(start, op, 4))
+        assert [step for step, _ in rows] == [0, 1, 2, 3, 4]
+        for (_, marginals), state in zip(rows, evolve_states(start, op, 4)):
+            np.testing.assert_allclose(marginals, site_marginals(state), rtol=0, atol=1e-15)
 
 
 _LEAK_MESSAGE = {"negative": "must be nonnegative", "imaginary": "must be real"}
@@ -278,19 +329,25 @@ class TestObservables:
         state = initial_state(Configuration((1,)), StateKind.PCA_PROBABILITY)
         np.testing.assert_array_equal(site_marginals(state), [1.0])
 
+    # the leading floor(N/2) sites come from row sums, the others from column
+    # sums; odd N splits unevenly, and a complex amplitude sums both parts
     @pytest.mark.parametrize("kind", tuple(StateKind))
-    @pytest.mark.parametrize("n", range(1, 13))
+    @pytest.mark.parametrize("n", range(1, 14))
     def test_marginals_match_an_exact_bit_sum(self, n, kind):
         # oracle: math.fsum over the configurations whose bit x is set
         rng = np.random.default_rng(n)
-        p = rng.random(2 ** n)
-        p /= p.sum()
-        phases = np.exp(2j * math.pi * rng.random(2 ** n))
-        state = StateVector(n, kind, p if kind is StateKind.PCA_PROBABILITY else np.sqrt(p) * phases)
-        probs = state.probabilities()
-        oracle = [math.fsum(probs[i] for i in range(2 ** n) if i >> (n - 1 - x) & 1)
-                  for x in range(n)]
-        np.testing.assert_allclose(site_marginals(state), oracle, rtol=0, atol=1e-14)
+        for dtype in (float, complex):
+            p = rng.random(2 ** n)
+            p /= p.sum()
+            if kind is StateKind.QCA_AMPLITUDE:
+                phases = (np.exp(2j * math.pi * rng.random(2 ** n)) if dtype is complex
+                          else rng.choice((-1.0, 1.0), 2 ** n))
+                p = np.sqrt(p) * phases
+            state = StateVector(n, kind, p.astype(dtype))
+            probs = state.probabilities()
+            oracle = [math.fsum(probs[i] for i in range(2 ** n) if i >> (n - 1 - x) & 1)
+                      for x in range(n)]
+            np.testing.assert_allclose(site_marginals(state), oracle, rtol=0, atol=1e-14)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 12), st.sampled_from(tuple(StateKind)), st.booleans(),

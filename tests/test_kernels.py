@@ -1,12 +1,14 @@
 """Correctness of the site-blocked sweep kernel."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ipszeta
-from ipszeta import ModelSpec, build_local, kernels
+from ipszeta import GlobalOperator, LocalOperator, ModelSpec, build_local, kernels
 from ipszeta.operators import _space_time_dual
 
 from helpers import dual_product_global, pairwise_sweep, product_global
@@ -151,3 +153,48 @@ def test_single_site_is_identity():
     w = random_vec(0, seed=3, tail=3).reshape(-1)
     for held in (0, 1):
         np.testing.assert_array_equal(kernels.sweep(w, local, 0, tail=3, held=held), w)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_REAL_LOCAL, _COMPLEX_LOCAL), st.integers(1, 12),
+       st.sampled_from(TAILS[:2]), st.sampled_from(HELD), st.integers(0, 2 ** 32 - 1))
+def test_in_place_sweep_matches_fresh_sweep(entries, n, tail, held, seed):
+    local = np.reshape(entries, (4, 4))
+    v = random_vec(n, seed, tail).reshape(-1)
+    v = v.astype(local.dtype) if local.dtype.kind == "c" else v.real.copy()
+    fresh = kernels.sweep(v, local, n, tail=tail, held=held)
+    work = v.copy()
+    out = kernels.sweep(work, local, n, tail=tail, held=held, in_place=True)
+    assert np.shares_memory(out, work) and out.dtype == fresh.dtype
+    assert np.max(np.abs(out - fresh)) <= 1e-15 * np.max(np.abs(fresh))
+
+
+def test_in_place_sweep_needs_the_promoted_dtype():
+    # a copy would be swept in place of the caller's array, so none is made
+    local = build_local(ModelSpec.qca2(0.3, 0.8)).entries * np.exp(0.3j)
+    op = GlobalOperator(LocalOperator(local), 3)
+    v = np.zeros(8)
+    v[0] = 1.0
+    for vec in (v, v.astype(complex)[::-1], v.astype(complex).reshape(2, 4).T):
+        keep = vec.copy()
+        for apply in (lambda u: kernels.sweep(u, local, 3, in_place=True),
+                      lambda u: op.apply(u, in_place=True)):
+            with pytest.raises(ValueError, match="in-place sweep"):
+                apply(vec)
+            np.testing.assert_array_equal(vec, keep)
+
+
+def test_promoted_copy_is_the_result():
+    # a float64 vector through a complex local: the complex copy is swept in
+    # place, so the call holds one result and the buffer
+    v = np.full(1 << 18, 1.0 / (1 << 18))
+    local = build_local(ModelSpec.qca2(0.3, 0.8)).entries.astype(complex)
+    tracemalloc.start()
+    try:
+        out = kernels.sweep(v, local, 18)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.dtype == np.complex128
+    assert peak <= out.nbytes + kernels._SLAB_BYTES + (64 << 10)
+    np.testing.assert_allclose(out, kernels.sweep(v.astype(complex), local, 18), rtol=0, atol=1e-15)
