@@ -26,7 +26,7 @@ from .models import (
     reflection,
     rotation,
 )
-from .operators import E00, E01, E10, E11, Configuration, GlobalOperator, TraceSequence
+from .operators import Configuration, GlobalOperator, TraceSequence
 from .zeta import (
     ZetaLogSeries,
     arctanh,
@@ -46,7 +46,6 @@ from .verify import FORMULA_IDS, ClosedFormReport, run_formula
 from .dynamics import (
     StateKind,
     StateVector,
-    configuration_probability,
     evolve,
     evolve_trajectory,
     initial_state,
@@ -64,14 +63,14 @@ __all__ = [
     "KERNEL_BACKEND",
     "LocalOperator", "ModelClass", "ModelSpec", "TensorFactors",
     "build_local", "classify", "factor_tensor", "reflection", "rotation",
-    "E00", "E01", "E10", "E11", "Configuration", "GlobalOperator", "TraceSequence",
+    "Configuration", "GlobalOperator", "TraceSequence",
     "ClosedFormReport", "ZetaLogSeries", "arctanh",
     "binomial_zeta_qca1", "chebyshev_t", "chebyshev_u", "clt_limit_zeta",
     "qca2_c1_closed_form", "qca2_x1_recurrence",
     "qca2_x2_recurrence", "rule90_trace_general_r", "tensor_model_cr",
     "zeta_closed_form_qca2", "zeta_log_series",
     "FORMULA_IDS", "run_formula",
-    "StateKind", "StateVector", "configuration_probability", "evolve",
+    "StateKind", "StateVector", "evolve",
     "evolve_trajectory", "initial_state", "site_marginals", "state_kind",
     "__version__",
 ]

@@ -2,10 +2,9 @@
 
 Probabilistic states carry configuration probabilities directly; quantum
 states carry amplitudes whose squared moduli are the probabilities.
-States are immutable snapshots; evolution returns a new state and
-re-checks normalization instead of silently renormalizing.  A trajectory
-of site marginals needs no snapshots: it steps one working array in
-place and checks a read-only view of it after every step.
+Evolution steps one working array in place and yields a read-only view
+of it after every step, each valid until the next is drawn; every view
+re-checks normalization instead of silently renormalizing.
 """
 
 from __future__ import annotations
@@ -87,12 +86,6 @@ class StateVector:
                 f"normalization error {drift:.3e} exceeds {norm_tol:.1e}"
             )
 
-    def probabilities(self) -> np.ndarray:
-        """Configuration probabilities as a real vector."""
-        if self.kind is StateKind.PCA_PROBABILITY:
-            return self.components.real.copy()
-        return np.abs(self.components) ** 2
-
 
 def initial_state(config: Configuration, kind: StateKind, n_sites: Optional[int] = None
                   ) -> StateVector:
@@ -139,41 +132,32 @@ def evolve(state: StateVector, op: GlobalOperator, steps: int) -> StateVector:
 
 
 def evolve_states(state: StateVector, op: GlobalOperator, steps: int):
-    """Yield ``state`` and the state after each of the next ``steps`` steps.
+    """Yield the start state and the state after each of the next ``steps`` steps.
 
     The kind is checked against the operator once, before the first yield,
-    and normalization after every step.  Each state is a fresh snapshot,
-    so a step holds two states.
+    and normalization at every yield.  The run holds one 2^N array: a
+    copy of ``state`` in the dtype the operator promotes it to, which every
+    step sweeps in place.  ``state`` is not held past that copy.  Each
+    yielded state is a read-only view of the array, valid until the next
+    one is drawn.
     """
-    _check_evolution(state, op, steps)
-    yield state
-    for _ in range(steps):
-        state = StateVector(state.n_sites, state.kind, op.apply(state.components),
-                            state.time_step + 1, evolved=True)
-        yield state
-
-
-def _check_evolution(state: StateVector, op: GlobalOperator, steps: int) -> None:
-    """Refuse a negative step count, a size mismatch or a kind that does not suit ``op``."""
     if steps < 0:
         raise DomainError(f"steps must be nonnegative, got {steps}")
     if state.n_sites != op.n_sites:
         raise DimensionMismatch(
             f"state has {state.n_sites} sites, operator has {op.n_sites}"
         )
-    state_kind(op.local, state.kind)
-
-
-def configuration_probability(state: StateVector, config: Configuration) -> float:
-    """Probability of one configuration (component or squared modulus)."""
-    if config.n_sites != state.n_sites:
-        raise DimensionMismatch(
-            f"configuration has {config.n_sites} sites, state has {state.n_sites}"
-        )
-    z = state.components[config.index]
-    if state.kind is StateKind.PCA_PROBABILITY:
-        return float(z.real)
-    return float(abs(z) ** 2)
+    n, kind, t = state.n_sites, state_kind(op.local, state.kind), state.time_step
+    v = state.components
+    work = np.zeros(v.size, np.result_type(v, op.local.entries))
+    # zeros are not written: the pages of a sparse start (a basis vector)
+    # are first touched by the sweep, once the start state is freed
+    np.copyto(work, v, where=v != 0)
+    del state, v
+    yield StateVector(n, kind, work, t, evolved=True)
+    for t in range(t + 1, t + steps + 1):
+        op.apply(work, in_place=True)
+        yield StateVector(n, kind, work, t, evolved=True)
 
 
 def site_marginals(state: StateVector) -> np.ndarray:
@@ -206,24 +190,5 @@ def site_marginals(state: StateVector) -> np.ndarray:
 
 
 def evolve_trajectory(state: StateVector, op: GlobalOperator, steps: int):
-    """Yield (time_step, site_marginals) from the start state onward.
-
-    The run holds one 2^N array: a copy of the start state in the dtype
-    the operator promotes it to, which every step sweeps in place.  The
-    start state is not held past that copy.  After every step a read-only
-    view of the array is checked as an evolved state, as in
-    ``evolve_states``.
-    """
-    _check_evolution(state, op, steps)
-    n, kind, t = state.n_sites, state.kind, state.time_step
-    marginals = site_marginals(state)
-    v = state.components
-    work = np.zeros(v.size, np.result_type(v, op.local.entries))
-    # zeros are not written: the pages of a sparse start (a basis vector)
-    # are first touched by the sweep, once the start state is freed
-    np.copyto(work, v, where=v != 0)
-    del state, v
-    yield t, marginals
-    for t in range(t + 1, t + steps + 1):
-        op.apply(work, in_place=True)
-        yield t, site_marginals(StateVector(n, kind, work, t, evolved=True))
+    """Yield (time_step, site_marginals) of each state of ``evolve_states``."""
+    return ((s.time_step, site_marginals(s)) for s in evolve_states(state, op, steps))

@@ -26,8 +26,8 @@ BACKEND = "python"
 
 # widest fused block: 5 sites, 4 pairs, a 32 x 32 matrix
 _GROUP_SITES = 5
-# rows of each batched right product of the last group when tail = 1; one
-# tall product there raises the peak RSS under a threaded BLAS
+# rows of each batched right product of an in-place last group when tail = 1;
+# one tall product there raises the peak RSS under a threaded BLAS
 _ROWS = 256
 # bytes of the buffer through which a group updates the result in place (every
 # group of an in-place sweep, every one after the first otherwise); 512 KB was
@@ -121,13 +121,9 @@ def sweep(vec, local, n_sites, tail=1, held=None, in_place=False):
         inner = (1 << (n_sites - start - width)) * tail
         if i or in_place:
             _update(out.reshape(-1, dim, inner), block, buf)
-        elif inner > 1:
+        else:
             # the first group reads the input and writes the fresh result
             out = np.matmul(block, out.reshape(-1, dim, inner)).reshape(-1)
-        else:
-            # the only group with tail = 1: a batched product from the right
-            rows = min(_ROWS, out.size >> width)
-            out = np.matmul(out.reshape(-1, rows, dim), block.T).reshape(-1)
     return out
 
 

@@ -48,14 +48,7 @@ from .errors import (
 )
 from .models import LocalOperator
 
-__all__ = ["E00", "E01", "E10", "E11", "Configuration", "GlobalOperator", "TraceSequence"]
-
-E00 = np.array([[1.0, 0.0], [0.0, 0.0]])
-E01 = np.array([[0.0, 1.0], [0.0, 0.0]])
-E10 = np.array([[0.0, 0.0], [1.0, 0.0]])
-E11 = np.array([[0.0, 0.0], [0.0, 1.0]])
-for _m in (E00, E01, E10, E11):
-    _m.setflags(write=False)
+__all__ = ["Configuration", "GlobalOperator", "TraceSequence"]
 
 # identity columns swept together by the brute trace and power engine
 _BLOCK_BITS = 8
@@ -96,12 +89,6 @@ class Configuration:
     def index(self) -> int:
         n = self.n_sites
         return sum(b << (n - 1 - x) for x, b in enumerate(self.bits))
-
-    @classmethod
-    def from_index(cls, index: int, n_sites: int) -> "Configuration":
-        if not 0 <= index < (1 << n_sites):
-            raise DomainError(f"index {index} out of range for {n_sites} sites")
-        return cls(tuple((index >> (n_sites - 1 - x)) & 1 for x in range(n_sites)))
 
     def basis_vector(self) -> np.ndarray:
         v = np.zeros(1 << self.n_sites)

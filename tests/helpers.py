@@ -12,12 +12,21 @@ Rule 90, the map x_i <- x_i + x_{i+1} (mod 2) with the last site fixed,
 in plain integers: by iterating the map on every state, and by GF(2)
 rank.  The last runs the reflection family's second-power trace
 recurrence on the scale of C_2, for N past the float range of 2^N.
+The 2x2 matrix units E_ab write out the append-site recursion of Q.
 """
 
 import math
 from itertools import product
 
 import numpy as np
+
+# the 2x2 matrix units: E_ab has a single 1 at row a, column b
+E00 = np.array([[1.0, 0.0], [0.0, 0.0]])
+E01 = np.array([[0.0, 1.0], [0.0, 0.0]])
+E10 = np.array([[0.0, 0.0], [1.0, 0.0]])
+E11 = np.array([[0.0, 0.0], [0.0, 1.0]])
+for _m in (E00, E01, E10, E11):
+    _m.setflags(write=False)
 
 
 def product_entry(local: np.ndarray, out_bits, in_bits) -> complex:

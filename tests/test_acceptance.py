@@ -9,8 +9,6 @@ import math
 import numpy as np
 
 from ipszeta import (
-    E00,
-    E11,
     GlobalOperator,
     ModelSpec,
     build_local,
@@ -20,6 +18,8 @@ from ipszeta import (
     run_formula,
 )
 from ipszeta.cli import main as cli_main
+
+from helpers import E00, E11
 
 SQRT2 = math.sqrt(2.0)
 

@@ -22,7 +22,6 @@ from ipszeta import (
     StateVector,
     build_local,
     classify,
-    configuration_probability,
     evolve,
     evolve_trajectory,
     initial_state,
@@ -43,6 +42,11 @@ COMPLEX_QCA = ModelSpec.custom(build_local(ModelSpec.qca1(0.4, 1.1)).entries
 
 def _op(spec, n):
     return GlobalOperator(build_local(spec), n)
+
+
+def _held_states(start, op, steps):
+    """(time_step, state) per state of ``evolve_states``: the json path's rows."""
+    return ((s.time_step, s) for s in evolve_states(start, op, steps))
 
 
 class TestInitialState:
@@ -138,20 +142,6 @@ class TestStateOwnership:
             tracemalloc.stop()
         assert out.dtype == np.float64 and peak <= 1.25 * out.nbytes
 
-    def test_evolution_step_holds_two_states(self):
-        # the state being evolved and the one it evolves into, nothing else state-sized
-        bits = tuple(int(b) for b in "01101001011010010110")
-        start = initial_state(Configuration(bits), StateKind.PCA_PROBABILITY)
-        states = evolve_states(start, _op(ModelSpec.dk(0.6, 0.8), 20), 1)
-        next(states)
-        tracemalloc.start()
-        try:
-            state = next(states)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert state.time_step == 1 and peak <= 1.25 * state.components.nbytes
-
     def test_initial_state_owns_its_basis_vector(self):
         tracemalloc.start()
         try:
@@ -161,32 +151,43 @@ class TestStateOwnership:
             tracemalloc.stop()
         assert peak <= state.components.nbytes + (64 << 10)
 
-    @pytest.mark.parametrize("spec, kind", ((ModelSpec.dk(0.6, 0.8), StateKind.PCA_PROBABILITY),
-                                            (COMPLEX_QCA, StateKind.QCA_AMPLITUDE)))
-    def test_trajectory_holds_one_state(self, spec, kind):
+    @pytest.mark.parametrize("spec, kind, evolution", (
+        pytest.param(ModelSpec.dk(0.6, 0.8), StateKind.PCA_PROBABILITY, evolve_trajectory,
+                     id="spec0-pca_probability"),
+        pytest.param(COMPLEX_QCA, StateKind.QCA_AMPLITUDE, evolve_trajectory,
+                     id="spec1-qca_amplitude"),
+        pytest.param(ModelSpec.dk(0.6, 0.8), StateKind.PCA_PROBABILITY, _held_states,
+                     id="json-pca_probability"),
+    ))
+    def test_trajectory_holds_one_state(self, spec, kind, evolution):
         # from the first step on: the working array, the sweep's buffer and
-        # the marginals' row and column sums; a complex run promotes the start once
+        # the marginals' row and column sums, or every state drawn, each a view
+        # of that array; a complex run promotes the start once
         bits = tuple(int(b) for b in "011010010110100101")
-        rows = evolve_trajectory(initial_state(Configuration(bits), kind), _op(spec, 18), 3)
+        rows = evolution(initial_state(Configuration(bits), kind), _op(spec, 18), 3)
         next(rows)
         tracemalloc.start()
         try:
-            steps = [step for step, _ in rows]
+            held = list(rows)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         itemsize = np.result_type(float, build_local(spec).entries).itemsize
-        assert steps == [1, 2, 3]
+        assert [step for step, _ in held] == [1, 2, 3]
         assert peak <= (itemsize << 18) + kernels._SLAB_BYTES + (64 << 10)
 
     def test_trajectory_matches_the_evolved_states(self):
-        # a float64 start under a complex local: the working array is promoted once
+        # oracle: out-of-place applications from the start vector; a float64
+        # start under a complex local, so the working array is promoted once
         op = _op(COMPLEX_QCA, 7)
         start = initial_state(Configuration((0, 1, 1, 0, 1, 0, 0)), StateKind.QCA_AMPLITUDE)
         rows = list(evolve_trajectory(start, op, 4))
         assert [step for step, _ in rows] == [0, 1, 2, 3, 4]
-        for (_, marginals), state in zip(rows, evolve_states(start, op, 4)):
+        v = start.components
+        for step, marginals in rows:
+            state = StateVector(7, StateKind.QCA_AMPLITUDE, v, step, evolved=True)
             np.testing.assert_allclose(marginals, site_marginals(state), rtol=0, atol=1e-15)
+            v = op.apply(v)
 
 
 _LEAK_MESSAGE = {"negative": "must be nonnegative", "imaginary": "must be real"}
@@ -197,7 +198,7 @@ class TestEvolve:
         op = GlobalOperator(RULE90, 3)
         state = initial_state(Configuration((0, 0, 1)), StateKind.PCA_PROBABILITY)
         out = evolve(state, op, 1)
-        assert configuration_probability(out, Configuration((0, 1, 1))) == 1.0
+        assert out.components[Configuration((0, 1, 1)).index] == 1.0
         assert out.time_step == 1
 
     def test_pca_branch_probability(self):
@@ -205,14 +206,15 @@ class TestEvolve:
         p, q = 0.3, 0.6
         out = evolve(initial_state(Configuration((0, 0, 1)), StateKind.PCA_PROBABILITY),
                      _op(ModelSpec.dk(p, q), 3), 1)
-        assert configuration_probability(out, Configuration((0, 1, 1))) == pytest.approx(p)
+        assert out.components[Configuration((0, 1, 1)).index] == pytest.approx(p)
 
     def test_qca_branch_probability(self):
         x1, x2 = 0.4, 1.1
         out = evolve(initial_state(Configuration((0, 0, 1)), StateKind.QCA_AMPLITUDE),
                      _op(ModelSpec.qca1(x1, x2), 3), 1)
         expected = abs(math.cos(x1) * math.sin(x2)) ** 2
-        assert configuration_probability(out, Configuration((0, 1, 1))) == pytest.approx(expected)
+        amplitude = out.components[Configuration((0, 1, 1)).index]
+        assert abs(amplitude) ** 2 == pytest.approx(expected)
 
     def test_kind_mismatch(self):
         pca_state = initial_state(Configuration((0, 0)), StateKind.PCA_PROBABILITY)
@@ -273,7 +275,7 @@ class TestEvolve:
     @pytest.mark.parametrize("n,period", ((2, 2), (3, 4), (4, 4)))
     def test_rule90_returns_after_period(self, n, period):
         op = GlobalOperator(RULE90, n)
-        start = initial_state(Configuration.from_index(1, n), StateKind.PCA_PROBABILITY)
+        start = initial_state(Configuration((0,) * (n - 1) + (1,)), StateKind.PCA_PROBABILITY)
         out = evolve(start, op, period)
         np.testing.assert_allclose(out.components, start.components, rtol=0, atol=1e-12)
         half = evolve(start, op, period // 2)
@@ -344,7 +346,8 @@ class TestObservables:
                           else rng.choice((-1.0, 1.0), 2 ** n))
                 p = np.sqrt(p) * phases
             state = StateVector(n, kind, p.astype(dtype))
-            probs = state.probabilities()
+            probs = (state.components.real if kind is StateKind.PCA_PROBABILITY
+                     else np.abs(state.components) ** 2)
             oracle = [math.fsum(probs[i] for i in range(2 ** n) if i >> (n - 1 - x) & 1)
                       for x in range(n)]
             np.testing.assert_allclose(site_marginals(state), oracle, rtol=0, atol=1e-14)
@@ -390,7 +393,7 @@ class TestObservables:
     def test_qca_probabilities_sum_to_one(self):
         out = evolve(initial_state(Configuration((0, 1, 0)), StateKind.QCA_AMPLITUDE),
                      _op(ModelSpec.qca2(0.7, 1.9), 3), 3)
-        assert out.probabilities().sum() == pytest.approx(1.0, abs=1e-12)
+        assert (np.abs(out.components) ** 2).sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_trajectory_classifies_once(self, monkeypatch):
         calls = []

@@ -16,10 +16,6 @@ from ipszeta import (
     ConvergenceFailure,
     DimensionMismatch,
     DomainError,
-    E00,
-    E01,
-    E10,
-    E11,
     GlobalOperator,
     LocalOperator,
     ModelSpec,
@@ -39,7 +35,7 @@ from ipszeta import (
 from ipszeta.config import DEFAULTS
 from ipszeta.operators import _UNITARY_TOL, _is_unitary, _transfer_cheaper
 
-from helpers import kron_global, product_global, qca2_c2_recurrence
+from helpers import E00, E01, E10, E11, kron_global, product_global, qca2_c2_recurrence
 
 MODELS = (
     ModelSpec.dk(0.3, 0.6),
@@ -67,15 +63,9 @@ class TestConfiguration:
         v = Configuration((0, 0, 1)).basis_vector()
         assert v[1] == 1 and np.count_nonzero(v) == 1
 
-    def test_round_trip(self):
-        for idx in range(16):
-            assert Configuration.from_index(idx, 4).index == idx
-
     def test_rejects_bad_bits(self):
         with pytest.raises(DomainError):
             Configuration((0, 2))
-        with pytest.raises(DomainError):
-            Configuration.from_index(16, 4)
 
 
 def test_matrix_units_and_reflection():
