@@ -32,21 +32,17 @@ from .zeta import (
     arctanh,
     binomial_zeta_qca1,
     chebyshev_t,
-    chebyshev_u,
     clt_limit_zeta,
     qca2_c1_closed_form,
-    qca2_x1_recurrence,
     qca2_x2_recurrence,
     rule90_trace_general_r,
     tensor_model_cr,
     zeta_closed_form_qca2,
-    zeta_log_series,
 )
 from .verify import FORMULA_IDS, ClosedFormReport, run_formula
 from .dynamics import (
     StateKind,
     StateVector,
-    evolve,
     evolve_trajectory,
     initial_state,
     site_marginals,
@@ -65,12 +61,11 @@ __all__ = [
     "build_local", "classify", "factor_tensor", "reflection", "rotation",
     "Configuration", "GlobalOperator", "TraceSequence",
     "ClosedFormReport", "ZetaLogSeries", "arctanh",
-    "binomial_zeta_qca1", "chebyshev_t", "chebyshev_u", "clt_limit_zeta",
-    "qca2_c1_closed_form", "qca2_x1_recurrence",
-    "qca2_x2_recurrence", "rule90_trace_general_r", "tensor_model_cr",
-    "zeta_closed_form_qca2", "zeta_log_series",
+    "binomial_zeta_qca1", "chebyshev_t", "clt_limit_zeta",
+    "qca2_c1_closed_form", "qca2_x2_recurrence", "rule90_trace_general_r",
+    "tensor_model_cr", "zeta_closed_form_qca2",
     "FORMULA_IDS", "run_formula",
-    "StateKind", "StateVector", "evolve",
+    "StateKind", "StateVector",
     "evolve_trajectory", "initial_state", "site_marginals", "state_kind",
     "__version__",
 ]

@@ -119,18 +119,6 @@ def state_kind(local: LocalOperator, kind: Optional[StateKind] = None) -> StateK
     return kind
 
 
-def evolve(state: StateVector, op: GlobalOperator, steps: int) -> StateVector:
-    """Apply the global operator ``steps`` times and re-check invariants.
-
-    The kind must suit the operator (see ``state_kind``).  Normalization
-    drift beyond the configured threshold, checked after every step, raises
-    instead of being absorbed.
-    """
-    for state in evolve_states(state, op, steps):
-        pass
-    return state
-
-
 def evolve_states(state: StateVector, op: GlobalOperator, steps: int):
     """Yield the start state and the state after each of the next ``steps`` steps.
 
@@ -170,7 +158,8 @@ def site_marginals(state: StateVector) -> np.ndarray:
     one site at a time from its last: the odd entries hold that site
     occupied, and adding each odd entry to its even neighbour sums the site
     out.  No state-sized temporary is made: squared moduli are summed as
-    dot products of the real and the imaginary parts.
+    dot products over the float64 view of the amplitudes, where a complex
+    entry is a (re, im) pair of columns, so its column sums fold in pairs.
     """
     n = state.n_sites
     lead = n // 2
@@ -178,9 +167,9 @@ def site_marginals(state: StateVector) -> np.ndarray:
     if state.kind is StateKind.PCA_PROBABILITY:
         rows, cols = v.real.sum(axis=1), v.real.sum(axis=0)
     else:
-        parts = (v.real, v.imag) if v.dtype.kind == "c" else (v,)
-        rows = sum(np.einsum("ij,ij->i", w, w) for w in parts)
-        cols = sum(np.einsum("ij,ij->j", w, w) for w in parts)
+        w = np.ascontiguousarray(v).view(np.float64)
+        rows = np.einsum("ij,ij->i", w, w)
+        cols = np.einsum("ij,ij->j", w, w).reshape(v.shape[1], -1).sum(axis=1)
     marginals = np.empty(n)
     for sums, sites in ((rows, range(lead)), (cols, range(lead, n))):
         for x in reversed(sites):

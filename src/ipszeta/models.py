@@ -105,9 +105,6 @@ class LocalOperator:
         """2x2 action on the left site when the right site is 1."""
         return self.entries[np.ix_(_RIGHT_SITE[1], _RIGHT_SITE[1])]
 
-    def to_json(self) -> list:
-        return matrix_pairs(self.entries)
-
 
 @dataclass(frozen=True)
 class TensorFactors:

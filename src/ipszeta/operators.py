@@ -7,11 +7,11 @@ path.  N = 1 is the 2x2 identity by convention.
 
 The last site never changes, so Q splits by index parity into two
 2^(N-1)-square blocks, Q = Q_0 (+) Q_1, and everything dense works on
-them: the brute traces, ``materialize``, ``eigenvalues`` and
-``power_equals_identity``.  A step of Q_b is one kernel sweep of the
-first N - 1 sites with the last held at b.  The blocks of a unitary Q
-are normal, so ``eigenvalues`` solves them through the Hermitian
-eigensolver; every other block goes to nonsymmetric QR.
+them: the brute traces, ``eigenvalues`` and ``power_equals_identity``.
+The 2^N-square form is never built.  A step of Q_b is one kernel sweep
+of the first N - 1 sites with the last held at b.  The blocks of a
+unitary Q are normal, so ``eigenvalues`` solves them through the
+Hermitian eigensolver; every other block goes to nonsymmetric QR.
 
 Traces have two engines behind ``GlobalOperator.trace_powers``.  The brute
 engine sweeps blocks of identity columns through both halves in
@@ -183,9 +183,8 @@ class GlobalOperator:
     O(N 2^N).  Powers run on the two parity blocks Q_0 and Q_1 of
     2^(N-1) dimensions each, one block of identity columns at a time.
     Traces take those blocks or the space-time transfer engine, whichever
-    the cost model picks.  The spectrum solves the two blocks apart, and
-    ``materialize`` places them in the dense form on demand (cached), both
-    up to ``DEFAULTS.dense_cap`` sites.
+    the cost model picks.  The spectrum solves the two blocks apart, up to
+    ``DEFAULTS.dense_cap`` sites.
     """
 
     def __init__(self, local: LocalOperator, n_sites: int):
@@ -193,7 +192,6 @@ class GlobalOperator:
             local = LocalOperator(local)
         self.local = local
         self.n_sites = _positive_int("n_sites", n_sites)
-        self._dense: Optional[np.ndarray] = None
         self._eigenvalues: Optional[np.ndarray] = None
 
     @property
@@ -213,23 +211,6 @@ class GlobalOperator:
                 f"vector length {v.size} does not match 2^{self.n_sites}"
             )
         return kernels.sweep(v, self.local.entries, self.n_sites, in_place=in_place)
-
-    def materialize(self) -> np.ndarray:
-        """Dense form; column j is the image of basis vector j.  Cached.
-
-        Q_0 fills the even rows and columns, Q_1 the odd ones, and every
-        entry whose row and column parities differ is 0.  Refused above
-        ``DEFAULTS.dense_cap``; an entry that overflows the float range
-        raises DomainError.
-        """
-        if self._dense is None:
-            q_0 = self._half(0)  # refused past the cap before the dense form is allocated
-            dense = np.zeros((self.dim, self.dim), dtype=q_0.dtype)
-            dense[0::2, 0::2] = q_0
-            dense[1::2, 1::2] = self._half(1)
-            dense.setflags(write=False)
-            self._dense = dense
-        return self._dense
 
     # the blocks are checked for finiteness, so numpy need not warn of overflow
     @np.errstate(over="ignore", invalid="ignore")

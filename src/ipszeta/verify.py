@@ -39,6 +39,7 @@ from .operators import GlobalOperator, _positive_int
 from .serialize import complex_pair
 from .zeta import (
     SQRT2,
+    ZetaLogSeries,
     _unit_disk_point,
     binomial_zeta_qca1,
     chebyshev_t,
@@ -48,7 +49,6 @@ from .zeta import (
     rule90_trace_general_r,
     tensor_model_cr,
     zeta_closed_form_qca2,
-    zeta_log_series,
 )
 
 SIX_XI = (0.0, math.pi / 6, math.pi / 4, 1.0, 2.0, math.pi / 2)
@@ -142,7 +142,7 @@ def _binomial_series_coefficients(n_values, r_max, **_):
     for xi in SIX_XI:
         local = build_local(ModelSpec.qca1(xi, xi))
         for n in n_values:
-            series = zeta_log_series(GlobalOperator(local, n), r_max)
+            series = ZetaLogSeries.from_traces(GlobalOperator(local, n).trace_powers(r_max))
             k = np.arange(n)
             weights = np.array([math.comb(n - 1, kk) for kk in k]) / 2.0 ** (n - 1)
             phases = np.exp(1j * (2 * k - (n - 1)) * xi)
@@ -210,7 +210,7 @@ def _zeta_series(n_values, r_max, u_points, xi: float,
     """
     for n in n_values:
         closed_values = [closed(n, u) for u in u_points]
-        series = zeta_log_series(_qca2_operator(xi, n), r_max)
+        series = ZetaLogSeries.from_traces(_qca2_operator(xi, n).trace_powers(r_max))
         for u, value in zip(u_points, closed_values):
             yield abs(value - series.evaluate(u)), {"n": n, "u": complex_pair(u)}
 

@@ -2,7 +2,8 @@
 
 The log of the inverse zeta-type function of an operator Q on N sites
 expands as sum_r (-C_r / r) u^r with C_r = tr(Q^r) / 2^N.  This module
-computes that series from brute traces and evaluates every closed form the
+builds that series from a trace sequence (``ZetaLogSeries.from_traces`` of
+``GlobalOperator.trace_powers``) and evaluates every closed form the
 library verifies: the tensor-factor eigenvalue product, the binomial log
 sum and its Gaussian limit for the uniform-rotation family, and the
 recurrences, trace rules and arctanh forms for the reflection family
@@ -25,7 +26,7 @@ import numpy as np
 from .config import DEFAULTS
 from .errors import DomainError, SingularAtU
 from .models import TensorFactors
-from .operators import GlobalOperator, TraceSequence, _positive_int
+from .operators import TraceSequence, _positive_int
 
 SQRT2 = math.sqrt(2.0)
 
@@ -51,13 +52,6 @@ def chebyshev_t(n: int, x: float) -> float:
     if n < 0:
         raise DomainError(f"first-kind order must be >= 0, got {n}")
     return _linear_recurrence((2.0 * float(x), -1.0), (1.0, float(x)), n)
-
-
-def chebyshev_u(n: int, x: float) -> float:
-    """Second-kind value U_n(x) by the three-term recurrence; U_{-1} = 0."""
-    if n < -1:
-        raise DomainError(f"second-kind order must be >= -1, got {n}")
-    return _linear_recurrence((2.0 * float(x), -1.0), (0.0, 1.0), n + 1)
 
 
 def _unit_disk_point(u) -> complex:
@@ -104,11 +98,6 @@ class ZetaLogSeries:
             power *= u
             total += c * power
         return total
-
-
-def zeta_log_series(op: GlobalOperator, r_max: int = DEFAULTS.series_order) -> ZetaLogSeries:
-    """Series coefficients -C_r / r from brute trace powers."""
-    return ZetaLogSeries.from_traces(op.trace_powers(r_max))
 
 
 def _eig2(m: np.ndarray) -> tuple:
@@ -191,18 +180,6 @@ def clt_limit_zeta(xi: float, u, quad_nodes: int = DEFAULTS.quad_nodes) -> compl
     nodes, weights = np.polynomial.hermite.hermgauss(quad_nodes)
     values = np.log(1.0 - np.exp(1j * float(xi) * SQRT2 * nodes) * u)
     return complex((weights @ values) / math.sqrt(math.pi))
-
-
-def qca2_x1_recurrence(n_sites: int, xi: float) -> float:
-    """First-power trace by iterating the order-2 recurrence (stable path).
-
-    x_{N+2} = (1 + sin xi) x_{N+1} - 2 sin(xi) x_N with x_1 = x_2 = 2.
-    """
-    _check_sites_and_angle(n_sites, xi)
-    if n_sites <= 2:
-        return 2.0
-    s = math.sin(xi)
-    return _linear_recurrence((1.0 + s, -2.0 * s), (2.0, 2.0), n_sites - 1)
 
 
 def qca2_c1_closed_form(n_sites: int, xi: float) -> complex:

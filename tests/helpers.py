@@ -1,24 +1,31 @@
-"""Brute-force oracles used across the suite.
+"""Brute-force oracles used across the suite, and two readers of the library.
 
 Three oracles build the global operator without touching the library's
 sweep kernel: one from the closed product of transition weights (the
 weight of pair x is ``local[2*out_x + in_{x+1}, 2*in_x + in_{x+1}]`` and
 the last site never changes), its mirror for a 4x4 that keeps the left
 site of each pair, and one that multiplies explicit Kronecker embeddings
-of the local operator.  The pairwise sweep applies the pairs one batched
-matmul at a time, the loop the kernel builds its fused blocks from.  Two
-more count the fixed points of
-Rule 90, the map x_i <- x_i + x_{i+1} (mod 2) with the last site fixed,
-in plain integers: by iterating the map on every state, and by GF(2)
-rank.  The last runs the reflection family's second-power trace
+of the local operator.  The product oracle also builds one parity block
+alone, with the last site fixed, and applies the two blocks to a vector.
+The pairwise sweep applies the pairs one batched matmul at a time, the
+loop the kernel builds its fused blocks from.  Two more count the fixed
+points of Rule 90, the map x_i <- x_i + x_{i+1} (mod 2) with the last
+site fixed, in plain integers: by iterating the map on every state, and
+by GF(2) rank.  The last runs the reflection family's second-power trace
 recurrence on the scale of C_2, for N past the float range of 2^N.
 The 2x2 matrix units E_ab write out the append-site recursion of Q.
+
+The library builds no 2^N-square form and keeps no single-state evolve:
+``parity_dense`` places its two parity blocks in the dense form, and
+``last_state`` runs ``evolve_states`` to its end.
 """
 
 import math
 from itertools import product
 
 import numpy as np
+
+from ipszeta.dynamics import evolve_states
 
 # the 2x2 matrix units: E_ab has a single 1 at row a, column b
 E00 = np.array([[1.0, 0.0], [0.0, 0.0]])
@@ -51,6 +58,43 @@ def product_global(local: np.ndarray, n: int) -> np.ndarray:
     for x in range(n - 1):
         g = g * local[2 * out[..., x] + inp[..., x + 1], 2 * inp[..., x] + inp[..., x + 1]]
     return g
+
+
+def product_half(local: np.ndarray, n: int, b: int) -> np.ndarray:
+    """Q_b: ``product_global`` on the indices of parity b, built with the last site held at b."""
+    out, inp = _bit_grid(n - 1)
+    g = np.ones((2 ** (n - 1),) * 2, dtype=complex)
+    for x in range(n - 1):
+        right = inp[..., x + 1] if x < n - 2 else b
+        g = g * local[2 * out[..., x] + right, 2 * inp[..., x] + right]
+    return g
+
+
+def product_apply(local: np.ndarray, n: int, vec: np.ndarray) -> np.ndarray:
+    """``product_global(local, n) @ vec``, one parity block at a time."""
+    vec = np.asarray(vec)
+    out = np.empty(2 ** n, dtype=complex)
+    for b in (0, 1):
+        out[b::2] = product_half(local, n, b) @ vec[b::2]
+    return out
+
+
+def parity_dense(op) -> np.ndarray:
+    """The library's dense form of ``op``: Q_0 = ``op._half(0)`` at the even
+    rows and columns, Q_1 at the odd ones, 0 wherever the parities differ."""
+    q_0 = op._half(0)
+    dense = np.zeros((op.dim, op.dim), dtype=q_0.dtype)
+    dense[0::2, 0::2] = q_0
+    dense[1::2, 1::2] = op._half(1)
+    return dense
+
+
+def last_state(state, op, steps: int):
+    """The state after ``steps`` steps: the last one ``evolve_states`` yields,
+    valid since no step follows it."""
+    for state in evolve_states(state, op, steps):
+        pass
+    return state
 
 
 def dual_product_global(dual: np.ndarray, n: int) -> np.ndarray:

@@ -22,7 +22,6 @@ from ipszeta import (
     StateVector,
     build_local,
     classify,
-    evolve,
     evolve_trajectory,
     initial_state,
     kernels,
@@ -32,7 +31,7 @@ from ipszeta import (
 from ipszeta.config import DEFAULTS
 from ipszeta.dynamics import evolve_states
 
-from helpers import one_step_distribution
+from helpers import last_state, one_step_distribution
 
 RULE90 = build_local(ModelSpec.qca2(0, 0))
 # a unitary local operator with complex entries: qca1 with a phase on each site pair
@@ -197,21 +196,21 @@ class TestEvolve:
     def test_rule90_is_deterministic(self):
         op = GlobalOperator(RULE90, 3)
         state = initial_state(Configuration((0, 0, 1)), StateKind.PCA_PROBABILITY)
-        out = evolve(state, op, 1)
+        out = last_state(state, op, 1)
         assert out.components[Configuration((0, 1, 1)).index] == 1.0
         assert out.time_step == 1
 
     def test_pca_branch_probability(self):
         # one step from (0,0,1): the (0,1,1) branch carries weight 1 * p
         p, q = 0.3, 0.6
-        out = evolve(initial_state(Configuration((0, 0, 1)), StateKind.PCA_PROBABILITY),
-                     _op(ModelSpec.dk(p, q), 3), 1)
+        out = last_state(initial_state(Configuration((0, 0, 1)), StateKind.PCA_PROBABILITY),
+                         _op(ModelSpec.dk(p, q), 3), 1)
         assert out.components[Configuration((0, 1, 1)).index] == pytest.approx(p)
 
     def test_qca_branch_probability(self):
         x1, x2 = 0.4, 1.1
-        out = evolve(initial_state(Configuration((0, 0, 1)), StateKind.QCA_AMPLITUDE),
-                     _op(ModelSpec.qca1(x1, x2), 3), 1)
+        out = last_state(initial_state(Configuration((0, 0, 1)), StateKind.QCA_AMPLITUDE),
+                         _op(ModelSpec.qca1(x1, x2), 3), 1)
         expected = abs(math.cos(x1) * math.sin(x2)) ** 2
         amplitude = out.components[Configuration((0, 1, 1)).index]
         assert abs(amplitude) ** 2 == pytest.approx(expected)
@@ -219,10 +218,10 @@ class TestEvolve:
     def test_kind_mismatch(self):
         pca_state = initial_state(Configuration((0, 0)), StateKind.PCA_PROBABILITY)
         with pytest.raises(KindMismatch):
-            evolve(pca_state, _op(ModelSpec.qca1(0.4, 1.1), 2), 1)
+            last_state(pca_state, _op(ModelSpec.qca1(0.4, 1.1), 2), 1)
         qca_state = initial_state(Configuration((0, 0)), StateKind.QCA_AMPLITUDE)
         with pytest.raises(KindMismatch):
-            evolve(qca_state, _op(ModelSpec.dk(0.3, 0.7), 2), 1)
+            last_state(qca_state, _op(ModelSpec.dk(0.3, 0.7), 2), 1)
 
     @pytest.mark.parametrize("spec, kind", [
         (ModelSpec.dk(0.3, 0.7), StateKind.PCA_PROBABILITY),
@@ -243,7 +242,7 @@ class TestEvolve:
     def test_site_count_mismatch(self):
         state = initial_state(Configuration((0, 0)), StateKind.PCA_PROBABILITY)
         with pytest.raises(DimensionMismatch):
-            evolve(state, _op(ModelSpec.dk(0.3, 0.7), 3), 1)
+            last_state(state, _op(ModelSpec.dk(0.3, 0.7), 3), 1)
 
     def test_states_follow_the_operator_format(self):
         # a real model keeps float64 states; a complex one promotes them
@@ -253,7 +252,7 @@ class TestEvolve:
             assert state.components.dtype == np.float64
         phase = _op(ModelSpec.tensor(np.eye(2), np.diag([1.0, 1j])), 3)
         start = initial_state(Configuration((0, 0, 1)), StateKind.QCA_AMPLITUDE)
-        out = evolve(start, phase, 1)  # only pair (1, 2) sees a right site 1
+        out = last_state(start, phase, 1)  # only pair (1, 2) sees a right site 1
         assert out.components.dtype == np.complex128 and out.components[1] == 1j
 
     @pytest.mark.parametrize("p", (0.0, 0.35, 0.8, 1.0))
@@ -261,7 +260,7 @@ class TestEvolve:
     def test_probability_conserved_100_steps(self, p, n):
         op = _op(ModelSpec.dk(p, 1 - p / 2), n)
         state = initial_state(Configuration((1,) * n), StateKind.PCA_PROBABILITY)
-        out = evolve(state, op, 100)
+        out = last_state(state, op, 100)
         assert abs(out.components.real.sum() - 1.0) < 1e-10
 
     @pytest.mark.parametrize("model", ("qca1", "qca2"))
@@ -269,16 +268,16 @@ class TestEvolve:
     def test_norm_conserved_100_steps(self, model, angles):
         op = _op(ModelSpec(model, angles), 6)
         state = initial_state(Configuration((0, 1) * 3), StateKind.QCA_AMPLITUDE)
-        out = evolve(state, op, 100)
+        out = last_state(state, op, 100)
         assert abs(np.linalg.norm(out.components) - 1.0) < 1e-10
 
     @pytest.mark.parametrize("n,period", ((2, 2), (3, 4), (4, 4)))
     def test_rule90_returns_after_period(self, n, period):
         op = GlobalOperator(RULE90, n)
         start = initial_state(Configuration((0,) * (n - 1) + (1,)), StateKind.PCA_PROBABILITY)
-        out = evolve(start, op, period)
+        out = last_state(start, op, period)
         np.testing.assert_allclose(out.components, start.components, rtol=0, atol=1e-12)
-        half = evolve(start, op, period // 2)
+        half = last_state(start, op, period // 2)
         assert np.max(np.abs(half.components - start.components)) > 0.5
 
     def test_drift_detected(self):
@@ -289,7 +288,7 @@ class TestEvolve:
         op = GlobalOperator(build_local(ModelSpec.custom(m)), 4)
         state = StateVector(4, StateKind.PCA_PROBABILITY, np.full(16, 1 / 16))
         with pytest.raises(InvariantDrift):
-            evolve(state, op, 100)
+            last_state(state, op, 100)
 
     @pytest.mark.parametrize("leak", ("negative", "imaginary"))
     @pytest.mark.parametrize("factor", (0.5, 2.0))
@@ -313,9 +312,9 @@ class TestEvolve:
         op = GlobalOperator(build_local(ModelSpec.custom(m)), 3)
         start = initial_state(Configuration((0, 0, 0)), StateKind.PCA_PROBABILITY)
         assert state_kind(op.local) is StateKind.PCA_PROBABILITY
-        evolve(start, op, 45)
+        last_state(start, op, 45)
         with pytest.raises(InvariantDrift, match="must be real"):
-            evolve(start, op, 55)
+            last_state(start, op, 55)
 
 
 class TestObservables:
@@ -382,8 +381,8 @@ class TestObservables:
             for x, b in enumerate(out_bits):
                 if b:
                     oracle[x] += w.real
-        out = evolve(initial_state(Configuration((1, 1, 1, 1)), StateKind.PCA_PROBABILITY),
-                     _op(ModelSpec.dk(p, p), 4), 1)
+        out = last_state(initial_state(Configuration((1, 1, 1, 1)), StateKind.PCA_PROBABILITY),
+                         _op(ModelSpec.dk(p, p), 4), 1)
         got = site_marginals(out)
         np.testing.assert_allclose(got, oracle, rtol=0, atol=1e-14)
         # frozen values computed with the oracle above: only interior sites
@@ -391,8 +390,8 @@ class TestObservables:
         np.testing.assert_allclose(got, [0.3, 0.3, 0.3, 1.0], rtol=0, atol=1e-14)
 
     def test_qca_probabilities_sum_to_one(self):
-        out = evolve(initial_state(Configuration((0, 1, 0)), StateKind.QCA_AMPLITUDE),
-                     _op(ModelSpec.qca2(0.7, 1.9), 3), 3)
+        out = last_state(initial_state(Configuration((0, 1, 0)), StateKind.QCA_AMPLITUDE),
+                         _op(ModelSpec.qca2(0.7, 1.9), 3), 3)
         assert (np.abs(out.components) ** 2).sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_trajectory_classifies_once(self, monkeypatch):

@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -35,7 +36,18 @@ from ipszeta import (
 from ipszeta.config import DEFAULTS
 from ipszeta.operators import _UNITARY_TOL, _is_unitary, _transfer_cheaper
 
-from helpers import E00, E01, E10, E11, kron_global, product_global, qca2_c2_recurrence
+from helpers import (
+    E00,
+    E01,
+    E10,
+    E11,
+    kron_global,
+    parity_dense,
+    product_apply,
+    product_global,
+    product_half,
+    qca2_c2_recurrence,
+)
 
 MODELS = (
     ModelSpec.dk(0.3, 0.6),
@@ -97,7 +109,7 @@ class TestApply:
     def test_agrees_with_dense(self):
         op = _op(ModelSpec.qca1(0.8, 0.8), 4)
         v = random_vec(4, 11)
-        np.testing.assert_allclose(op.apply(v), op.materialize() @ v,
+        np.testing.assert_allclose(op.apply(v), product_apply(op.local.entries, 4, v),
                                    rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("spec", MODELS, ids=[m.model for m in MODELS])
@@ -105,7 +117,7 @@ class TestApply:
     def test_matches_dense_across_sizes(self, spec, n):
         op = _op(spec, n)
         v = random_vec(n, 1000 + n)
-        np.testing.assert_allclose(op.apply(v), op.materialize() @ v,
+        np.testing.assert_allclose(op.apply(v), product_apply(op.local.entries, n, v),
                                    rtol=0, atol=1e-12)
 
     def test_single_site(self):
@@ -138,20 +150,21 @@ class TestApply:
 
 
 class TestMaterialize:
+    """The dense parity blocks ``_half(0)`` and ``_half(1)`` that the spectrum rests on."""
+
     def test_two_sites_equals_local(self):
         local = build_local(ModelSpec.qca2(1.1, 0.4))
-        np.testing.assert_allclose(GlobalOperator(local, 2).materialize(),
+        np.testing.assert_allclose(parity_dense(GlobalOperator(local, 2)),
                                    local.entries, rtol=0, atol=0)
 
     def test_single_site_is_identity(self):
-        np.testing.assert_array_equal(_op(ModelSpec.dk(0.1, 0.9), 1).materialize(),
-                                      np.eye(2))
+        np.testing.assert_array_equal(parity_dense(_op(ModelSpec.dk(0.1, 0.9), 1)), np.eye(2))
 
     def test_tensor_three_site_form(self):
         left = rotation(0.7)
         right = np.diag(np.exp(1j * np.array([0.3, -0.8])))
         op = _op(ModelSpec.tensor(left, right), 3)
-        np.testing.assert_allclose(op.materialize(),
+        np.testing.assert_allclose(parity_dense(op),
                                    np.kron(left, np.kron(left @ right, right)),
                                    rtol=0, atol=1e-14)
 
@@ -159,48 +172,48 @@ class TestMaterialize:
     @pytest.mark.parametrize("n", range(2, 6))
     def test_matches_product_oracle(self, spec, n):
         local = build_local(spec)
-        np.testing.assert_allclose(GlobalOperator(local, n).materialize(),
-                                   product_global(local.entries, n),
-                                   rtol=0, atol=1e-13)
+        op = GlobalOperator(local, n)
+        for b in (0, 1):
+            np.testing.assert_allclose(op._half(b), product_half(local.entries, n, b),
+                                       rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("n", range(2, 5))
     def test_matches_kron_oracle(self, n):
         local = build_local(ModelSpec.qca2(0.9, 1.7))
-        np.testing.assert_allclose(GlobalOperator(local, n).materialize(),
+        np.testing.assert_allclose(parity_dense(GlobalOperator(local, n)),
                                    kron_global(local.entries, n),
                                    rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_equals_one_full_width_sweep(self, n):
-        # the dense form is assembled from two parity halves in 256-column
-        # blocks; from N=10 on a half is more than one block.  From N=6 on the
-        # (N-1)-site sweep plus the 2x2 right block and the N-site sweep fuse
-        # the pairs into different blocks, so they round apart by up to 1 ulp
+        # each parity half is filled in 256-column blocks; from N=10 on a
+        # half is more than one block.  From N=6 on the (N-1)-site sweep plus
+        # the 2x2 right block and the N-site sweep fuse the pairs into
+        # different blocks, so they round apart by up to 1 ulp
         for spec in MODELS:
             op = _op(spec, n)
             eye = np.eye(op.dim).reshape(-1)
             full = kernels.sweep(eye, op.local.entries, n, tail=op.dim)
-            assert op.materialize().dtype == full.dtype == np.float64
-            np.testing.assert_allclose(op.materialize(), full.reshape(op.dim, op.dim),
+            dense = parity_dense(op)
+            assert dense.dtype == full.dtype == np.float64
+            np.testing.assert_allclose(dense, full.reshape(op.dim, op.dim),
                                        rtol=0, atol=4 * np.finfo(np.float64).eps)
 
     def test_cap(self):
-        # refused before the dense matrix is allocated
-        with pytest.raises(SizeExceeded):
-            _op(ModelSpec.dk(0.5, 0.5), DEFAULTS.dense_cap + 1).materialize()
-
-    def test_cached(self):
-        op = _op(ModelSpec.dk(0.5, 0.5), 3)
-        assert op.materialize() is op.materialize()
+        # refused before the block is allocated
+        op = _op(ModelSpec.dk(0.5, 0.5), DEFAULTS.dense_cap + 1)
+        for b in (0, 1):
+            with pytest.raises(SizeExceeded):
+                op._half(b)
 
     def test_overflow_is_invalid_input(self):
         # entries 1e200 are finite at N = 2; their products 1e400 at N = 3 are not
         big = 1e200 * np.eye(4)
-        np.testing.assert_array_equal(GlobalOperator(big, 2).materialize(), big)
+        np.testing.assert_array_equal(parity_dense(GlobalOperator(big, 2)), big)
         op = GlobalOperator(big, 3)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            for stage in (op.materialize, op.eigenvalues):
+            for stage in (partial(op._half, 0), partial(op._half, 1), op.eigenvalues):
                 with pytest.raises(DomainError, match="N=3 overflows the float range"):
                     stage()
         assert caught == []
@@ -212,9 +225,10 @@ class TestStructurePreservation:
         grid = np.linspace(0, 1, 4) if n <= 7 else (0.3, 0.7)
         for p in grid:
             for q in grid:
-                dense = _op(ModelSpec.dk(p, q), n).materialize()
-                np.testing.assert_allclose(dense.sum(axis=0), np.ones(2 ** n),
-                                           rtol=0, atol=1e-10)
+                op = _op(ModelSpec.dk(p, q), n)
+                for b in (0, 1):
+                    np.testing.assert_allclose(op._half(b).sum(axis=0), np.ones(2 ** (n - 1)),
+                                               rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("model", ("qca1", "qca2"))
     @pytest.mark.parametrize("n", range(2, 11))
@@ -222,9 +236,10 @@ class TestStructurePreservation:
         angles = np.linspace(0, 2 * math.pi, 4, endpoint=False) if n <= 8 else (0.9,)
         for a in angles:
             for b in angles:
-                dense = _op(ModelSpec(model, (a, b)), n).materialize()
-                np.testing.assert_allclose(dense.conj().T @ dense, np.eye(2 ** n),
-                                           rtol=0, atol=1e-10)
+                op = _op(ModelSpec(model, (a, b)), n)
+                for half in (op._half(0), op._half(1)):
+                    np.testing.assert_allclose(half.conj().T @ half, np.eye(2 ** (n - 1)),
+                                               rtol=0, atol=1e-10)
 
 
 @pytest.mark.parametrize("xi", (0.0, math.pi / 6, 1.0, math.pi / 2, 4.0))
@@ -232,8 +247,8 @@ class TestStructurePreservation:
 def test_append_site_recursion(xi, n):
     # appending a site splits the operator along the new site's value:
     # Q_{N+1} = Q_N (x) E00 + (sigma_N Q_N) (x) E11
-    q_n = _op(ModelSpec.qca2(0.0, xi), n).materialize()
-    q_n1 = _op(ModelSpec.qca2(0.0, xi), n + 1).materialize()
+    q_n = parity_dense(_op(ModelSpec.qca2(0.0, xi), n))
+    q_n1 = parity_dense(_op(ModelSpec.qca2(0.0, xi), n + 1))
     sigma_n = np.kron(np.eye(2 ** (n - 1)), reflection(xi))
     expected = np.kron(q_n, E00) + np.kron(sigma_n @ q_n, E11)
     np.testing.assert_allclose(q_n1, expected, rtol=0, atol=1e-12)
@@ -457,7 +472,7 @@ class TestEigenvalues:
     @pytest.mark.parametrize("n", (1, 4, 7))
     def test_real_operator_spectrum_is_complex128_with_exact_conjugate_pairs(self, spec, n):
         op = _op(spec, n)
-        assert op.materialize().dtype == np.float64
+        assert op._half(0).dtype == op._half(1).dtype == np.float64
         eig = op.eigenvalues()
         assert eig.dtype == np.complex128
         # the conjugates, sorted the same way, are the spectrum itself, bit
@@ -566,7 +581,7 @@ def test_sweep_and_classification_agree_with_the_kron_oracle(blocks, n):
     op = GlobalOperator(local, n)
     q = kron_global(local.entries, n)
     atol = 1e-12 * max(1.0, np.abs(q).max())
-    np.testing.assert_allclose(op.materialize(), q, rtol=0, atol=atol)
+    np.testing.assert_allclose(parity_dense(op), q, rtol=0, atol=atol)
     vec = random_vec(n, n)
     np.testing.assert_allclose(op.apply(vec), q @ vec, rtol=0, atol=atol * np.abs(vec).sum())
     cls = classify(local)
@@ -590,7 +605,7 @@ def test_float64_sweep_matches_the_complex128_kron_oracle(right0, right1, n):
     assert local.entries.dtype == np.float64
     op = GlobalOperator(local, n)
     q = kron_global(local.entries.astype(np.complex128), n)
-    dense = op.materialize()
+    dense = parity_dense(op)
     assert dense.dtype == np.float64
     np.testing.assert_allclose(dense, q, rtol=0, atol=1e-13)
     vec = np.random.default_rng(n).standard_normal(2 ** n)
@@ -604,12 +619,14 @@ def test_float64_sweep_matches_the_complex128_kron_oracle(right0, right1, n):
        st.integers(1, 6))
 def test_parity_blocks_assemble_the_product_oracle(blocks, n):
     local = LocalOperator.from_blocks(*blocks)
-    dense = GlobalOperator(local, n).materialize()
+    op = GlobalOperator(local, n)
     q = product_global(local.entries, n)
-    np.testing.assert_allclose(dense, q, rtol=0, atol=1e-12 * max(1.0, np.abs(q).max()))
+    for b in (0, 1):
+        np.testing.assert_allclose(op._half(b), q[b::2, b::2], rtol=0,
+                                   atol=1e-12 * max(1.0, np.abs(q).max()))
     # the last site never changes: rows and columns of different parity never meet
     index = np.arange(2 ** n)
-    assert np.all(dense[(index[:, None] ^ index[None, :]) & 1 == 1] == 0)
+    assert np.all(q[(index[:, None] ^ index[None, :]) & 1 == 1] == 0)
 
 
 @settings(max_examples=40, deadline=None)

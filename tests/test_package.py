@@ -1,10 +1,14 @@
 """The installed surface: what ``import ipszeta`` loads and exports."""
 
+import functools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import ipszeta
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 # numpy is the one runtime dependency; these are test and tooling extras
@@ -31,3 +35,33 @@ def test_import_loads_only_numpy_and_every_export_resolves():
     assert "numpy" in doc["loaded"]
     assert doc["unresolved"] == []
     assert len(doc["all"]) == len(set(doc["all"]))
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _quick_tour() -> str:
+    text = README.read_text(encoding="utf-8")
+    start = text.index("## Library quick tour\n")
+    return text[start:text.index("\n## ", start)]
+
+
+def test_readme_quick_tour_runs(capsys):
+    code = re.search(r"```python\n(.*?)```", _quick_tour(), re.S).group(1)
+    exec(compile(code, str(README), "exec"), {})
+    printed = capsys.readouterr().out.split()
+    # is_qca, then the series against the closed form and against the spectrum
+    assert printed[0] == "True"
+    assert all(float(error) < 1e-12 for error in printed[1:]) and len(printed) == 3
+
+
+def test_readme_api_list_resolves():
+    tour = _quick_tour()
+    # the bullet list between the line that introduces it and the next blank line
+    start = tour.index("\n\n", tour.index("`ipszeta.__all__` is the public API:")) + 2
+    listed = re.findall(r"`([\w.]+)`", tour[start:tour.index("\n\n", start)])
+    assert len(listed) > 30
+    for name in listed:
+        # a dotted name is read through the package, a bare one is exported
+        assert name in ipszeta.__all__ or "." in name, name
+        functools.reduce(getattr, name.removeprefix("ipszeta.").split("."), ipszeta)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ipszeta import DimensionMismatch, GlobalOperator, ModelSpec, build_local, zeta_log_series
+from ipszeta import DimensionMismatch, GlobalOperator, ModelSpec, ZetaLogSeries, build_local
 from ipszeta.serialize import (
     complex_pair,
     from_pair,
@@ -14,6 +14,8 @@ from ipszeta.serialize import (
     trace_csv,
     trajectory_csv,
 )
+
+from helpers import product_global
 
 
 def test_pair_round_trip():
@@ -39,7 +41,7 @@ def test_local_matrix_round_trip():
 
 def test_dense_global_round_trip():
     # dense operators use the same row-major pair format as model matrices
-    dense = GlobalOperator(build_local(ModelSpec.qca1(0.4, 1.1)), 3).materialize()
+    dense = product_global(build_local(ModelSpec.qca1(0.4, 1.1)).entries, 3)
     back = matrix_from_pairs(matrix_pairs(dense), 8, 8)
     np.testing.assert_array_equal(back, dense)
 
@@ -53,7 +55,7 @@ def test_trace_csv_header_and_values():
 
 
 def test_series_csv_header_and_values():
-    series = zeta_log_series(GlobalOperator(np.eye(4), 2), 4)
+    series = ZetaLogSeries.from_traces(GlobalOperator(np.eye(4), 2).trace_powers(4))
     lines = series_csv(series).strip().splitlines()
     assert lines[0] == "r,coeff_re,coeff_im"
     assert lines[1] == "1,-1,0"

@@ -13,21 +13,19 @@ from ipszeta import (
     ModelSpec,
     SingularAtU,
     TensorFactors,
+    ZetaLogSeries,
     arctanh,
     binomial_zeta_qca1,
     build_local,
     chebyshev_t,
-    chebyshev_u,
     clt_limit_zeta,
     qca2_c1_closed_form,
-    qca2_x1_recurrence,
     qca2_x2_recurrence,
     rotation,
     rule90_trace_general_r,
     run_formula,
     tensor_model_cr,
     zeta_closed_form_qca2,
-    zeta_log_series,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -37,53 +35,47 @@ def _qca2_op(xi, n, **kw):
     return GlobalOperator(build_local(ModelSpec.qca2(0.0, xi)), n, **kw)
 
 
+def _series(op, r_max):
+    return ZetaLogSeries.from_traces(op.trace_powers(r_max))
+
+
 class TestChebyshev:
     def test_first_kind_values(self):
         assert chebyshev_t(3, 0.5) == pytest.approx(-1.0, abs=1e-15)
         for n in range(21):
             assert chebyshev_t(n, 1.0) == pytest.approx(1.0, abs=1e-12)
 
-    def test_second_kind_values(self):
-        assert chebyshev_u(2, 0.5) == pytest.approx(0.0, abs=1e-15)
-        assert chebyshev_u(-1, 0.9) == 0.0
-        assert chebyshev_u(0, 0.3) == 1.0
-        assert chebyshev_u(1, 0.3) == pytest.approx(0.6, abs=1e-15)
-
     @pytest.mark.parametrize("n", range(0, 12))
     def test_trigonometric_identities(self, n):
         for theta in np.linspace(0.1, math.pi - 0.1, 7):
             x = math.cos(theta)
             assert chebyshev_t(n, x) == pytest.approx(math.cos(n * theta), abs=1e-12)
-            assert chebyshev_u(n, x) == pytest.approx(
-                math.sin((n + 1) * theta) / math.sin(theta), abs=1e-11)
 
     def test_rejects_bad_orders(self):
         with pytest.raises(DomainError):
             chebyshev_t(-1, 0.5)
-        with pytest.raises(DomainError):
-            chebyshev_u(-2, 0.5)
 
 
 class TestZetaLogSeries:
     def test_trivial_model_coefficients(self):
         # log of the inverse zeta value is log(1-u), so coefficients are -1/r
-        series = zeta_log_series(GlobalOperator(np.eye(4), 5), 12)
+        series = _series(GlobalOperator(np.eye(4), 5), 12)
         expected = np.array([-1.0 / r for r in range(1, 13)])
         np.testing.assert_allclose(series.coefficients, expected, rtol=0, atol=1e-14)
 
     def test_single_site_any_model(self):
-        series = zeta_log_series(GlobalOperator(build_local(ModelSpec.qca2(1.0, 2.0)), 1), 8)
+        series = _series(GlobalOperator(build_local(ModelSpec.qca2(1.0, 2.0)), 1), 8)
         expected = np.array([-1.0 / r for r in range(1, 9)])
         np.testing.assert_allclose(series.coefficients, expected, rtol=0, atol=1e-14)
 
     def test_rotation_model_coefficients(self):
         xi = math.pi / 3
-        series = zeta_log_series(GlobalOperator(build_local(ModelSpec.qca1(xi, xi)), 4), 10)
+        series = _series(GlobalOperator(build_local(ModelSpec.qca1(xi, xi)), 4), 10)
         expected = [-chebyshev_t(r, math.cos(xi)) ** 3 / r for r in range(1, 11)]
         np.testing.assert_allclose(series.coefficients, expected, rtol=0, atol=1e-12)
 
     def test_evaluate_is_truncated_log(self):
-        series = zeta_log_series(GlobalOperator(np.eye(4), 3), 50)
+        series = _series(GlobalOperator(np.eye(4), 3), 50)
         u = 0.4
         assert series.evaluate(u) == pytest.approx(math.log(1 - u), abs=1e-13)
 
@@ -98,7 +90,7 @@ class TestZetaLogSeries:
         # truncated series vs mean log over the spectrum, inside the disk
         op = GlobalOperator(build_local(spec), n)
         radius = max(abs(l) for l in op.eigenvalues())
-        series = zeta_log_series(op, 40)
+        series = _series(op, 40)
         for direction in (1.0, 1.0j, (1.0 + 1.0j) / SQRT2):
             u = 0.5 / radius * direction
             bound = 10.0 * abs(u * radius) ** 41
@@ -211,13 +203,13 @@ class TestFirstPowerTrace:
 
     def test_pi_sixth_chebyshev_form(self):
         got = qca2_c1_closed_form(4, math.pi / 6) / 2 ** 4
-        expected = 0.5 ** 5 * (4 * chebyshev_t(3, 0.75) + chebyshev_u(2, 0.75))
+        expected = 0.5 ** 5 * (4 * chebyshev_t(3, 0.75) + _loop_u(2, 0.75))
         assert got == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("xi", XI_GRID)
     @pytest.mark.parametrize("n", range(1, 9))
     def test_recurrence_agrees_with_closed_form(self, xi, n):
-        assert qca2_x1_recurrence(n, xi) == pytest.approx(
+        assert _loop_x1(n, xi) == pytest.approx(
             qca2_c1_closed_form(n, xi), abs=1e-10)
 
     def test_double_root_branch_matches_brute(self):
@@ -255,7 +247,6 @@ class TestFirstPowerTrace:
 
 
 @pytest.mark.parametrize("f, n, xi", [
-    (qca2_x1_recurrence, 2, math.inf), (qca2_x1_recurrence, 5, math.nan),
     (qca2_x2_recurrence, 1, math.inf), (qca2_x2_recurrence, 4, -math.inf),
     (qca2_c1_closed_form, 3, math.nan), (qca2_c1_closed_form, 1, math.inf),
     (lambda n, xi: binomial_zeta_qca1(n, xi, 0.3), 3, math.nan),
@@ -264,7 +255,7 @@ class TestFirstPowerTrace:
     (lambda n, u: binomial_zeta_qca1(n, 0.2, u), 3, math.inf),
     (lambda _, xi: clt_limit_zeta(xi, 0.3), None, math.nan),
     (lambda _, xi: clt_limit_zeta(xi, 0.3), None, math.inf),
-], ids=["x1-2-inf", "x1-5-nan", "x2-1-inf", "x2-4-neginf", "c1-3-nan", "c1-1-inf",
+], ids=["x2-1-inf", "x2-4-neginf", "c1-3-nan", "c1-1-inf",
         "binomial-3-nan", "binomial-4-inf", "binomial-u-nan", "binomial-u-inf",
         "clt-nan", "clt-inf"])
 def test_angle_must_be_finite(f, n, xi):
@@ -311,14 +302,13 @@ class TestSecondPowerTrace:
 class TestPastTheFloatRangeOf2ToTheN:
     def test_first_power_closed_form_at_n_1024(self):
         trace = qca2_c1_closed_form(1024, 1.0)
-        assert trace == pytest.approx(qca2_x1_recurrence(1024, 1.0), rel=1e-11, abs=0)
+        assert trace == pytest.approx(_loop_x1(1024, 1.0), rel=1e-11, abs=0)
 
     def test_recurrence_term_past_the_float_range_is_refused(self):
         # tr(Q^2) at N = 2000 is about 1e431; iterating gave inf - inf = nan
         assert math.isfinite(qca2_x2_recurrence(1024, 1.0))
-        for evaluate in (qca2_x2_recurrence, qca2_x1_recurrence):
-            with pytest.raises(DomainError, match="leaves the float range"):
-                evaluate(3000, 1.0)
+        with pytest.raises(DomainError, match="leaves the float range"):
+            qca2_x2_recurrence(3000, 1.0)
         with pytest.raises(DomainError, match="leaves the float range"):
             chebyshev_t(1100, 2.0)
 
@@ -333,8 +323,6 @@ def _loop_t(n, x):
 
 
 def _loop_u(n, x):
-    if n == -1:
-        return 0.0
     prev, cur = 1.0, 2.0 * float(x)
     if n == 0:
         return prev
@@ -379,12 +367,10 @@ class TestRecurrencesMatchExplicitLoops:
     @given(st.integers(0, 80), st.floats(-4.0, 4.0))
     def test_chebyshev(self, n, x):
         assert self.same(chebyshev_t(n, x), _loop_t(n, x))
-        assert self.same(chebyshev_u(n - 1, x), _loop_u(n - 1, x))
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 80), _ANY_ANGLE)
     def test_reflection_traces(self, n, xi):
-        assert self.same(qca2_x1_recurrence(n, xi), _loop_x1(n, xi))
         assert self.same(qca2_x2_recurrence(n, xi), _loop_x2(n, xi))
 
 
@@ -420,7 +406,7 @@ class TestClosedFormZeta:
             assert got == pytest.approx(np.log(1 - complex(u)), abs=1e-14)
 
     def test_quarter_turn_against_series(self):
-        series = zeta_log_series(_qca2_op(math.pi / 2, 3), 60)
+        series = _series(_qca2_op(math.pi / 2, 3), 60)
         got = zeta_closed_form_qca2(3, "pi_half", 0.4)
         assert abs(got - series.evaluate(0.4)) < 1e-10
 
@@ -433,7 +419,7 @@ class TestClosedFormZeta:
 
     @pytest.mark.parametrize("n", (1, 2, 3, 4))
     def test_rule90_against_series(self, n):
-        series = zeta_log_series(_qca2_op(0.0, n), 60)
+        series = _series(_qca2_op(0.0, n), 60)
         for u in (0.1, 0.3, 0.5, 0.4j):
             got = zeta_closed_form_qca2(n, "rule90", u)
             assert abs(got - series.evaluate(u)) < 1e-10
