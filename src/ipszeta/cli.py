@@ -24,7 +24,7 @@ from .config import DEFAULTS
 from .errors import DimensionMismatch, DomainError, InvalidInput, IpsZetaError, SizeExceeded
 from .models import MODEL_NAMES, ModelSpec, build_local, classify
 from .operators import Configuration, GlobalOperator
-from .dynamics import StateKind, evolve_states, initial_state, site_marginals, state_kind
+from .dynamics import StateKind, evolve_states, evolve_trajectory, initial_state, state_kind
 from .serialize import complex_pair, from_pair, series_csv, spectrum_csv, trace_csv, trajectory_csv
 from .verify import FORMULA_IDS, run_formula
 from .zeta import ZetaLogSeries
@@ -304,13 +304,14 @@ def cmd_evolve(args) -> int:
     kind = state_kind(op.local) if args.kind is None else _STATE_KINDS[args.kind]
     steps = 1 if args.steps is None else args.steps
     # no name holds the start state: it is freed once its working copy is made
-    states = evolve_states(initial_state(Configuration(bits), kind, n), op, steps)
+    evolution = evolve_states if args.format == "json" else evolve_trajectory
+    rows = evolution(initial_state(Configuration(bits), kind, n), op, steps)
     if args.format == "json":
         # streamed: no document is built, and one state is alive
         head = {"model": spec.to_json(), "n_sites": n, "kind": kind.value}
-        _emit(states_json(head, states), args.out)
+        _emit(states_json(head, rows), args.out)
     else:
-        _emit(trajectory_csv(((s.time_step, site_marginals(s)) for s in states), n), args.out)
+        _emit(trajectory_csv(rows, n), args.out)
     return 0
 
 

@@ -2,8 +2,8 @@
 
 Probabilistic states carry configuration probabilities directly; quantum
 states carry amplitudes whose squared moduli are the probabilities.
-Evolution steps one working array in place and yields a read-only view
-of it after every step, each valid until the next is drawn; every view
+Evolution sweeps one working array a step and yields a read-only view of
+it after every step, each valid until the next is drawn; every view
 re-checks normalization instead of silently renormalizing.
 """
 
@@ -15,6 +15,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import kernels
 from .config import DEFAULTS
 from .errors import DimensionMismatch, DomainError, InvariantDrift, KindMismatch
 from .models import LocalOperator, classify
@@ -123,11 +124,11 @@ def evolve_states(state: StateVector, op: GlobalOperator, steps: int):
     """Yield the start state and the state after each of the next ``steps`` steps.
 
     The kind is checked against the operator once, before the first yield,
-    and normalization at every yield.  The run holds one 2^N array: a
-    copy of ``state`` in the dtype the operator promotes it to, which every
-    step sweeps in place.  ``state`` is not held past that copy.  Each
-    yielded state is a read-only view of the array, valid until the next
-    one is drawn.
+    and normalization at every yield.  The run holds one 2^N array: a copy
+    of ``state`` in the dtype the operator promotes it to, which each step
+    hands to ``kernels.sweep`` and replaces by the array it returns.
+    ``state`` is not held past that copy.  Each yielded state is a
+    read-only view of the array, valid until the next one is drawn.
     """
     if steps < 0:
         raise DomainError(f"steps must be nonnegative, got {steps}")
@@ -144,7 +145,7 @@ def evolve_states(state: StateVector, op: GlobalOperator, steps: int):
     del state, v
     yield StateVector(n, kind, work, t, evolved=True)
     for t in range(t + 1, t + steps + 1):
-        op.apply(work, in_place=True)
+        work = kernels.sweep(work, op.local.entries, n)
         yield StateVector(n, kind, work, t, evolved=True)
 
 

@@ -5,14 +5,15 @@ two-site updates across the sites, pair (0, 1) first.  The kernel fuses
 runs of up to four consecutive pairs (five sites) into one dense
 2^w-square block, as state-vector simulators fuse gates (Haener and
 Steiger, "0.5 Petabyte Simulation of a 45-Qubit Quantum Circuit",
-SC '17).  The first block reads the input and writes the fresh result
-with one batched numpy matmul; every later block updates that result in
-place, one part of at most ``_SLAB_BYTES`` at a time, through one
-buffer of that size, so a call holds one result-sized array plus that
-buffer.  An in-place sweep (state evolution's one working array) and a
-promoted copy of the input run the first block through that buffer
-too.  A site held fixed to the right of the array joins the last block,
-which keeps the rows and columns where that site holds its value.
+SC '17).  The caller hands over an array it owns and uses the one the
+sweep returns.  An array larger than ``_SLAB_BYTES`` is updated in
+place, group by group, one part of at most ``_SLAB_BYTES`` at a time,
+through one buffer of that size, so a call holds that array plus the
+buffer.  A smaller array has its first group written to a fresh array
+with one batched numpy matmul, which is cheaper for the transfer
+engine's many short sweeps, and the later groups update that one in
+place.  A site held fixed to the right of the array joins the last
+block, which keeps the rows and columns where that site holds its value.
 Blocks are built by the pairwise loop on the identity and kept in a
 bounded cache.
 """
@@ -29,9 +30,9 @@ _GROUP_SITES = 5
 # rows of each batched right product of an in-place last group when tail = 1;
 # one tall product there raises the peak RSS under a threaded BLAS
 _ROWS = 256
-# bytes of the buffer through which a group updates the result in place (every
-# group of an in-place sweep, every one after the first otherwise); 512 KB was
-# the fastest of 128 KB..2 MB at N = 20..22
+# bytes of the buffer through which a group updates the array in place; an
+# array larger than this takes every group in place, a smaller one every group
+# after the first; 512 KB was the fastest of 128 KB..2 MB at N = 20..22
 _SLAB_BYTES = 1 << 19
 
 
@@ -76,8 +77,8 @@ def _groups(n_sites: int):
         end = start + 1
 
 
-def sweep(vec, local, n_sites, tail=1, held=None, in_place=False):
-    """Apply the chain of two-site updates to a flat array.
+def sweep(vec, local, n_sites, tail=1, held=None):
+    """Apply the chain of two-site updates to a flat array the caller owns.
 
     The array holds ``tail`` interleaved vectors of length ``2**n_sites``
     (configuration index major, copy index minor), so a row-major dense
@@ -90,28 +91,25 @@ def sweep(vec, local, n_sites, tail=1, held=None, in_place=False):
     right site of each pair, and the trace engine's space-time dual keeps
     the left one.
 
-    Returns a fresh array in the inputs' promoted dtype, even with no pair,
-    and leaves the input untouched; an input of another dtype is promoted
-    once, and that copy is swept in place as the result.  With
-    ``in_place`` the input, which must be a writable contiguous array in
-    the promoted dtype, is swept in place and returned.  Besides the
-    result, a call holds one buffer of at most ``_SLAB_BYTES``.
+    ``vec`` must be a writable C-contiguous array in the promoted dtype of
+    it and ``local``; anything else raises ValueError untouched.  The
+    sweep consumes it: use the flat array it returns, which is ``vec``
+    updated in place when it is larger than ``_SLAB_BYTES`` (or has no
+    pair to update) and a fresh array otherwise.  Besides that array, a
+    call holds one buffer of at most ``_SLAB_BYTES``.
     """
     q = np.asarray(local)
     v = np.asarray(vec)
     dtype = np.result_type(v, q)
-    if in_place:
-        if v.dtype != dtype or not (v.flags.c_contiguous and v.flags.writeable):
-            raise ValueError(f"an in-place sweep needs a writable contiguous {dtype} array")
-    elif v.dtype != dtype:
-        # the promoted copy is the result: no second result-sized array
-        v, in_place = v.astype(dtype, order="C"), True
+    if v.dtype != dtype or not (v.flags.c_contiguous and v.flags.writeable):
+        raise ValueError(f"a sweep needs a writable contiguous {dtype} array")
     out = v.reshape(-1)
     if n_sites + (held is not None) < 2:
-        return out if in_place else out.copy()
+        return out
     key = q.tobytes(), q.dtype.str
     groups = _groups(n_sites)
-    # every group but an out-of-place first one updates the result through buf
+    in_place = out.nbytes > _SLAB_BYTES
+    # every group but a fresh first one updates the array through buf
     buf = (np.empty(min(out.size, _SLAB_BYTES // out.itemsize), out.dtype)
            if in_place or len(groups) > 1 else None)
     for i, (start, width) in enumerate(groups):
@@ -122,7 +120,7 @@ def sweep(vec, local, n_sites, tail=1, held=None, in_place=False):
         if i or in_place:
             _update(out.reshape(-1, dim, inner), block, buf)
         else:
-            # the first group reads the input and writes the fresh result
+            # a small array's first group writes a fresh array
             out = np.matmul(block, out.reshape(-1, dim, inner)).reshape(-1)
     return out
 

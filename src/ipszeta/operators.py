@@ -198,37 +198,30 @@ class GlobalOperator:
     def dim(self) -> int:
         return 1 << self.n_sites
 
-    def apply(self, vec, in_place: bool = False) -> np.ndarray:
-        """Matrix-free product with a length-2^N vector (pair (0,1) first).
-
-        Returns a fresh array; ``in_place`` overwrites ``vec`` instead (see
-        ``kernels.sweep``).
-        """
-        # not flattened here: a flattened copy would take an in-place update
+    def apply(self, vec) -> np.ndarray:
+        """Matrix-free product with a length-2^N vector, swept on one promoted flat copy."""
         v = np.asarray(vec)
         if v.size != self.dim:
             raise DimensionMismatch(
                 f"vector length {v.size} does not match 2^{self.n_sites}"
             )
-        return kernels.sweep(v, self.local.entries, self.n_sites, in_place=in_place)
+        work = v.astype(np.result_type(v, self.local.entries), order="C")
+        return kernels.sweep(work, self.local.entries, self.n_sites)
 
     # the blocks are checked for finiteness, so numpy need not warn of overflow
     @np.errstate(over="ignore", invalid="ignore")
     def _half(self, b: int) -> np.ndarray:
-        """Q_b as a dense 2^(N-1)-square array, filled from ``_block_powers``.
+        """Q_b as a dense 2^(N-1)-square array: one held sweep of the identity.
 
         Refused with SizeExceeded above ``DEFAULTS.dense_cap`` before any
         allocation, and with DomainError when an entry is not finite.
         """
         if self.n_sites > DEFAULTS.dense_cap:
             raise SizeExceeded(f"N={self.n_sites} exceeds the dense cap {DEFAULTS.dense_cap}")
-        half = self.dim >> 1
-        q_b = np.empty((half, half), dtype=self.local.entries.dtype)
-        for _, start, _, image in self._block_powers(1, parities=(b,)):
-            if not np.isfinite(image).all():
-                raise DomainError(f"the dense form at N={self.n_sites} overflows the "
-                                  "float range: an entry is not finite")
-            q_b[:, start:start + image.shape[1]] = image
+        q_b = self._step(b, np.eye(self.dim >> 1, dtype=self.local.entries.dtype))
+        if not np.isfinite(q_b).all():
+            raise DomainError(f"the dense form at N={self.n_sites} overflows the "
+                              "float range: an entry is not finite")
         return q_b
 
     def trace_powers(self, r_max: int) -> TraceSequence:
@@ -248,7 +241,7 @@ class GlobalOperator:
     def _brute_traces(self, r_max: int) -> np.ndarray:
         """C_r for r = 1..r_max from the diagonals of both parity blocks, in O(r 4^N / 2)."""
         traces = np.zeros(r_max, dtype=np.complex128)
-        for _, start, r, image in self._block_powers(r_max):
+        for start, r, image in self._block_powers(r_max):
             traces[r - 1] += np.trace(image, offset=-start)
         return _ldexp(traces, -self.n_sites)
 
@@ -272,22 +265,24 @@ class GlobalOperator:
             c_values[r - 1] = v.sum()
         return c_values
 
-    def _block_powers(self, r_max: int, parities=(0, 1)):
-        """Yield ``(b, start, r, Q_b^r E)`` for b in ``parities`` and r = 1..r_max.
+    def _block_powers(self, r_max: int):
+        """Yield ``(start, r, Q_b^r E)`` for b = 0, 1 and r = 1..r_max.
 
         Q_b is Q on the configurations whose last site holds b, the indices
         of parity b.  E holds columns ``start .. start + width - 1`` of the
-        2^(N-1) identity, with width ``min(2^(N-1), 256)``.  Blocks come in
-        a fixed order, so sums over them are deterministic.
+        2^(N-1) identity, with width ``min(2^(N-1), 256)``.  Each step
+        sweeps the image in place once it is larger than the sweep's
+        buffer, so an image is valid until the next one is drawn.  Blocks
+        come in a fixed order, so sums over them are deterministic.
         """
         half = self.dim >> 1
         width = min(half, _BLOCK_COLUMNS)
-        for b in parities:
+        for b in (0, 1):
             for start in range(0, half, width):
                 image = np.eye(half, width, -start, dtype=self.local.entries.dtype)
                 for r in range(1, r_max + 1):
                     image = self._step(b, image)
-                    yield b, start, r, image
+                    yield start, r, image
 
     def eigenvalues(self) -> np.ndarray:
         """All 2^N eigenvalues, sorted by (re, im).  Cached.
@@ -366,7 +361,7 @@ class GlobalOperator:
             for j in range(lo, hi, _BLOCK_COLUMNS):
                 cols = slice(j, min(hi, j + _BLOCK_COLUMNS))
                 projected[:, j - lo:cols.stop - lo] = (v[:, lo:hi].conj().T
-                                                       @ self._step(b, v[:, cols]))
+                                                       @ self._step(b, v[:, cols].copy()))
             for k in np.flatnonzero(np.bincount(sizes[span])):
                 idx = starts[span][sizes[span] == k, None] - lo + np.arange(k)
                 stacks[k][filled[k]:filled[k] + len(idx)] = (
@@ -375,7 +370,7 @@ class GlobalOperator:
         return stacks
 
     def _step(self, b: int, columns: np.ndarray) -> np.ndarray:
-        """Q_b applied to each column of a (2^(N-1), width) array, in one held sweep."""
+        """Q_b applied to each column of a (2^(N-1), width) array, in one held sweep of it."""
         return kernels.sweep(columns, self.local.entries, self.n_sites - 1,
                              tail=columns.shape[1], held=b).reshape(columns.shape)
 
@@ -399,7 +394,7 @@ class GlobalOperator:
         r = _positive_int("power", r)
         if not tol >= 0:
             raise DomainError(f"tol must be a number >= 0, got {tol!r}")
-        for _, start, power, image in self._block_powers(r):
+        for start, power, image in self._block_powers(r):
             if power == r and not np.max(np.abs(image - np.eye(*image.shape, -start))) <= tol:
                 return False
         return True

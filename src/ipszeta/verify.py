@@ -144,7 +144,8 @@ def _binomial_series_coefficients(n_values, r_max, **_):
         for n in n_values:
             series = ZetaLogSeries.from_traces(GlobalOperator(local, n).trace_powers(r_max))
             k = np.arange(n)
-            weights = np.array([math.comb(n - 1, kk) for kk in k]) / 2.0 ** (n - 1)
+            # int true division is correctly rounded: 2.0 ** (n - 1) overflows from N = 1025
+            weights = np.array([math.comb(n - 1, kk) / (1 << (n - 1)) for kk in k])
             phases = np.exp(1j * (2 * k - (n - 1)) * xi)
             for r in range(1, r_max + 1):
                 closed = -np.sum(weights * phases ** r) / r

@@ -357,6 +357,11 @@ class TestVerify:
         doc = json.loads(out)
         assert doc["passed"] is True and doc["max_abs_error"] < 1e-9
 
+    def test_binomial_weights_past_the_float_range_of_the_power_of_two(self, capsys):
+        # 2.0 ** (N - 1) overflows from N = 1025; each weight C(N-1, k) / 2^(N-1) does not
+        code, out, _ = run(capsys, "verify", "thm5_6", "--n", "1100", "--rmax", "2")
+        assert code == 0 and json.loads(out)["passed"] is True
+
     def test_quarter_turn_periodicity(self, capsys):
         code, out, _ = run(capsys, "verify", "prop6_pi2", "--n", "1..6")
         assert code == 0

@@ -130,7 +130,7 @@ class TestStateOwnership:
         assert peak < fresh.nbytes / 4
 
     def test_sweep_holds_one_result_sized_array(self):
-        # every fused group after the first updates the fresh result in place
+        # the array is larger than the buffer, so every fused group updates it in place
         v = np.full(1 << 20, 1.0 / (1 << 20))
         local = build_local(ModelSpec.dk(0.6, 0.8)).entries
         tracemalloc.start()

@@ -48,7 +48,8 @@ def assert_sweeps(oracle, local, n, seed, held=None):
     """The sweep of 2^n x tail random columns equals ``oracle`` times them, for every tail."""
     for tail in TAILS:
         v = random_vec(n, seed, tail)
-        np.testing.assert_allclose(kernels.sweep(v.reshape(-1), local, n, tail=tail, held=held),
+        np.testing.assert_allclose(kernels.sweep(v.reshape(-1).copy(), local, n, tail=tail,
+                                                 held=held),
                                    (oracle @ v).reshape(-1), rtol=0, atol=1e-12)
 
 
@@ -88,7 +89,7 @@ _COMPLEX_LOCAL = st.lists(st.builds(complex, _ENTRY, _ENTRY), min_size=16, max_s
 def test_sweep_matches_pairwise_loop(entries, n, tail, held, seed):
     local = np.reshape(entries, (4, 4))
     v = random_vec(n, seed, tail).reshape(-1)
-    swept = kernels.sweep(v, local, n, tail=tail, held=held)
+    swept = kernels.sweep(v.copy(), local, n, tail=tail, held=held)
     expected = held_pairwise_sweep(v, local, n, tail, held)
     # rounding is relative to the sum of magnitudes, whatever cancels; below
     # the smallest normal float the spacing of subnormals bounds it instead
@@ -114,7 +115,7 @@ def test_in_place_layouts_match_pairwise_loop(n, tail, dtype):
     v = v.real.copy() if dtype is np.float64 else v
     assert kernels._SLAB_BYTES < v.nbytes
     for held in HELD:
-        swept = kernels.sweep(v, local, n, tail=tail, held=held)
+        swept = kernels.sweep(v.copy(), local, n, tail=tail, held=held)
         expected = held_pairwise_sweep(v, local, n, tail, held)
         scale = held_pairwise_sweep(np.abs(v), np.abs(local), n, tail, held)
         assert swept.dtype == dtype
@@ -122,27 +123,44 @@ def test_in_place_layouts_match_pairwise_loop(n, tail, dtype):
 
 
 def test_sweep_leaves_input_untouched():
+    # below the buffer: the first group writes a fresh array, the input stays
     local = build_local(ModelSpec.qca2(0.3, 0.8)).entries
-    # the last sizes are above the slab, so later groups work in place
-    for n, tail in ((3, 1), (7, 1), (7, 3), (17, 1), (9, 256)):
+    for n, tail in ((3, 1), (7, 1), (7, 3), (13, 2)):
         v = random_vec(n, seed=5, tail=tail).reshape(-1)
+        assert v.nbytes <= kernels._SLAB_BYTES
         keep = v.copy()
         for held in HELD:
-            kernels.sweep(v, local, n, tail=tail, held=held)
+            out = kernels.sweep(v, local, n, tail=tail, held=held)
+            assert not np.shares_memory(out, v)
             np.testing.assert_array_equal(v, keep)
+
+
+def test_large_input_is_swept_in_place():
+    # above the buffer every group updates the input, which is the result
+    local = build_local(ModelSpec.qca2(0.3, 0.8)).entries
+    for n, tail in ((17, 1), (9, 256)):
+        v = random_vec(n, seed=5, tail=tail).reshape(-1)
+        assert v.nbytes > kernels._SLAB_BYTES
+        for held in HELD:
+            work = v.copy()
+            out = kernels.sweep(work, local, n, tail=tail, held=held)
+            assert np.shares_memory(out, work) and out.shape == work.shape
+            np.testing.assert_allclose(out, held_pairwise_sweep(v, local, n, tail, held),
+                                       rtol=0, atol=1e-12)
 
 
 def test_result_is_fresh_in_promoted_dtype():
     local = build_local(ModelSpec.dk(0.2, 0.9)).entries
-    # 2^17 entries are above the slab in both dtypes
-    for n in (0, 1, 2, 6, 17):
+    # 2^17 entries are above the buffer in both dtypes and come back in place
+    for n in (2, 6, 17):
         v = np.zeros(2 ** n)
         v[0] = 1.0
-        for vec, dtype in ((v, np.float64), (v.astype(int), np.float64),
-                           (v.astype(complex), np.complex128)):
+        for vec, dtype in ((v, np.float64), (v.astype(complex), np.complex128)):
             for held in HELD:
-                out = kernels.sweep(vec, local, n, held=held)
+                work = vec.copy()
+                out = kernels.sweep(work, local, n, held=held)
                 assert out.dtype == dtype and not np.shares_memory(out, vec)
+                assert np.shares_memory(out, work) == (n == 17)
 
 
 def test_single_site_is_identity():
@@ -157,44 +175,62 @@ def test_single_site_is_identity():
 
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(_REAL_LOCAL, _COMPLEX_LOCAL), st.integers(1, 12),
-       st.sampled_from(TAILS[:2]), st.sampled_from(HELD), st.integers(0, 2 ** 32 - 1))
-def test_in_place_sweep_matches_fresh_sweep(entries, n, tail, held, seed):
+       st.sampled_from(HELD), st.integers(0, 2 ** 32 - 1))
+def test_in_place_sweep_matches_fresh_sweep(entries, n, held, seed):
+    # the fewest copies above the buffer, swept in place, against each half
+    # of them, which is below it and swept fresh
     local = np.reshape(entries, (4, 4))
-    v = random_vec(n, seed, tail).reshape(-1)
+    copies = kernels._SLAB_BYTES // ((1 << n) * np.dtype(local.dtype).itemsize) + 1
+    v = random_vec(n, seed, copies)
     v = v.astype(local.dtype) if local.dtype.kind == "c" else v.real.copy()
-    fresh = kernels.sweep(v, local, n, tail=tail, held=held)
+    fresh = np.concatenate([kernels.sweep(part.copy(), local, n, tail=part.shape[1], held=held)
+                            .reshape(part.shape) for part in np.array_split(v, 2, axis=1)],
+                           axis=1)
     work = v.copy()
-    out = kernels.sweep(work, local, n, tail=tail, held=held, in_place=True)
+    out = kernels.sweep(work, local, n, tail=copies, held=held)
     assert np.shares_memory(out, work) and out.dtype == fresh.dtype
+    out = out.reshape(v.shape)
     assert np.max(np.abs(out - fresh)) <= 1e-15 * np.max(np.abs(fresh))
 
 
 def test_in_place_sweep_needs_the_promoted_dtype():
-    # a copy would be swept in place of the caller's array, so none is made
+    # an unpromoted, strided or read-only array is refused before any group runs
     local = build_local(ModelSpec.qca2(0.3, 0.8)).entries * np.exp(0.3j)
-    op = GlobalOperator(LocalOperator(local), 3)
     v = np.zeros(8)
     v[0] = 1.0
-    for vec in (v, v.astype(complex)[::-1], v.astype(complex).reshape(2, 4).T):
+    read_only = v.astype(complex)
+    read_only.setflags(write=False)
+    for vec in (v, v.astype(complex)[::-1], v.astype(complex).reshape(2, 4).T, read_only):
         keep = vec.copy()
-        for apply in (lambda u: kernels.sweep(u, local, 3, in_place=True),
-                      lambda u: op.apply(u, in_place=True)):
-            with pytest.raises(ValueError, match="in-place sweep"):
-                apply(vec)
-            np.testing.assert_array_equal(vec, keep)
+        with pytest.raises(ValueError, match="sweep needs a writable contiguous complex128"):
+            kernels.sweep(vec, local, 3)
+        np.testing.assert_array_equal(vec, keep)
+
+
+def test_apply_leaves_its_argument_untouched():
+    # apply sweeps one promoted copy, also of an array above the buffer (an int
+    # list is promoted in test_operators.py)
+    op = GlobalOperator(build_local(ModelSpec.qca2(0.3, 0.8)), 17)
+    v = random_vec(17, seed=4).reshape(-1)
+    keep = v.copy()
+    out = op.apply(v)
+    assert not np.shares_memory(out, v)
+    np.testing.assert_array_equal(v, keep)
 
 
 def test_promoted_copy_is_the_result():
-    # a float64 vector through a complex local: the complex copy is swept in
-    # place, so the call holds one result and the buffer
+    # a float64 vector through a complex local: apply's complex copy is swept
+    # in place, so the call holds one result and the buffer
     v = np.full(1 << 18, 1.0 / (1 << 18))
-    local = build_local(ModelSpec.qca2(0.3, 0.8)).entries.astype(complex)
+    op = GlobalOperator(LocalOperator(build_local(ModelSpec.qca2(0.3, 0.8)).entries
+                                      * np.exp(0.3j)), 18)
     tracemalloc.start()
     try:
-        out = kernels.sweep(v, local, 18)
+        out = op.apply(v)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert out.dtype == np.complex128
     assert peak <= out.nbytes + kernels._SLAB_BYTES + (64 << 10)
-    np.testing.assert_allclose(out, kernels.sweep(v.astype(complex), local, 18), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(out, kernels.sweep(v.astype(complex), op.local.entries, 18),
+                               rtol=0, atol=1e-15)

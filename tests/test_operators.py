@@ -656,6 +656,22 @@ def test_spectrum_never_allocates_the_dense_form():
         assert peak <= 9 * 2 ** 20, spec
 
 
+def test_block_power_step_allocates_no_second_image():
+    # at N = 12 an image is a (2^11, 256) float64 array of 4 MiB, above the
+    # sweep's buffer, so the next power is swept into it
+    powers = _op(ModelSpec.dk(0.6, 0.8), 12)._block_powers(2)
+    _, _, image = next(powers)
+    assert image.shape == (2 ** 11, 256)
+    tracemalloc.start()
+    try:
+        _, r, second = next(powers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r == 2 and np.shares_memory(second, image)
+    assert peak <= kernels._SLAB_BYTES + (64 << 10)
+
+
 def _largest_matched_distance(eig, expected):
     """Largest |eig - expected| over the pairing that minimizes the total distance."""
     distance = np.abs(eig[:, None] - expected[None, :])
