@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .config import DEFAULTS
-from .errors import DimensionMismatch, DomainError, InvalidInput, IpsZetaError, SizeExceeded
+from .errors import DomainError, InvalidInput, IpsZetaError, SizeExceeded
 from .models import MODEL_NAMES, ModelSpec, build_local, classify
 from .operators import Configuration, GlobalOperator
 from .dynamics import StateKind, evolve_states, evolve_trajectory, initial_state, state_kind
@@ -117,7 +117,7 @@ def _u_from_json(value) -> complex:
         return parse_complex(value)
     try:
         return from_pair(value)
-    except DimensionMismatch as exc:
+    except InvalidInput as exc:
         raise DomainError(f"config key 'u': {exc}")
 
 

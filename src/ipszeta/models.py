@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import DEFAULTS
 from .errors import ConstraintViolation, DimensionMismatch, DomainError
-from .serialize import matrix_from_pairs, matrix_pairs
+from .serialize import matrix_from_pairs, matrix_pairs, real_number
 
 # a packed pair index 2a+b has parity b: the rows and columns of the block
 # for right site b, and the forbidden positions where the parities disagree
@@ -169,8 +169,8 @@ class ModelSpec:
         family = _FAMILIES.get(self.model)
         if family is not None:
             try:
-                vals = tuple(float(p) for p in self.params)
-            except (TypeError, ValueError):
+                vals = tuple(real_number(p) for p in self.params)
+            except (TypeError, ValueError, DomainError):
                 raise DomainError(f"{self.model} params must be numbers, got {self.params!r}")
             if len(vals) != family.n_params:
                 raise DomainError(

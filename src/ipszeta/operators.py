@@ -46,7 +46,7 @@ from .errors import (
     SingularAtU,
     SizeExceeded,
 )
-from .models import LocalOperator
+from .models import LocalOperator, classify
 
 __all__ = ["Configuration", "GlobalOperator", "TraceSequence"]
 
@@ -146,13 +146,6 @@ def _transfer_cheaper(n_sites: int, r_max: int) -> bool:
     return _TRANSFER_COST * (((r_max - 1) << (r_max + 2)) + 4) < r_max << (2 * n_sites - 1)
 
 
-# an entry whose square overflows fails the test, silently
-@np.errstate(over="ignore", invalid="ignore")
-def _is_unitary(q: np.ndarray) -> bool:
-    """Whether q^H q is the identity to ``_UNITARY_TOL`` in every entry."""
-    return bool(np.max(np.abs(q.conj().T @ q - np.eye(len(q)))) <= _UNITARY_TOL)
-
-
 def _space_time_dual(q: np.ndarray) -> np.ndarray:
     """M[2a + a', 2a + b] = q[2a' + b, 2a + b]: one time step of T_r.
 
@@ -166,8 +159,10 @@ def _space_time_dual(q: np.ndarray) -> np.ndarray:
 
 
 def _positive_int(name: str, value) -> int:
-    """``value`` as an int, refused with DomainError unless it is an integer >= 1."""
+    """``value`` as an int, refused with DomainError unless it is an integer >= 1, not a bool."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         value = operator.index(value)
     except TypeError:
         raise DomainError(f"{name} must be an integer, got {value!r}")
@@ -288,18 +283,16 @@ class GlobalOperator:
         """All 2^N eigenvalues, sorted by (re, im).  Cached.
 
         The spectrum of Q is that of Q_0 and Q_1, each solved as a
-        2^(N-1)-square block; the 2^N-square form is never built.  A
-        unitary local operator (to ``_UNITARY_TOL``) makes both blocks
-        unitary, and ``_unitary_spectrum`` solves them through the
+        2^(N-1)-square block by ``_block_spectrum``; the 2^N-square form is
+        never built.  A local operator that ``classify`` finds unitary to
+        ``_UNITARY_TOL`` makes both blocks unitary, and they go through the
         Hermitian eigensolver; any other block goes to nonsymmetric QR,
         ``np.linalg.eigvals``.  Refused above ``DEFAULTS.dense_cap``.
         """
         if self._eigenvalues is None:
+            unitary = classify(self.local, _UNITARY_TOL).is_qca
             try:
-                if _is_unitary(self.local.entries):
-                    eig = self._unitary_spectrum()
-                else:
-                    eig = np.concatenate([np.linalg.eigvals(self._half(b)) for b in (0, 1)])
+                eig = np.concatenate([self._block_spectrum(b, unitary) for b in (0, 1)])
             except np.linalg.LinAlgError as exc:
                 raise ConvergenceFailure(f"the eigensolver did not converge on a parity block "
                                          f"at N={self.n_sites}: {exc}")
@@ -309,65 +302,37 @@ class GlobalOperator:
             self._eigenvalues = eig
         return self._eigenvalues
 
-    def _unitary_spectrum(self) -> np.ndarray:
-        """Eigenvalues of the unitary blocks Q_0 and Q_1, from their Hermitian parts.
+    def _block_spectrum(self, b: int, unitary: bool) -> np.ndarray:
+        """Eigenvalues of Q_b; a unitary block's come from its Hermitian part.
 
-        H = (Q_b + Q_b^H) / 2 has Q_b's eigenvectors and the eigenvalues
-        cos(theta) of its e^(i theta), so ``eigh`` gives them; the sorted
-        eigenvalues split into clusters at gaps above ``_CLUSTER_GAP``.
-        Each cluster's columns V_c of the eigenvector matrix span an
-        invariant subspace of Q_b, and the eigenvalues of the compression
-        V_c^H Q_b V_c are the cluster's.  A conjugate pair of a real block
-        shares its cosine, so it never splits, and a real block stays in
-        float64 throughout, which keeps the pair exact.  One block at a
-        time, H overwrites Q_b; the compressions of both blocks are solved
-        after the last ``eigh``, by one ``np.linalg.eigvals`` per cluster
-        size.
+        H = (Q_b + Q_b^H) / 2 has the eigenvectors V of a unitary Q_b and
+        the eigenvalues cos(theta) of its e^(i theta), so ``eigh`` gives
+        them; the sorted eigenvalues split into clusters at gaps above
+        ``_CLUSTER_GAP``.  Each cluster's columns V_c span an invariant
+        subspace of Q_b, and the eigenvalues of the compression
+        V_c^H Q_b V_c are the cluster's, solved by one
+        ``np.linalg.eigvals`` per cluster size.  A conjugate pair of a real
+        block shares its cosine, so it never splits, and a real block stays
+        in float64 throughout, which keeps the pair exact.  H overwrites
+        Q_b, and Q_b V is one held sweep of a copy of V.
         """
-        compressions = {}
-        for b in (0, 1):
-            h = self._half(b)
-            h += h.conj().T  # numpy buffers the overlapping operand
-            h *= 0.5
-            w, v = np.linalg.eigh(h)
-            del h
-            for k, stack in self._compressions(b, w, v).items():
-                compressions.setdefault(k, []).append(stack)
-            del v  # before the next block's eigh
-        return np.concatenate([np.linalg.eigvals(np.concatenate(c)).reshape(-1)
-                               for c in compressions.values()])
-
-    def _compressions(self, b: int, w: np.ndarray, v: np.ndarray) -> dict:
-        """V_c^H Q_b V_c of each cluster of the sorted ``w``, stacked by cluster size.
-
-        Q_b V is formed again by ``_step``, at most 256 columns at a time,
-        on spans of whole clusters.  The stacks are allocated before those
-        sweeps, so the sweeps' freed arrays leave no hole under a live one
-        and the next block's ``eigh`` reuses their memory.
-        """
+        h = self._half(b)
+        if not unitary:
+            return np.linalg.eigvals(h)
+        h += h.conj().T  # numpy buffers the overlapping operand
+        h *= 0.5
+        w, v = np.linalg.eigh(h)
+        del h
+        qv = self._step(b, v.copy())
         starts = np.flatnonzero(np.diff(w, prepend=-np.inf) > _CLUSTER_GAP)
         sizes = np.diff(starts, append=len(w))
+        eig = []
         # bincount, not np.unique, which imports numpy.ma (18 ms, 1.1 MB)
-        counts = np.bincount(sizes)
-        stacks = {k: np.empty((counts[k], k, k), v.dtype) for k in np.flatnonzero(counts)}
-        filled = dict.fromkeys(stacks, 0)
-        # a span holds the clusters that start in one 256-column window
-        firsts = np.flatnonzero(np.diff(starts // _BLOCK_COLUMNS, prepend=-1))
-        for span in map(slice, firsts, np.append(firsts[1:], len(starts))):
-            lo = starts[span][0]
-            hi = lo + sizes[span].sum()
-            # V^H Q_b V on the span; its diagonal blocks are the compressions
-            projected = np.empty((hi - lo, hi - lo), dtype=v.dtype)
-            for j in range(lo, hi, _BLOCK_COLUMNS):
-                cols = slice(j, min(hi, j + _BLOCK_COLUMNS))
-                projected[:, j - lo:cols.stop - lo] = (v[:, lo:hi].conj().T
-                                                       @ self._step(b, v[:, cols].copy()))
-            for k in np.flatnonzero(np.bincount(sizes[span])):
-                idx = starts[span][sizes[span] == k, None] - lo + np.arange(k)
-                stacks[k][filled[k]:filled[k] + len(idx)] = (
-                    projected[idx[:, :, None], idx[:, None, :]])
-                filled[k] += len(idx)
-        return stacks
+        for k in np.flatnonzero(np.bincount(sizes)):
+            compressions = np.stack([v[:, lo:lo + k].conj().T @ qv[:, lo:lo + k]
+                                     for lo in starts[sizes == k]])
+            eig.append(np.linalg.eigvals(compressions).reshape(-1))
+        return np.concatenate(eig)
 
     def _step(self, b: int, columns: np.ndarray) -> np.ndarray:
         """Q_b applied to each column of a (2^(N-1), width) array, in one held sweep of it."""

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, DomainError
 
 
 def complex_pair(z) -> list:
@@ -17,12 +17,19 @@ def complex_pair(z) -> list:
     return [z.real, z.imag]
 
 
+def real_number(value) -> float:
+    """``float(value)``, but a bool, Python or numpy, is refused with DomainError."""
+    if isinstance(value, (bool, np.bool_)):
+        raise DomainError(f"expected a number, got the boolean {value!r}")
+    return float(value)
+
+
 def from_pair(pair) -> complex:
-    if isinstance(pair, (int, float)):
-        return complex(pair)
+    if isinstance(pair, (int, float, np.bool_)):
+        return complex(real_number(pair))
     try:
         real, imag = pair
-        return complex(float(real), float(imag))
+        return complex(real_number(real), real_number(imag))
     except (TypeError, ValueError):
         raise DimensionMismatch(f"expected [re, im], got {pair!r}")
 

@@ -275,6 +275,21 @@ class TestInputErrors:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and "--tol" in err
 
+    @pytest.mark.parametrize("argv, config", [
+        (("--model", "custom", "--matrix", "[true,0,0,0, 0,true,0,0, 0,0,true,0, 0,0,0,true]",
+          "--n", "2", "--rmax", "1", "--format", "csv"), None),
+        (("--n", "3", "--rmax", "2", "--format", "csv"), {"model": "dk", "params": [True, 0.5]}),
+        (("--n", "3", "--rmax", "2"), {"model": "dk", "params": [0.6, 0.8], "u": [[True, False]]}),
+    ], ids=["matrix-entry", "family-param", "u-pair"])
+    def test_json_boolean_is_not_a_number(self, capsys, tmp_path, argv, config):
+        # read as 1, each would run: the identity, dk(1, 0.5), or a pole at u = 1 (exit 1)
+        if config is not None:
+            cfg = tmp_path / "run.json"
+            cfg.write_text(json.dumps(config))
+            argv += ("--config", str(cfg))
+        code, out, err = run(capsys, "zeta", *argv)
+        assert code == 2 and out == "" and "True" in err
+
     def test_non_numeric_initial_names_the_flag(self, capsys):
         code, out, err = run(capsys, "evolve", "--model", "qca2", "--params", "0,0",
                              "--n", "3", "--initial", "0x1")

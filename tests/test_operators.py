@@ -34,7 +34,7 @@ from ipszeta import (
     tensor_model_cr,
 )
 from ipszeta.config import DEFAULTS
-from ipszeta.operators import _UNITARY_TOL, _is_unitary, _transfer_cheaper
+from ipszeta.operators import _UNITARY_TOL, _transfer_cheaper
 
 from helpers import (
     E00,
@@ -533,7 +533,9 @@ class TestPowerEqualsIdentity:
     lambda: GlobalOperator(RULE90, 2).trace_powers(1.5),
     lambda: GlobalOperator(RULE90, 2).power_equals_identity(1.5, 1e-10),
     lambda: GlobalOperator(RULE90, "3"),
-], ids=["n_sites", "trace_powers", "power_equals_identity", "string"])
+    lambda: GlobalOperator(RULE90, True),
+    lambda: GlobalOperator(RULE90, 2).trace_powers(np.True_),
+], ids=["n_sites", "trace_powers", "power_equals_identity", "string", "bool", "numpy-bool"])
 def test_sizes_and_powers_must_be_integers(call):
     with pytest.raises(DomainError, match="must be an integer"):
         call()
@@ -643,17 +645,22 @@ def test_parity_block_spectrum_matches_the_kron_oracle(right0, right1, n):
 
 def test_spectrum_never_allocates_the_dense_form():
     # the 2^10-square float64 form alone is 8 MiB, one parity block 2 MiB;
-    # qca2 takes the unitary path, dk the general one
-    for spec, unitary in ((ModelSpec.qca2(0.3, 0.7), True), (ModelSpec.dk(0.6, 0.8), False)):
-        op = _op(spec, 10)
-        assert _is_unitary(op.local.entries) == unitary
+    # qca2 takes the unitary path, dk the general one, and the complex
+    # tensor the unitary path in complex128, whose parity block is 4 MiB
+    complex_unitary = LocalOperator(np.kron([[0.6, -0.8j], [-0.8j, 0.6]],
+                                            np.diag([0.6 + 0.8j, -0.8 + 0.6j])))
+    for local, unitary, bound in ((build_local(ModelSpec.qca2(0.3, 0.7)), True, 9 * 2 ** 20),
+                                  (build_local(ModelSpec.dk(0.6, 0.8)), False, 9 * 2 ** 20),
+                                  (complex_unitary, True, 3 * 4 * 2 ** 20)):
+        op = GlobalOperator(local, 10)
+        assert classify(op.local, _UNITARY_TOL).is_qca == unitary
         tracemalloc.start()
         try:
             op.eigenvalues()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 9 * 2 ** 20, spec
+        assert peak <= bound, local.entries
 
 
 def test_block_power_step_allocates_no_second_image():
@@ -691,7 +698,7 @@ _ORTHOGONAL = st.tuples(st.sampled_from((rotation, reflection)),
        st.integers(1, 8))
 def test_unitary_spectrum_matches_the_oracles(blocks, n):
     local = LocalOperator.from_blocks(*blocks)
-    assert _is_unitary(local.entries)
+    assert classify(local, _UNITARY_TOL).is_qca
     op = GlobalOperator(local, n)
     eig = op.eigenvalues()
     assert _largest_matched_distance(eig, np.linalg.eigvals(kron_global(local.entries, n))) <= 1e-12
@@ -713,7 +720,7 @@ def test_an_operator_past_the_unitary_gate_takes_the_general_path(monkeypatch, s
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
     local = LocalOperator.from_blocks(scale * rotation(0.3), reflection(0.7))
-    assert _is_unitary(local.entries) == unitary
+    assert classify(local, _UNITARY_TOL).is_qca == unitary
     eig = GlobalOperator(local, 6).eigenvalues()
     assert calls == ([(32, 32)] * 2 if unitary else [])
     assert _largest_matched_distance(eig, np.linalg.eigvals(kron_global(local.entries, 6))) <= 1e-12
