@@ -27,7 +27,6 @@ from .operators import Configuration, GlobalOperator
 from .dynamics import StateKind, evolve_states, evolve_trajectory, initial_state, state_kind
 from .serialize import complex_pair, from_pair, series_csv, spectrum_csv, trace_csv, trajectory_csv
 from .verify import FORMULA_IDS, run_formula
-from .zeta import ZetaLogSeries
 
 _PI_FRACTION = re.compile(r"^(?P<sign>[+-]?)(?P<coef>\d+(?:\.\d+)?)?pi(?:/(?P<den>\d+(?:\.\d+)?))?$")
 
@@ -246,12 +245,11 @@ def cmd_zeta(args) -> int:
                            f"N={DEFAULTS.dense_cap}; got N={n}")
     op = GlobalOperator(build_local(spec), n)
     r_max = DEFAULTS.series_order if args.rmax is None else args.rmax
-    traces = op.trace_powers(r_max)
-    series = ZetaLogSeries.from_traces(traces)
+    series = op.trace_powers(r_max)
     if args.format == "csv":
-        _emit(series_csv(series) if args.coefficients else trace_csv(traces), args.out)
+        _emit(series_csv(series) if args.coefficients else trace_csv(series), args.out)
         return 0
-    values = traces.values
+    values = series.values
     doc = {
         "model": spec.to_json(),
         "n_sites": n,
@@ -260,7 +258,7 @@ def cmd_zeta(args) -> int:
             {
                 "r": i + 1,
                 "trace": complex_pair(values[i]),
-                "c_r": complex_pair(traces.c_values[i]),
+                "c_r": complex_pair(series.c_values[i]),
                 "coefficient": complex_pair(series.coefficients[i]),
             }
             for i in range(r_max)

@@ -1,7 +1,9 @@
 """Numeric defaults shared across the package.
 
-Every tolerance, cap, and truncation default lives in this one structure so
-nothing is tuned ad hoc at call sites.
+``DEFAULTS`` holds the defaults that the CLI or more than one module reads,
+plus ``drift_tol``, ``quad_nodes`` and ``double_root_tol``.  A constant
+private to one module (``_UNITARY_TOL``, ``_CLUSTER_GAP``, ``_TRANSFER_COST``,
+``_CONSTRUCT_TOL``, ``_REAL_TOL``, ``_SLAB_BYTES``) stays next to its code.
 """
 
 from dataclasses import dataclass

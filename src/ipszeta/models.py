@@ -60,6 +60,14 @@ _FAMILIES = {
 MODEL_NAMES = (*_FAMILIES, "tensor", "custom")
 
 
+def _complex_matrix(name: str, value) -> np.ndarray:
+    """A complex128 copy of ``value``; a boolean array is refused with DomainError."""
+    m = np.asarray(value)
+    if m.dtype == np.bool_:
+        raise DomainError(f"{name} entries must be numbers, got a boolean array")
+    return m.astype(np.complex128)
+
+
 @dataclass(frozen=True)
 class LocalOperator:
     """Validated 4x4 transition-weight matrix of a two-site update."""
@@ -67,7 +75,7 @@ class LocalOperator:
     entries: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.entries, dtype=np.complex128)
+        m = _complex_matrix("local operator", self.entries)
         if m.shape != (4, 4):
             raise ConstraintViolation(f"local operator must be 4x4, got shape {m.shape}")
         if not np.all(np.isfinite(m)):
@@ -115,7 +123,7 @@ class TensorFactors:
 
     def __post_init__(self):
         for name in ("left", "right"):
-            m = np.array(getattr(self, name), dtype=np.complex128)
+            m = _complex_matrix(f"{name} factor", getattr(self, name))
             if m.shape != (2, 2):
                 raise DimensionMismatch(f"{name} factor must be 2x2, got shape {m.shape}")
             if not np.all(np.isfinite(m)):

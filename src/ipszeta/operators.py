@@ -13,9 +13,10 @@ of the first N - 1 sites with the last held at b.  The blocks of a
 unitary Q are normal, so ``eigenvalues`` solves them through the
 Hermitian eigensolver; every other block goes to nonsymmetric QR.
 
-Traces have two engines behind ``GlobalOperator.trace_powers``.  The brute
-engine sweeps blocks of identity columns through both halves in
-O(r 4^N / 2).  The transfer engine reads the r-periodic space-time
+Traces have two engines behind ``GlobalOperator.trace_powers``, which
+returns the averages C_r as a ``zeta.ZetaLogSeries``.  The brute engine
+sweeps blocks of identity columns through both halves in O(r 4^N / 2).
+The transfer engine reads the r-periodic space-time
 histories along space: the right site of each pair is read before it
 changes, so the weight of a history is a product over neighbouring sites
 of
@@ -31,7 +32,6 @@ A cost model picks the engine; see ``_transfer_cheaper``.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -47,8 +47,10 @@ from .errors import (
     SizeExceeded,
 )
 from .models import LocalOperator, classify
+from .serialize import positive_int
+from .zeta import ZetaLogSeries, _ldexp
 
-__all__ = ["Configuration", "GlobalOperator", "TraceSequence"]
+__all__ = ["Configuration", "GlobalOperator"]
 
 # identity columns swept together by the brute trace and power engine
 _BLOCK_BITS = 8
@@ -96,41 +98,6 @@ class Configuration:
         return v
 
 
-@dataclass(frozen=True)
-class TraceSequence:
-    """The averages C_r = tr(Q^r) / 2^N for r = 1..R; the traces on request."""
-
-    n_sites: int
-    c_values: np.ndarray
-
-    def __post_init__(self):
-        c = self._finite(np.array(self.c_values, dtype=np.complex128).reshape(-1))
-        c.setflags(write=False)
-        object.__setattr__(self, "c_values", c)
-
-    def _finite(self, v: np.ndarray) -> np.ndarray:
-        if not np.all(np.isfinite(v)):
-            raise DomainError(f"the traces at N={self.n_sites} leave the float range: "
-                              "a value is not finite")
-        return v
-
-    @property
-    def order(self) -> int:
-        return len(self.c_values)
-
-    @property
-    def values(self) -> np.ndarray:
-        """tr(Q^r) = 2^N C_r; a trace that leaves the float range raises DomainError."""
-        # the check refuses what is not finite, so numpy need not warn of overflow
-        with np.errstate(over="ignore", invalid="ignore"):
-            return self._finite(_ldexp(self.c_values, self.n_sites))
-
-
-def _ldexp(z: np.ndarray, exponent: int) -> np.ndarray:
-    """Complex ``z * 2**exponent`` for any int exponent; exact unless it leaves the float range."""
-    return np.ldexp(z.real, exponent) + 1j * np.ldexp(z.imag, exponent)
-
-
 def _transfer_cheaper(n_sites: int, r_max: int) -> bool:
     """Whether the transfer engine does less work than the brute one, in bounded memory.
 
@@ -158,19 +125,6 @@ def _space_time_dual(q: np.ndarray) -> np.ndarray:
     return m
 
 
-def _positive_int(name: str, value) -> int:
-    """``value`` as an int, refused with DomainError unless it is an integer >= 1, not a bool."""
-    try:
-        if isinstance(value, bool):
-            raise TypeError
-        value = operator.index(value)
-    except TypeError:
-        raise DomainError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise DomainError(f"{name} must be positive, got {value}")
-    return value
-
-
 class GlobalOperator:
     """Lazy 2^N x 2^N evolution operator built from one local operator.
 
@@ -186,7 +140,7 @@ class GlobalOperator:
         if not isinstance(local, LocalOperator):
             local = LocalOperator(local)
         self.local = local
-        self.n_sites = _positive_int("n_sites", n_sites)
+        self.n_sites = positive_int("n_sites", n_sites)
         self._eigenvalues: Optional[np.ndarray] = None
 
     @property
@@ -219,19 +173,19 @@ class GlobalOperator:
                               "float range: an entry is not finite")
         return q_b
 
-    def trace_powers(self, r_max: int) -> TraceSequence:
-        """C_r for r = 1..r_max from the engine the cost model picks.
+    def trace_powers(self, r_max: int) -> ZetaLogSeries:
+        """C_r for r = 1..r_max and their log series, from the engine the cost model picks.
 
         Transfer costs O(N r 2^r) per r, brute O(r 4^N / 2).  A C_r that leaves
         the float range raises DomainError, and so does a trace read from
         ``values`` that leaves it.
         """
-        r_max = _positive_int("r_max", r_max)
+        r_max = positive_int("r_max", r_max)
         engine = (self._transfer_traces if _transfer_cheaper(self.n_sites, r_max)
                   else self._brute_traces)
-        # TraceSequence refuses what is not finite, so numpy need not warn of overflow
+        # ZetaLogSeries refuses what is not finite, so numpy need not warn of overflow
         with np.errstate(over="ignore", invalid="ignore"):
-            return TraceSequence(self.n_sites, engine(r_max))
+            return ZetaLogSeries(self.n_sites, engine(r_max))
 
     def _brute_traces(self, r_max: int) -> np.ndarray:
         """C_r for r = 1..r_max from the diagonals of both parity blocks, in O(r 4^N / 2)."""
@@ -356,7 +310,7 @@ class GlobalOperator:
 
         A NaN or negative ``tol`` raises DomainError; a NaN entry fails.
         """
-        r = _positive_int("power", r)
+        r = positive_int("power", r)
         if not tol >= 0:
             raise DomainError(f"tol must be a number >= 0, got {tol!r}")
         for start, power, image in self._block_powers(r):

@@ -7,6 +7,8 @@ function.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError
@@ -24,8 +26,21 @@ def real_number(value) -> float:
     return float(value)
 
 
+def positive_int(name: str, value) -> int:
+    """``value`` as an int, refused with DomainError unless it is an integer >= 1, not a bool."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        value = operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise DomainError(f"{name} must be positive, got {value}")
+    return value
+
+
 def from_pair(pair) -> complex:
-    if isinstance(pair, (int, float, np.bool_)):
+    if isinstance(pair, (int, float, np.integer, np.floating, np.bool_)):
         return complex(real_number(pair))
     try:
         real, imag = pair
@@ -59,12 +74,12 @@ def _csv_table(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def trace_csv(trace_seq) -> str:
+def trace_csv(series) -> str:
     """CSV table of trace powers: header r,trace_re,trace_im,c_r_re,c_r_im."""
     return _csv_table(
         ("r", "trace_re", "trace_im", "c_r_re", "c_r_im"),
         ((r, t.real, t.imag, c.real, c.imag)
-         for r, (t, c) in enumerate(zip(trace_seq.values, trace_seq.c_values), 1)),
+         for r, (t, c) in enumerate(zip(series.values, series.c_values), 1)),
     )
 
 

@@ -35,11 +35,10 @@ import numpy as np
 
 from .errors import DomainError
 from .models import LocalOperator, ModelSpec, TensorFactors, build_local
-from .operators import GlobalOperator, _positive_int
-from .serialize import complex_pair
+from .operators import GlobalOperator
+from .serialize import complex_pair, positive_int
 from .zeta import (
     SQRT2,
-    ZetaLogSeries,
     _unit_disk_point,
     binomial_zeta_qca1,
     chebyshev_t,
@@ -142,7 +141,7 @@ def _binomial_series_coefficients(n_values, r_max, **_):
     for xi in SIX_XI:
         local = build_local(ModelSpec.qca1(xi, xi))
         for n in n_values:
-            series = ZetaLogSeries.from_traces(GlobalOperator(local, n).trace_powers(r_max))
+            series = GlobalOperator(local, n).trace_powers(r_max)
             k = np.arange(n)
             # int true division is correctly rounded: 2.0 ** (n - 1) overflows from N = 1025
             weights = np.array([math.comb(n - 1, kk) / (1 << (n - 1)) for kk in k])
@@ -158,7 +157,7 @@ def _gaussian_limit(n_values, notes, **_):
     Passes when the gap sequence decreases up to the noise factor and the
     final gap is below tolerance; the gaps themselves go in the report.
     """
-    n_values = [_positive_int("n_sites", n) for n in n_values]
+    n_values = [positive_int("n_sites", n) for n in n_values]
     limit = clt_limit_zeta(CLT_XI, CLT_U)
     gaps = [abs(binomial_zeta_qca1(n, CLT_XI / math.sqrt(n), CLT_U) - limit) for n in n_values]
     monotone = all(gaps[i + 1] <= gaps[i] * CLT_NOISE for i in range(len(gaps) - 1))
@@ -211,7 +210,7 @@ def _zeta_series(n_values, r_max, u_points, xi: float,
     """
     for n in n_values:
         closed_values = [closed(n, u) for u in u_points]
-        series = ZetaLogSeries.from_traces(_qca2_operator(xi, n).trace_powers(r_max))
+        series = _qca2_operator(xi, n).trace_powers(r_max)
         for u, value in zip(u_points, closed_values):
             yield abs(value - series.evaluate(u)), {"n": n, "u": complex_pair(u)}
 

@@ -2,8 +2,8 @@
 
 The log of the inverse zeta-type function of an operator Q on N sites
 expands as sum_r (-C_r / r) u^r with C_r = tr(Q^r) / 2^N.  This module
-builds that series from a trace sequence (``ZetaLogSeries.from_traces`` of
-``GlobalOperator.trace_powers``) and evaluates every closed form the
+holds that sequence, ``ZetaLogSeries``, the value of
+``GlobalOperator.trace_powers``, and evaluates every closed form the
 library verifies: the tensor-factor eigenvalue product, the binomial log
 sum and its Gaussian limit for the uniform-rotation family, and the
 recurrences, trace rules and arctanh forms for the reflection family
@@ -19,14 +19,14 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import DEFAULTS
 from .errors import DomainError, SingularAtU
 from .models import TensorFactors
-from .operators import TraceSequence, _positive_int
+from .serialize import positive_int
 
 SQRT2 = math.sqrt(2.0)
 
@@ -68,26 +68,43 @@ def arctanh(u) -> complex:
     return 0.5 * (np.log(1.0 + u) - np.log(1.0 - u))
 
 
+def _ldexp(z: np.ndarray, exponent: int) -> np.ndarray:
+    """Complex ``z * 2**exponent`` for any int exponent; exact unless it leaves the float range."""
+    return np.ldexp(z.real, exponent) + 1j * np.ldexp(z.imag, exponent)
+
+
 @dataclass(frozen=True)
 class ZetaLogSeries:
-    """Truncated power series of the log of the inverse zeta-type function.
+    """The averages C_r = tr(Q^r) / 2^N for r = 1..R and their truncated log series.
 
-    The coefficient of u^r sits at index r-1 and equals -C_r / r.
+    ``coefficients`` holds the coefficient -C_r / r of u^r at index r-1;
+    ``values`` forms the traces on request.
     """
 
     n_sites: int
-    coefficients: np.ndarray
+    c_values: np.ndarray
+    coefficients: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        c = np.array(self.coefficients, dtype=np.complex128).reshape(-1)
+        c = self._finite(np.array(self.c_values, dtype=np.complex128).reshape(-1))
         c.setflags(write=False)
-        object.__setattr__(self, "coefficients", c)
+        object.__setattr__(self, "c_values", c)
+        coefficients = -c / np.arange(1, len(c) + 1, dtype=np.float64)
+        coefficients.setflags(write=False)
+        object.__setattr__(self, "coefficients", coefficients)
 
-    @classmethod
-    def from_traces(cls, traces: TraceSequence) -> "ZetaLogSeries":
-        """Series coefficients -C_r / r from a computed trace sequence."""
-        r = np.arange(1, traces.order + 1, dtype=np.float64)
-        return cls(traces.n_sites, -traces.c_values / r)
+    def _finite(self, v: np.ndarray) -> np.ndarray:
+        if not np.all(np.isfinite(v)):
+            raise DomainError(f"the traces at N={self.n_sites} leave the float range: "
+                              "a value is not finite")
+        return v
+
+    @property
+    def values(self) -> np.ndarray:
+        """tr(Q^r) = 2^N C_r; a trace that leaves the float range raises DomainError."""
+        # the check refuses what is not finite, so numpy need not warn of overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._finite(_ldexp(self.c_values, self.n_sites))
 
     def evaluate(self, u) -> complex:
         """Sum of coefficient_r * u^r in ascending order of r."""
@@ -118,7 +135,7 @@ def tensor_model_cr(factors: TensorFactors, n_sites: int, r: int) -> complex:
     """
     if n_sites < 2:
         raise DomainError(f"tensor C_r needs N >= 2, got {n_sites}")
-    r = _positive_int("power", r)
+    r = positive_int("power", r)
     right = factors.right
     if right[0, 1] != 0 or right[1, 0] != 0:
         raise DomainError("right factor must be diagonal")
@@ -139,7 +156,7 @@ def _check_finite(name: str, value) -> None:
 
 
 def _check_sites_and_angle(n_sites: int, xi: float) -> None:
-    _positive_int("n_sites", n_sites)
+    positive_int("n_sites", n_sites)
     _check_finite("angle", xi)
 
 
@@ -224,7 +241,7 @@ def rule90_trace_general_r(n_sites: int, k: int, s: int) -> float:
     Exact for every N >= 1 (README, "Rule 90 for every N"); a value above
     the float range, 2^min(2^k, N) >= 2^1024, raises DomainError.
     """
-    n_sites = _positive_int("n_sites", n_sites)
+    n_sites = positive_int("n_sites", n_sites)
     if k < 0:
         raise DomainError(f"k must be >= 0, got {k}")
     if s < 1:
@@ -253,7 +270,7 @@ def zeta_closed_form_qca2(n_sites: int, variant: str, u) -> complex:
 
     Both ``pi_half`` and ``rule90`` hold for every N >= 1.
     """
-    _positive_int("n_sites", n_sites)
+    positive_int("n_sites", n_sites)
     u = _unit_disk_point(u)
     if variant == "pi_half":
         amplitude = 2.0 ** (-(n_sites - 1) / 2.0) * chebyshev_t(n_sites - 1, SQRT2 / 2.0)

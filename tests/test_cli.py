@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from ipszeta import (Configuration, DomainError, GlobalOperator, ModelSpec, StateKind,
-                     TraceSequence, build_local, chebyshev_t, initial_state, qca2_c1_closed_form,
+                     ZetaLogSeries, build_local, chebyshev_t, initial_state, qca2_c1_closed_form,
                      qca2_x2_recurrence)
 from ipszeta.dynamics import evolve_states
 from ipszeta.serialize import complex_pair
@@ -151,8 +151,8 @@ class TestZeta:
 
     def test_json_forms_the_traces_once(self, capsys, monkeypatch):
         reads = []
-        values = TraceSequence.values
-        monkeypatch.setattr(TraceSequence, "values",
+        values = ZetaLogSeries.values
+        monkeypatch.setattr(ZetaLogSeries, "values",
                             property(lambda ts: reads.append(ts) or values.fget(ts)))
         code, out, _ = run(capsys, "zeta", "--model", "dk", "--params", "0.3,0.7",
                            "--n", "4", "--rmax", "6")

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from ipszeta import (
     ConstraintViolation,
     DomainError,
+    GlobalOperator,
     LocalOperator,
     ModelSpec,
     TensorFactors,
@@ -89,6 +90,19 @@ def test_custom_rejects_non_finite():
     bad[0, 0] = np.nan
     with pytest.raises(ConstraintViolation):
         LocalOperator(bad)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: LocalOperator(np.eye(4, dtype=bool)),
+    lambda: build_local(ModelSpec.custom(np.eye(4, dtype=bool))),
+    lambda: build_local(ModelSpec.tensor(np.eye(2, dtype=bool), np.eye(2))),
+    lambda: TensorFactors(np.eye(2), np.eye(2, dtype=bool)),
+    lambda: GlobalOperator(np.eye(4, dtype=bool), 2),
+], ids=["local", "custom", "tensor", "factors", "global"])
+def test_boolean_matrices_are_refused(build):
+    # a cast to complex128 would read True as 1 and build the identity
+    with pytest.raises(DomainError, match="boolean array"):
+        build()
 
 
 def test_unknown_model_name():

@@ -23,7 +23,7 @@ from ipszeta import (
     SingularAtU,
     SizeExceeded,
     TensorFactors,
-    TraceSequence,
+    ZetaLogSeries,
     build_local,
     binomial_zeta_qca1,
     classify,
@@ -320,12 +320,15 @@ class TestTracePowers:
 
     def test_sequence_finite_enforced(self):
         with pytest.raises(DomainError):
-            TraceSequence(2, np.array([1.0, np.inf]))
+            ZetaLogSeries(2, np.array([1.0, np.inf]))
 
     def test_averages_past_the_float_range_of_2_to_the_n(self):
         # C_r is stored: 2^-50 is a float, its trace 2^1050 at N = 1100 is not
-        ts = TraceSequence(1100, [2.0 ** -100, -3.0j * 2.0 ** -50])
+        ts = ZetaLogSeries(1100, [2.0 ** -100, -3.0j * 2.0 ** -50])
         np.testing.assert_array_equal(ts.c_values, [2.0 ** -100, -3.0j * 2.0 ** -50])
+        # the series needs no trace, so zeta --coefficients works past the float range
+        np.testing.assert_array_equal(ts.coefficients, [-2.0 ** -100, 1.5j * 2.0 ** -50])
+        assert ts.evaluate(0.5) == -2.0 ** -101 + 1.5j * 2.0 ** -52
         with pytest.raises(DomainError, match="N=1100 leave the float range"):
             ts.values
 
@@ -333,8 +336,13 @@ class TestTracePowers:
     @given(st.lists(st.builds(complex, _SCALED, _SCALED), min_size=1, max_size=4),
            st.integers(1, 5000))
     def test_sequence_stores_c_and_forms_traces_on_request(self, c, n):
-        ts = TraceSequence(n, c)
+        ts = ZetaLogSeries(n, c)
         assert ts.c_values.tobytes() == np.array(c, dtype=np.complex128).tobytes()
+        r = np.arange(1, len(c) + 1, dtype=np.float64)
+        assert ts.coefficients.tobytes() == (-np.array(c, dtype=np.complex128) / r).tobytes()
+        for stored in (ts.c_values, ts.coefficients):
+            with pytest.raises(ValueError, match="read-only"):
+                stored[0] = 0
         try:
             expected = [complex(math.ldexp(z.real, n), math.ldexp(z.imag, n)) for z in c]
         except OverflowError:
@@ -543,7 +551,7 @@ def test_sizes_and_powers_must_be_integers(call):
 
 def test_numpy_integer_sizes_are_accepted():
     op = GlobalOperator(RULE90, np.int64(3))
-    assert type(op.n_sites) is int and op.trace_powers(np.int32(2)).order == 2
+    assert type(op.n_sites) is int and len(op.trace_powers(np.int32(2)).c_values) == 2
 
 
 def _unitary_block(alpha, beta, gamma, theta):

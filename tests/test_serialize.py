@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ipszeta import DimensionMismatch, GlobalOperator, ModelSpec, ZetaLogSeries, build_local
+from ipszeta import DimensionMismatch, DomainError, GlobalOperator, ModelSpec, build_local
 from ipszeta.serialize import (
     complex_pair,
     from_pair,
@@ -22,6 +22,18 @@ def test_pair_round_trip():
     for z in (0.0, 1.5, -2j, 0.3 + 0.4j):
         assert from_pair(complex_pair(z)) == complex(z)
     assert from_pair(2) == 2.0 + 0j
+
+
+@pytest.mark.parametrize("scalar, expected", [(np.int64(3), 3), (np.float32(0.5), 0.5)],
+                         ids=["numpy-int", "numpy-float"])
+def test_numpy_scalars_read_like_python_numbers(scalar, expected):
+    assert from_pair(scalar) == complex(expected)
+
+
+@pytest.mark.parametrize("flag", (True, np.True_), ids=["bool", "numpy-bool"])
+def test_pair_refuses_booleans(flag):
+    with pytest.raises(DomainError, match="boolean"):
+        from_pair(flag)
 
 
 def test_pair_shape_checked():
@@ -55,7 +67,7 @@ def test_trace_csv_header_and_values():
 
 
 def test_series_csv_header_and_values():
-    series = ZetaLogSeries.from_traces(GlobalOperator(np.eye(4), 2).trace_powers(4))
+    series = GlobalOperator(np.eye(4), 2).trace_powers(4)
     lines = series_csv(series).strip().splitlines()
     assert lines[0] == "r,coeff_re,coeff_im"
     assert lines[1] == "1,-1,0"

@@ -13,7 +13,6 @@ from ipszeta import (
     ModelSpec,
     SingularAtU,
     TensorFactors,
-    ZetaLogSeries,
     arctanh,
     binomial_zeta_qca1,
     build_local,
@@ -36,7 +35,7 @@ def _qca2_op(xi, n, **kw):
 
 
 def _series(op, r_max):
-    return ZetaLogSeries.from_traces(op.trace_powers(r_max))
+    return op.trace_powers(r_max)
 
 
 class TestChebyshev:
