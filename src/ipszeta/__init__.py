@@ -26,7 +26,7 @@ from .models import (
     reflection,
     rotation,
 )
-from .operators import Configuration, GlobalOperator
+from .operators import GlobalOperator
 from .zeta import (
     ZetaLogSeries,
     arctanh,
@@ -59,7 +59,7 @@ __all__ = [
     "KERNEL_BACKEND",
     "LocalOperator", "ModelClass", "ModelSpec", "TensorFactors",
     "build_local", "classify", "factor_tensor", "reflection", "rotation",
-    "Configuration", "GlobalOperator",
+    "GlobalOperator",
     "ClosedFormReport", "ZetaLogSeries", "arctanh",
     "binomial_zeta_qca1", "chebyshev_t", "clt_limit_zeta",
     "qca2_c1_closed_form", "qca2_x2_recurrence", "rule90_trace_general_r",

@@ -23,7 +23,7 @@ import numpy as np
 from .config import DEFAULTS
 from .errors import DomainError, InvalidInput, IpsZetaError, SizeExceeded
 from .models import MODEL_NAMES, ModelSpec, build_local, classify
-from .operators import Configuration, GlobalOperator
+from .operators import GlobalOperator
 from .dynamics import StateKind, evolve_states, evolve_trajectory, initial_state, state_kind
 from .serialize import complex_pair, from_pair, series_csv, spectrum_csv, trace_csv, trajectory_csv
 from .verify import FORMULA_IDS, run_formula
@@ -299,11 +299,12 @@ def cmd_evolve(args) -> int:
         bits = tuple(int(b) for b in args.initial)
     except ValueError:
         raise DomainError(f"--initial takes site bits like 001, got {args.initial!r}")
-    kind = state_kind(op.local) if args.kind is None else _STATE_KINDS[args.kind]
+    # a --kind the model does not fit is refused before the 2^N start is built
+    kind = state_kind(op.local, _STATE_KINDS.get(args.kind))
     steps = 1 if args.steps is None else args.steps
     # no name holds the start state: it is freed once its working copy is made
     evolution = evolve_states if args.format == "json" else evolve_trajectory
-    rows = evolution(initial_state(Configuration(bits), kind, n), op, steps)
+    rows = evolution(initial_state(bits, kind, n), op, steps)
     if args.format == "json":
         # streamed: no document is built, and one state is alive
         head = {"model": spec.to_json(), "n_sites": n, "kind": kind.value}

@@ -1,5 +1,6 @@
 """State evolution under a global operator.
 
+A run starts from one configuration of the N sites, given as its bits.
 Probabilistic states carry configuration probabilities directly; quantum
 states carry amplitudes whose squared moduli are the probabilities.
 Evolution sweeps one working array a step and yields a read-only view of
@@ -19,7 +20,7 @@ from . import kernels
 from .config import DEFAULTS
 from .errors import DimensionMismatch, DomainError, InvariantDrift, KindMismatch
 from .models import LocalOperator, classify
-from .operators import Configuration, GlobalOperator
+from .operators import GlobalOperator
 
 _CONSTRUCT_TOL = 1e-10  # normalization tolerance for freshly built states
 _REAL_TOL = 1e-12       # allowed imaginary / negative leakage of fresh probabilities
@@ -30,7 +31,7 @@ class StateKind(str, enum.Enum):
     QCA_AMPLITUDE = "qca_amplitude"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateVector:
     """Length-2^N configuration vector at a given time step.
 
@@ -88,17 +89,23 @@ class StateVector:
             )
 
 
-def initial_state(config: Configuration, kind: StateKind, n_sites: Optional[int] = None
-                  ) -> StateVector:
-    """Point mass on one configuration at time step 0.
+def initial_state(bits, kind: StateKind, n_sites: Optional[int] = None) -> StateVector:
+    """Point mass at time step 0 on the configuration with site states ``bits``.
 
-    A given ``n_sites`` (say, the operator's) is compared with the
-    configuration before the 2^N vector is allocated, and the state owns
-    that vector: no copy is made.
+    Site 0 is the most significant bit of the index.  The bits and a given
+    ``n_sites`` (say, the operator's) are checked before the 2^N vector is
+    allocated, and the state owns that vector: no copy is made.
     """
-    if n_sites is not None and config.n_sites != n_sites:
-        raise DimensionMismatch(f"configuration has {config.n_sites} sites, need {n_sites}")
-    return StateVector(config.n_sites, StateKind(kind), config.basis_vector(), 0, owned=True)
+    bits = tuple(int(b) for b in bits)
+    if not bits:
+        raise DomainError("a configuration needs at least one site")
+    if any(b not in (0, 1) for b in bits):
+        raise DomainError(f"site states must be 0 or 1, got {bits}")
+    if n_sites is not None and len(bits) != n_sites:
+        raise DimensionMismatch(f"configuration has {len(bits)} sites, need {n_sites}")
+    v = np.zeros(1 << len(bits))
+    v[int("".join(map(str, bits)), 2)] = 1.0
+    return StateVector(len(bits), StateKind(kind), v, 0, owned=True)
 
 
 def state_kind(local: LocalOperator, kind: Optional[StateKind] = None) -> StateKind:

@@ -68,7 +68,7 @@ def _complex_matrix(name: str, value) -> np.ndarray:
     return m.astype(np.complex128)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LocalOperator:
     """Validated 4x4 transition-weight matrix of a two-site update."""
 
@@ -114,7 +114,7 @@ class LocalOperator:
         return self.entries[np.ix_(_RIGHT_SITE[1], _RIGHT_SITE[1])]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TensorFactors:
     """2x2 factor pair whose Kronecker product is a local operator."""
 

@@ -32,7 +32,6 @@ A cost model picks the engine; see ``_transfer_cheaper``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -50,7 +49,7 @@ from .models import LocalOperator, classify
 from .serialize import positive_int
 from .zeta import ZetaLogSeries, _ldexp
 
-__all__ = ["Configuration", "GlobalOperator"]
+__all__ = ["GlobalOperator"]
 
 # identity columns swept together by the brute trace and power engine
 _BLOCK_BITS = 8
@@ -67,35 +66,6 @@ _UNITARY_TOL = 8 * _EPS
 # this; eigh's eigenvectors then span each cluster's subspace to within an
 # angle ~eps / gap, and the compression's eigenvalues err by its square
 _CLUSTER_GAP = _EPS ** (1 / 3)
-
-
-@dataclass(frozen=True)
-class Configuration:
-    """Site occupation pattern and its index (site 0 = most significant bit)."""
-
-    bits: tuple
-
-    def __post_init__(self):
-        bits = tuple(int(b) for b in self.bits)
-        if not bits:
-            raise DomainError("a configuration needs at least one site")
-        if any(b not in (0, 1) for b in bits):
-            raise DomainError(f"site states must be 0 or 1, got {bits}")
-        object.__setattr__(self, "bits", bits)
-
-    @property
-    def n_sites(self) -> int:
-        return len(self.bits)
-
-    @property
-    def index(self) -> int:
-        n = self.n_sites
-        return sum(b << (n - 1 - x) for x, b in enumerate(self.bits))
-
-    def basis_vector(self) -> np.ndarray:
-        v = np.zeros(1 << self.n_sites)
-        v[self.index] = 1.0
-        return v
 
 
 def _transfer_cheaper(n_sites: int, r_max: int) -> bool:

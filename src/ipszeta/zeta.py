@@ -73,7 +73,7 @@ def _ldexp(z: np.ndarray, exponent: int) -> np.ndarray:
     return np.ldexp(z.real, exponent) + 1j * np.ldexp(z.imag, exponent)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ZetaLogSeries:
     """The averages C_r = tr(Q^r) / 2^N for r = 1..R and their truncated log series.
 

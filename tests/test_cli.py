@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from ipszeta import (Configuration, DomainError, GlobalOperator, ModelSpec, StateKind,
+from ipszeta import (DomainError, GlobalOperator, ModelSpec, StateKind,
                      ZetaLogSeries, build_local, chebyshev_t, initial_state, qca2_c1_closed_form,
                      qca2_x2_recurrence)
 from ipszeta.dynamics import evolve_states
@@ -471,7 +471,7 @@ class TestEvolve:
         # the bytes of json.dumps of the whole document, on stdout and in --out
         spec = ModelSpec.from_json({"model": model,
                                     "params": [float(p) for p in params.split(",")]})
-        start = initial_state(Configuration(tuple(map(int, bits))), kind)
+        start = initial_state(bits, kind)
         op = GlobalOperator(build_local(spec), len(bits))
         doc = {"model": spec.to_json(), "n_sites": len(bits), "kind": kind.value, "states": [
             {"step": s.time_step, "components": [complex_pair(z) for z in s.components]}
@@ -530,6 +530,14 @@ class TestEvolve:
         code, out, err = run(capsys, "evolve", "--model", "qca1", "--params", "0.4,1.1",
                              "--n", "2", "--initial", "01", "--steps", "0", "--kind", "pca")
         assert code == 2 and out == "" and "column-stochastic" in err
+
+    def test_kind_is_checked_before_the_start_is_built(self, capsys):
+        # the 2^40 start vector (8 TiB) cannot be allocated, so only a kind
+        # check made first can name the kind
+        code, out, err = run(capsys, "evolve", "--model", "dk", "--params", "0.6,0.8",
+                             "--n", "40", "--initial", "01" * 20, "--kind", "qca")
+        assert code == 2 and out == "" and "allocate" not in err
+        assert "qca_amplitude evolution needs a unitary local operator" in err
 
     @pytest.mark.parametrize("kind", (None, "pca", "qca"))
     def test_model_that_no_kind_fits_exits_2(self, capsys, kind):

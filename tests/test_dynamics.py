@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 import ipszeta.dynamics
 from ipszeta import (
-    Configuration,
     DimensionMismatch,
     DomainError,
     GlobalOperator,
@@ -50,25 +49,37 @@ def _held_states(start, op, steps):
 
 class TestInitialState:
     def test_three_site_example(self):
-        state = initial_state(Configuration((0, 0, 1)), StateKind.PCA_PROBABILITY)
+        state = initial_state((0, 0, 1), StateKind.PCA_PROBABILITY)
         expected = np.zeros(8)
         expected[1] = 1.0
         np.testing.assert_array_equal(state.components, expected)
         assert state.time_step == 0
 
     def test_single_site(self):
-        state = initial_state(Configuration((0,)), StateKind.QCA_AMPLITUDE)
+        state = initial_state((0,), StateKind.QCA_AMPLITUDE)
         np.testing.assert_array_equal(state.components, [1.0, 0.0])
 
     def test_two_site_index(self):
-        state = initial_state(Configuration((1, 1)), StateKind.PCA_PROBABILITY)
+        state = initial_state((1, 1), StateKind.PCA_PROBABILITY)
         assert state.components[3] == 1.0
 
     def test_site_count_is_checked_before_the_vector_is_built(self):
-        assert initial_state(Configuration((1, 0)), StateKind.QCA_AMPLITUDE, 2).n_sites == 2
+        assert initial_state((1, 0), StateKind.QCA_AMPLITUDE, 2).n_sites == 2
         # 2^64 entries cannot be allocated, so this passes only if the check comes first
         with pytest.raises(DimensionMismatch, match="64 sites, need 3"):
-            initial_state(Configuration((0,) * 64), StateKind.PCA_PROBABILITY, 3)
+            initial_state((0,) * 64, StateKind.PCA_PROBABILITY, 3)
+
+
+    def test_msb_first_index_convention(self):
+        # site 0 is the most significant bit: (0,0,1) sits at index 1
+        v = initial_state((0, 0, 1), StateKind.PCA_PROBABILITY).components
+        assert v[1] == 1 and np.count_nonzero(v) == 1
+
+    def test_rejects_bad_bits(self):
+        with pytest.raises(DomainError, match=r"site states must be 0 or 1, got \(0, 2\)"):
+            initial_state((0, 2), StateKind.PCA_PROBABILITY)
+        with pytest.raises(DomainError, match="at least one site"):
+            initial_state((), StateKind.PCA_PROBABILITY)
 
 
 class TestStateInvariants:
@@ -144,7 +155,7 @@ class TestStateOwnership:
     def test_initial_state_owns_its_basis_vector(self):
         tracemalloc.start()
         try:
-            state = initial_state(Configuration((1,) * 18), StateKind.PCA_PROBABILITY)
+            state = initial_state((1,) * 18, StateKind.PCA_PROBABILITY)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -163,7 +174,7 @@ class TestStateOwnership:
         # the marginals' row and column sums, or every state drawn, each a view
         # of that array; a complex run promotes the start once
         bits = tuple(int(b) for b in "011010010110100101")
-        rows = evolution(initial_state(Configuration(bits), kind), _op(spec, 18), 3)
+        rows = evolution(initial_state(bits, kind), _op(spec, 18), 3)
         next(rows)
         tracemalloc.start()
         try:
@@ -179,7 +190,7 @@ class TestStateOwnership:
         # oracle: out-of-place applications from the start vector; a float64
         # start under a complex local, so the working array is promoted once
         op = _op(COMPLEX_QCA, 7)
-        start = initial_state(Configuration((0, 1, 1, 0, 1, 0, 0)), StateKind.QCA_AMPLITUDE)
+        start = initial_state((0, 1, 1, 0, 1, 0, 0), StateKind.QCA_AMPLITUDE)
         rows = list(evolve_trajectory(start, op, 4))
         assert [step for step, _ in rows] == [0, 1, 2, 3, 4]
         v = start.components
@@ -195,31 +206,31 @@ _LEAK_MESSAGE = {"negative": "must be nonnegative", "imaginary": "must be real"}
 class TestEvolve:
     def test_rule90_is_deterministic(self):
         op = GlobalOperator(RULE90, 3)
-        state = initial_state(Configuration((0, 0, 1)), StateKind.PCA_PROBABILITY)
+        state = initial_state((0, 0, 1), StateKind.PCA_PROBABILITY)
         out = last_state(state, op, 1)
-        assert out.components[Configuration((0, 1, 1)).index] == 1.0
+        assert out.components[3] == 1.0
         assert out.time_step == 1
 
     def test_pca_branch_probability(self):
         # one step from (0,0,1): the (0,1,1) branch carries weight 1 * p
         p, q = 0.3, 0.6
-        out = last_state(initial_state(Configuration((0, 0, 1)), StateKind.PCA_PROBABILITY),
+        out = last_state(initial_state((0, 0, 1), StateKind.PCA_PROBABILITY),
                          _op(ModelSpec.dk(p, q), 3), 1)
-        assert out.components[Configuration((0, 1, 1)).index] == pytest.approx(p)
+        assert out.components[3] == pytest.approx(p)
 
     def test_qca_branch_probability(self):
         x1, x2 = 0.4, 1.1
-        out = last_state(initial_state(Configuration((0, 0, 1)), StateKind.QCA_AMPLITUDE),
+        out = last_state(initial_state((0, 0, 1), StateKind.QCA_AMPLITUDE),
                          _op(ModelSpec.qca1(x1, x2), 3), 1)
         expected = abs(math.cos(x1) * math.sin(x2)) ** 2
-        amplitude = out.components[Configuration((0, 1, 1)).index]
+        amplitude = out.components[3]
         assert abs(amplitude) ** 2 == pytest.approx(expected)
 
     def test_kind_mismatch(self):
-        pca_state = initial_state(Configuration((0, 0)), StateKind.PCA_PROBABILITY)
+        pca_state = initial_state((0, 0), StateKind.PCA_PROBABILITY)
         with pytest.raises(KindMismatch):
             last_state(pca_state, _op(ModelSpec.qca1(0.4, 1.1), 2), 1)
-        qca_state = initial_state(Configuration((0, 0)), StateKind.QCA_AMPLITUDE)
+        qca_state = initial_state((0, 0), StateKind.QCA_AMPLITUDE)
         with pytest.raises(KindMismatch):
             last_state(qca_state, _op(ModelSpec.dk(0.3, 0.7), 2), 1)
 
@@ -240,18 +251,18 @@ class TestEvolve:
             assert "--kind" not in str(exc.value)
 
     def test_site_count_mismatch(self):
-        state = initial_state(Configuration((0, 0)), StateKind.PCA_PROBABILITY)
+        state = initial_state((0, 0), StateKind.PCA_PROBABILITY)
         with pytest.raises(DimensionMismatch):
             last_state(state, _op(ModelSpec.dk(0.3, 0.7), 3), 1)
 
     def test_states_follow_the_operator_format(self):
         # a real model keeps float64 states; a complex one promotes them
-        start = initial_state(Configuration((0, 1, 1)), StateKind.PCA_PROBABILITY)
+        start = initial_state((0, 1, 1), StateKind.PCA_PROBABILITY)
         assert start.components.dtype == np.float64
         for state in evolve_states(start, _op(ModelSpec.dk(0.3, 0.7), 3), 3):
             assert state.components.dtype == np.float64
         phase = _op(ModelSpec.tensor(np.eye(2), np.diag([1.0, 1j])), 3)
-        start = initial_state(Configuration((0, 0, 1)), StateKind.QCA_AMPLITUDE)
+        start = initial_state((0, 0, 1), StateKind.QCA_AMPLITUDE)
         out = last_state(start, phase, 1)  # only pair (1, 2) sees a right site 1
         assert out.components.dtype == np.complex128 and out.components[1] == 1j
 
@@ -259,7 +270,7 @@ class TestEvolve:
     @pytest.mark.parametrize("n", (2, 5, 10))
     def test_probability_conserved_100_steps(self, p, n):
         op = _op(ModelSpec.dk(p, 1 - p / 2), n)
-        state = initial_state(Configuration((1,) * n), StateKind.PCA_PROBABILITY)
+        state = initial_state((1,) * n, StateKind.PCA_PROBABILITY)
         out = last_state(state, op, 100)
         assert abs(out.components.real.sum() - 1.0) < 1e-10
 
@@ -267,14 +278,14 @@ class TestEvolve:
     @pytest.mark.parametrize("angles", ((0.4, 1.1), (2.0, 5.5), (math.pi / 2, 0.0)))
     def test_norm_conserved_100_steps(self, model, angles):
         op = _op(ModelSpec(model, angles), 6)
-        state = initial_state(Configuration((0, 1) * 3), StateKind.QCA_AMPLITUDE)
+        state = initial_state((0, 1) * 3, StateKind.QCA_AMPLITUDE)
         out = last_state(state, op, 100)
         assert abs(np.linalg.norm(out.components) - 1.0) < 1e-10
 
     @pytest.mark.parametrize("n,period", ((2, 2), (3, 4), (4, 4)))
     def test_rule90_returns_after_period(self, n, period):
         op = GlobalOperator(RULE90, n)
-        start = initial_state(Configuration((0,) * (n - 1) + (1,)), StateKind.PCA_PROBABILITY)
+        start = initial_state((0,) * (n - 1) + (1,), StateKind.PCA_PROBABILITY)
         out = last_state(start, op, period)
         np.testing.assert_allclose(out.components, start.components, rtol=0, atol=1e-12)
         half = last_state(start, op, period // 2)
@@ -310,7 +321,7 @@ class TestEvolve:
         # the state grows by 2e-10 per step and crosses drift_tol at step 51
         m = [[1 + 1e-10j, 0, 0.5, 0], [0, 1, 0, 0], [0, 0, 0.5, 0], [0, 0, 0, 1]]
         op = GlobalOperator(build_local(ModelSpec.custom(m)), 3)
-        start = initial_state(Configuration((0, 0, 0)), StateKind.PCA_PROBABILITY)
+        start = initial_state((0, 0, 0), StateKind.PCA_PROBABILITY)
         assert state_kind(op.local) is StateKind.PCA_PROBABILITY
         last_state(start, op, 45)
         with pytest.raises(InvariantDrift, match="must be real"):
@@ -319,7 +330,7 @@ class TestEvolve:
 
 class TestObservables:
     def test_basis_marginals(self):
-        state = initial_state(Configuration((0, 0, 1)), StateKind.PCA_PROBABILITY)
+        state = initial_state((0, 0, 1), StateKind.PCA_PROBABILITY)
         np.testing.assert_array_equal(site_marginals(state), [0.0, 0.0, 1.0])
 
     def test_uniform_marginals(self):
@@ -327,7 +338,7 @@ class TestObservables:
         np.testing.assert_allclose(site_marginals(state), [0.5, 0.5], rtol=0, atol=0)
 
     def test_single_site_marginal(self):
-        state = initial_state(Configuration((1,)), StateKind.PCA_PROBABILITY)
+        state = initial_state((1,), StateKind.PCA_PROBABILITY)
         np.testing.assert_array_equal(site_marginals(state), [1.0])
 
     # the leading floor(N/2) sites come from row sums, the others from column
@@ -381,7 +392,7 @@ class TestObservables:
             for x, b in enumerate(out_bits):
                 if b:
                     oracle[x] += w.real
-        out = last_state(initial_state(Configuration((1, 1, 1, 1)), StateKind.PCA_PROBABILITY),
+        out = last_state(initial_state((1, 1, 1, 1), StateKind.PCA_PROBABILITY),
                          _op(ModelSpec.dk(p, p), 4), 1)
         got = site_marginals(out)
         np.testing.assert_allclose(got, oracle, rtol=0, atol=1e-14)
@@ -390,7 +401,7 @@ class TestObservables:
         np.testing.assert_allclose(got, [0.3, 0.3, 0.3, 1.0], rtol=0, atol=1e-14)
 
     def test_qca_probabilities_sum_to_one(self):
-        out = last_state(initial_state(Configuration((0, 1, 0)), StateKind.QCA_AMPLITUDE),
+        out = last_state(initial_state((0, 1, 0), StateKind.QCA_AMPLITUDE),
                          _op(ModelSpec.qca2(0.7, 1.9), 3), 3)
         assert (np.abs(out.components) ** 2).sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -402,13 +413,13 @@ class TestObservables:
             return classify(local, *args, **kwargs)
 
         monkeypatch.setattr(ipszeta.dynamics, "classify", counting)
-        state = initial_state(Configuration((0, 0, 1)), StateKind.PCA_PROBABILITY)
+        state = initial_state((0, 0, 1), StateKind.PCA_PROBABILITY)
         rows = list(evolve_trajectory(state, GlobalOperator(RULE90, 3), 20))
         assert len(rows) == 21 and len(calls) == 1
 
     def test_trajectory_frees_each_state_after_its_step(self):
         # a 2^N start state held for the whole run would raise peak memory by its size
-        start = initial_state(Configuration((0, 0, 1)), StateKind.PCA_PROBABILITY)
+        start = initial_state((0, 0, 1), StateKind.PCA_PROBABILITY)
         ref = weakref.ref(start)
         rows = evolve_trajectory(start, GlobalOperator(RULE90, 3), 3)
         del start
@@ -417,7 +428,7 @@ class TestObservables:
 
     def test_trajectory_steps(self):
         op = GlobalOperator(RULE90, 3)
-        state = initial_state(Configuration((0, 0, 1)), StateKind.PCA_PROBABILITY)
+        state = initial_state((0, 0, 1), StateKind.PCA_PROBABILITY)
         rows = list(evolve_trajectory(state, op, 2))
         assert [r[0] for r in rows] == [0, 1, 2]
         np.testing.assert_array_equal(rows[0][1], [0, 0, 1])

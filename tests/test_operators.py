@@ -13,7 +13,6 @@ from scipy.optimize import linear_sum_assignment
 
 from ipszeta import kernels
 from ipszeta import (
-    Configuration,
     ConvergenceFailure,
     DimensionMismatch,
     DomainError,
@@ -68,18 +67,6 @@ def random_vec(n, seed):
     return rng.standard_normal(2 ** n) + 1j * rng.standard_normal(2 ** n)
 
 
-class TestConfiguration:
-    def test_msb_first_index_convention(self):
-        # site 0 is the most significant bit: (0,0,1) sits at index 1
-        assert Configuration((0, 0, 1)).index == 1
-        v = Configuration((0, 0, 1)).basis_vector()
-        assert v[1] == 1 and np.count_nonzero(v) == 1
-
-    def test_rejects_bad_bits(self):
-        with pytest.raises(DomainError):
-            Configuration((0, 2))
-
-
 def test_matrix_units_and_reflection():
     np.testing.assert_array_equal(E00 + E11, np.eye(2))
     assert E01[0, 1] == 1 and E10[1, 0] == 1
@@ -93,7 +80,7 @@ class TestApply:
         # image of (0,0,1) is the four-term combination of pair weights
         local = build_local(ModelSpec.dk(0.3, 0.6))
         m = local.entries
-        out = GlobalOperator(local, 3).apply(Configuration((0, 0, 1)).basis_vector())
+        out = GlobalOperator(local, 3).apply(np.eye(8)[1])
         expected = np.zeros(8, dtype=complex)
         expected[1] = m[0, 0] * m[1, 1]   # (0,0,1)
         expected[3] = m[0, 0] * m[3, 1]   # (0,1,1)

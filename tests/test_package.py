@@ -8,7 +8,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import ipszeta
+from ipszeta import GlobalOperator, LocalOperator, StateKind, TensorFactors, initial_state
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 # numpy is the one runtime dependency; these are test and tooling extras
@@ -65,3 +69,17 @@ def test_readme_api_list_resolves():
         # a dotted name is read through the package, a bare one is exported
         assert name in ipszeta.__all__ or "." in name, name
         functools.reduce(getattr, name.removeprefix("ipszeta.").split("."), ipszeta)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: LocalOperator(np.eye(4)),
+    lambda: TensorFactors(np.eye(2), np.eye(2)),
+    lambda: GlobalOperator(LocalOperator(np.eye(4)), 2).trace_powers(3),
+    lambda: initial_state((0, 1), StateKind.PCA_PROBABILITY),
+], ids=["LocalOperator", "TensorFactors", "ZetaLogSeries", "StateVector"])
+def test_array_holders_compare_by_identity(make):
+    # equal values are not the same object; numpy arrays would make a
+    # value comparison raise, and the hash of an array fail
+    a, b = make(), make()
+    assert a == a and a != b
+    assert len({a: 1, b: 2}) == 2
