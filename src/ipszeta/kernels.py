@@ -92,7 +92,7 @@ def sweep(vec, local, n_sites, tail=1, held=None):
     n_sites) with site n_sites held at b: the array is placed at the
     parity-b indices of n_sites + 1 sites, swept, and read back from them.
     Any 4x4 ``local`` is applied as given: a local operator keeps the
-    right site of each pair, and the trace engine's space-time dual keeps
+    right site of each pair, and the space-time dual ``transfer.dual`` keeps
     the left one.
 
     ``vec`` must be a writable C-contiguous array in the promoted dtype of

@@ -197,6 +197,16 @@ class ModelSpec:
         elif len(self.params) != 1:  # custom
             raise DomainError("custom takes one 4x4 matrix")
 
+    def __eq__(self, other):
+        return isinstance(other, ModelSpec) and self._value() == other._value()
+
+    def __hash__(self):
+        return hash(self._value())
+
+    def _value(self) -> tuple:
+        """The model and the shape and entries of each parameter, as plain values."""
+        return self.model, tuple((np.shape(p), tuple(np.ravel(p).tolist())) for p in self.params)
+
     @classmethod
     def dk(cls, p: float, q: float) -> "ModelSpec":
         return cls("dk", (p, q))

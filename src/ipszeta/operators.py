@@ -16,27 +16,18 @@ Hermitian eigensolver; every other block goes to nonsymmetric QR.
 Traces have two engines behind ``GlobalOperator.trace_powers``, which
 returns the averages C_r as a ``zeta.ZetaLogSeries``.  The brute engine
 sweeps blocks of identity columns through both halves in O(r 4^N / 2).
-The transfer engine reads the r-periodic space-time
-histories along space: the right site of each pair is read before it
-changes, so the weight of a history is a product over neighbouring sites
-of
-
-    T_r[a, b] = prod_t q[2 a_(t+1) + b_t, 2 a_t + b_t]
-
-(a and b the cyclic time histories of sites x and x+1), and
-tr(Q^r) = 1^T T_r^(N-1) c, with c the indicator of the two constant
-histories of the last site, which never changes.  That costs O(N r 2^r).
+The transfer engine, ``transfer.traces``, reads the r-periodic space-time
+histories along space in O(N r 2^r); ``transfer.py`` gives its T_r.
 A cost model picks the engine; see ``_transfer_cheaper``.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Optional
 
 import numpy as np
 
-from . import kernels
+from . import kernels, transfer
 from .config import DEFAULTS
 from .errors import (
     ConvergenceFailure,
@@ -81,18 +72,6 @@ def _transfer_cheaper(n_sites: int, r_max: int) -> bool:
     if r_max + 1 > n_sites + min(n_sites - 1, _BLOCK_BITS):
         return False
     return _TRANSFER_COST * (((r_max - 1) << (r_max + 2)) + 4) < r_max << (2 * n_sites - 1)
-
-
-def _space_time_dual(q: np.ndarray) -> np.ndarray:
-    """M[2a + a', 2a + b] = q[2a' + b, 2a + b]: one time step of T_r.
-
-    It keeps the left site's value a and trades the right site's b for the
-    left site's next value a'.
-    """
-    m = np.zeros_like(q)
-    for a, a_next, b in itertools.product((0, 1), repeat=3):
-        m[2 * a + a_next, 2 * a + b] = q[2 * a_next + b, 2 * a + b]
-    return m
 
 
 class GlobalOperator:
@@ -151,11 +130,11 @@ class GlobalOperator:
         ``values`` that leaves it.
         """
         r_max = positive_int("r_max", r_max)
-        engine = (self._transfer_traces if _transfer_cheaper(self.n_sites, r_max)
-                  else self._brute_traces)
         # ZetaLogSeries refuses what is not finite, so numpy need not warn of overflow
         with np.errstate(over="ignore", invalid="ignore"):
-            return ZetaLogSeries(self.n_sites, engine(r_max))
+            c_values = (transfer.traces(self.local.entries, self.n_sites, r_max)
+                        if _transfer_cheaper(self.n_sites, r_max) else self._brute_traces(r_max))
+            return ZetaLogSeries(self.n_sites, c_values)
 
     def _brute_traces(self, r_max: int) -> np.ndarray:
         """C_r for r = 1..r_max from the diagonals of both parity blocks, in O(r 4^N / 2)."""
@@ -163,26 +142,6 @@ class GlobalOperator:
         for start, r, image in self._block_powers(r_max):
             traces[r - 1] += np.trace(image, offset=-start)
         return _ldexp(traces, -self.n_sites)
-
-    def _transfer_traces(self, r_max: int) -> np.ndarray:
-        """C_r = 1^T T_r^(N-1) c / 2^N for r = 1..r_max in O(N r 2^r) per r.
-
-        Each application of T_r is one sweep of the space-time dual over
-        r + 1 "sites" (a_0, b_0, .., b_(r-1)): a_0 is a leading batch axis
-        and step t trades b_t for a_(t+1); the diagonal a_r = a_0 closes the
-        cycle.  Starting from c / 2 and halving after each application
-        carries C_r itself, so no 2^N is ever formed.
-        """
-        dual = _space_time_dual(self.local.entries)
-        c_values = np.empty(r_max, dtype=np.complex128)
-        for r in range(1, r_max + 1):
-            v = np.zeros(1 << r, dtype=dual.dtype)
-            v[[0, -1]] = 0.5
-            for _ in range(self.n_sites - 1):
-                swept = kernels.sweep(np.concatenate((v, v)), dual, r + 1).reshape(2, -1, 2)
-                v = np.concatenate((swept[0, :, 0], swept[1, :, 1])) * 0.5
-            c_values[r - 1] = v.sum()
-        return c_values
 
     def _block_powers(self, r_max: int):
         """Yield ``(start, r, Q_b^r E)`` for b = 0, 1 and r = 1..r_max.

@@ -13,6 +13,9 @@ points of Rule 90, the map x_i <- x_i + x_{i+1} (mod 2) with the last
 site fixed, in plain integers: by iterating the map on every state, and
 by GF(2) rank.  The last runs the reflection family's second-power trace
 recurrence on the scale of C_2, for N past the float range of 2^N.
+An integer transfer loop gives C_r exactly for a local operator of
+rational entries, from the definition of T_r, with neither the space-time
+dual nor the sweep kernel.
 The 2x2 matrix units E_ab write out the append-site recursion of Q.
 
 The library builds no 2^N-square form and keeps no single-state evolve:
@@ -21,6 +24,7 @@ The library builds no 2^N-square form and keeps no single-state evolve:
 """
 
 import math
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -209,3 +213,26 @@ def qca2_c2_recurrence(n: int, xi: float) -> float:
     while len(y) < n:
         y.append((1.0 + s * s) / 2.0 * y[-1] + sc / 4.0 * y[-2] - 2.0 * sc / 8.0 * y[-3])
     return y[n - 1]
+
+
+def exact_transfer_c(q, n: int, r_max: int) -> list:
+    """C_r = 1^T T_r^(N-1) c / 2^N for r = 1..r_max as exact Fractions; ``q`` a 4x4 of Fractions.
+
+    T_r[a, b] = prod_t q[2 a_(t+1) + b_t, 2 a_t + b_t] is built entry by entry
+    over the cyclic time histories a and b of neighbouring sites, and c is
+    the indicator of the two constant histories.  The loop runs in Python
+    integers on d^r T_r, with d the common denominator of ``q``, one
+    object-array matmul a site, and divides once at the end.
+    """
+    d = math.lcm(*(Fraction(x).denominator for row in q for x in row))
+    dq = [[int(d * Fraction(x)) for x in row] for row in q]
+    c_values = []
+    for r in range(1, r_max + 1):
+        histories = list(product((0, 1), repeat=r))
+        t = np.array([[math.prod(dq[2 * a[(s + 1) % r] + b[s]][2 * a[s] + b[s]] for s in range(r))
+                       for b in histories] for a in histories], dtype=object)
+        v = np.array([int(len(set(h)) == 1) for h in histories], dtype=object)
+        for _ in range(n - 1):
+            v = t @ v
+        c_values.append(Fraction(int(v.sum()), d ** (r * (n - 1)) << n))
+    return c_values

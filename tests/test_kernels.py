@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ipszeta
-from ipszeta import GlobalOperator, LocalOperator, ModelSpec, build_local, kernels
-from ipszeta.operators import _space_time_dual
+from ipszeta import GlobalOperator, LocalOperator, ModelSpec, build_local, kernels, transfer
 
 from helpers import dual_product_global, pairwise_sweep, product_global, product_half
 
@@ -74,7 +73,7 @@ def test_sweep_matches_product_oracle(spec, n):
 @pytest.mark.parametrize("n", range(2, 11))
 def test_dual_sweep_matches_product_oracle(spec, n):
     # the transfer engine's space-time dual keeps the left site of each pair
-    dual = _space_time_dual(build_local(spec).entries)
+    dual = transfer.dual(build_local(spec).entries)
     assert_sweeps(dual_product_global(dual, n), dual, n, seed=5 * n + 2)
 
 

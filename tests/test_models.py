@@ -263,6 +263,17 @@ def test_model_spec_json_round_trip():
                                    rtol=0, atol=0)
 
 
+@pytest.mark.parametrize("make", [
+    lambda x: ModelSpec.tensor(np.diag([1.0, x]), np.eye(2)),
+    lambda x: ModelSpec.custom(np.diag([1.0, 1.0, x, 1.0])),
+    lambda x: ModelSpec.dk(0.3, x),
+], ids=["tensor", "custom", "dk"])
+def test_model_specs_compare_and_hash_by_value(make):
+    a, b = make(0.5), make(0.5)
+    assert a == b and hash(a) == hash(b)
+    assert a != make(0.25)
+
+
 def test_entries_are_read_only():
     op = build_local(ModelSpec.dk(0.1, 0.2))
     with pytest.raises(ValueError):

@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from ipszeta import kernels
+from ipszeta import kernels, transfer
 from ipszeta import (
     ConvergenceFailure,
     DimensionMismatch,
@@ -40,6 +41,7 @@ from helpers import (
     E01,
     E10,
     E11,
+    exact_transfer_c,
     kron_global,
     parity_dense,
     product_apply,
@@ -356,9 +358,36 @@ class TestTraceEngines:
     def test_engines_agree(self, blocks, n, r_max):
         local = LocalOperator.from_blocks(*(np.reshape(b, (2, 2)) for b in blocks))
         op = GlobalOperator(local, n)
-        brute, transfer = op._brute_traces(r_max), op._transfer_traces(r_max)
+        brute, transferred = op._brute_traces(r_max), transfer.traces(local.entries, n, r_max)
         scale = _no_cancellation_traces(local, n, r_max)
-        assert np.all(np.abs(transfer - brute) <= 1e-12 * scale)
+        assert np.all(np.abs(transferred - brute) <= 1e-12 * scale)
+
+    # dyadic models: dk in quarters, and gdk at angles whose cos^2 are 1/2, 1/4 and 3/4
+    @pytest.mark.parametrize("spec", [
+        ModelSpec.dk(0.5, 0.75),
+        ModelSpec.generalized_dk(math.pi / 4, math.pi / 3, math.pi / 6, math.pi / 3),
+    ], ids=["dk", "gdk"])
+    @pytest.mark.parametrize("sizes, r_max, engines, rel", [
+        (range(2, 10), 6, ("brute", "transfer"), 1e-13),
+        ((64, 256, 512, 1000), 3, ("transfer",), 1e-12),
+        # log10 C_1..C_3 of dk are -646.582, -932.221 and -1069.533 here
+        pytest.param((4096,), 3, ("transfer",), 1e-12, marks=pytest.mark.xfail(
+            strict=True, raises=AssertionError,
+            reason="C_r below the float range reads 0 (ROADMAP item 1)")),
+    ], ids=["small", "large", "underflow"])
+    def test_engines_match_the_exact_oracle(self, spec, sizes, r_max, engines, rel):
+        entries = build_local(spec).entries
+        exact_q = [[Fraction(round(4 * x), 4) for x in row] for row in entries]
+        np.testing.assert_allclose(np.array(exact_q, dtype=float), entries, rtol=0, atol=1e-15)
+        for n in sizes:
+            exact = exact_transfer_c(exact_q, n, r_max)
+            for engine in engines:
+                c_values = (GlobalOperator(entries, n)._brute_traces(r_max) if engine == "brute"
+                            else transfer.traces(entries, n, r_max))
+                # in Fractions: a float difference of C_r near 1e-646 is 0
+                for c, want in zip(c_values, exact):
+                    assert c.imag == 0 and abs(Fraction(c.real) - want) <= Fraction(rel) * want, (
+                        engine, n)
 
     # the brute engine sweeps two 2^(N-1) parity blocks, the last site held in
     # the kernel.  Brute vs transfer, best of 9, in-process, qca2(0.3, 0.7),
@@ -382,9 +411,10 @@ class TestTraceEngines:
 
     def test_trace_powers_runs_the_picked_engine(self, monkeypatch):
         calls = []
-        for name in ("_brute_traces", "_transfer_traces"):
-            monkeypatch.setattr(GlobalOperator, name,
-                                lambda self, r_max, name=name: calls.append(name) or np.ones(r_max))
+        monkeypatch.setattr(GlobalOperator, "_brute_traces",
+                            lambda self, r_max: calls.append("_brute_traces") or np.ones(r_max))
+        monkeypatch.setattr(transfer, "traces",
+                            lambda q, n_sites, r_max: calls.append("_transfer_traces") or np.ones(r_max))
         op = _op(ModelSpec.dk(0.4, 0.2), 4)
         op.trace_powers(12)
         op.trace_powers(2)
