@@ -189,9 +189,10 @@ def states_json(head: dict, states):
     """``json.dumps({**head, "states": [...]}, indent=2)`` as chunks of text.
 
     Each state becomes ``{"step": time_step, "components": [[re, im], ...]}``,
-    formatted ``_CHUNK`` components at a time, so neither the document nor
-    the component list of a state is built.  The numbers are cut from
-    ``json.dumps`` of a flat list, so they read as in the whole document.
+    formatted ``_CHUNK`` components at a time from ``state.chunks``, so
+    neither the document nor the component list of a state is built.  The
+    numbers are cut from ``json.dumps`` of a flat list, so they read as in
+    the whole document.
     Nothing is yielded before the first state is drawn, so an error in
     drawing it comes before any output.
     """
@@ -200,12 +201,10 @@ def states_json(head: dict, states):
     for state in states:
         yield f'{lead}\n    {{\n      "step": {state.time_step},\n      "components": [\n'
         lead = ","
-        v = state.components
-        for start in range(0, len(v), _CHUNK):
-            part = v[start:start + _CHUNK]
+        for i, part in enumerate(state.chunks(_CHUNK)):
             flat = np.stack((part.real, part.imag), axis=-1).reshape(-1).tolist()
             numbers = json.dumps(flat)[1:-1].split(", ")
-            yield (",\n" if start else "") + ",\n".join(
+            yield (",\n" if i else "") + ",\n".join(
                 map(_PAIR.format, numbers[0::2], numbers[1::2]))
         yield "\n      ]\n    }"
     yield "\n  ]\n}" if lead == "," else empty
@@ -299,7 +298,7 @@ def cmd_evolve(args) -> int:
         bits = tuple(int(b) for b in args.initial)
     except ValueError:
         raise DomainError(f"--initial takes site bits like 001, got {args.initial!r}")
-    # a --kind the model does not fit is refused before the 2^N start is built
+    # a --kind the model does not fit is refused before the start block is built
     kind = state_kind(op.local, _STATE_KINDS.get(args.kind))
     steps = 1 if args.steps is None else args.steps
     # no name holds the start state: it is freed once its working copy is made

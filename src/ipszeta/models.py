@@ -274,6 +274,13 @@ def build_local(spec: ModelSpec) -> LocalOperator:
     return LocalOperator(spec.params[0])
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def is_unitary(op: LocalOperator, tol: float = DEFAULTS.classify_tol) -> bool:
+    """Whether the Gram matrix of ``op`` is the identity to max-abs ``tol``; NaN fails."""
+    m = op.entries
+    return bool(np.max(np.abs(m.conj().T @ m - np.eye(4))) <= tol)
+
+
 # an overflow near the float limit fails the test that met it, silently
 @np.errstate(over="ignore", invalid="ignore")
 def classify(op: LocalOperator, tol: float = DEFAULTS.classify_tol) -> ModelClass:
@@ -282,8 +289,7 @@ def classify(op: LocalOperator, tol: float = DEFAULTS.classify_tol) -> ModelClas
     in_range = (m.real >= -tol) & (m.real <= 1.0 + tol) & (np.abs(m.imag) <= tol)
     columns_ok = np.abs(m.sum(axis=0) - 1.0) <= tol
     is_pca = bool(in_range.all() and columns_ok.all())
-    gram = m.conj().T @ m
-    is_qca = bool(np.max(np.abs(gram - np.eye(4))) <= tol)
+    is_qca = is_unitary(op, tol)
     is_ca = bool(np.all((np.abs(m) <= tol) | (np.abs(m - 1.0) <= tol)))
     factors = factor_tensor(op, tol)
     return ModelClass(is_pca, is_qca, is_ca, factors is not None, factors)

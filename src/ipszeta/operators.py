@@ -9,7 +9,8 @@ The last site never changes, so Q splits by index parity into two
 2^(N-1)-square blocks, Q = Q_0 (+) Q_1, and everything dense works on
 them: the brute traces, ``eigenvalues`` and ``power_equals_identity``.
 The 2^N-square form is never built.  A step of Q_b is one kernel sweep
-of the first N - 1 sites with the last held at b.  The blocks of a
+of the first N - 1 sites with the last held at b, ``_step``, which also
+steps each occupied parity block of an evolving state.  The blocks of a
 unitary Q are normal, so ``eigenvalues`` solves them through the
 Hermitian eigensolver; every other block goes to nonsymmetric QR.
 
@@ -36,7 +37,7 @@ from .errors import (
     SingularAtU,
     SizeExceeded,
 )
-from .models import LocalOperator, classify
+from .models import LocalOperator, is_unitary
 from .serialize import positive_int
 from .zeta import ZetaLogSeries, _ldexp
 
@@ -167,13 +168,14 @@ class GlobalOperator:
 
         The spectrum of Q is that of Q_0 and Q_1, each solved as a
         2^(N-1)-square block by ``_block_spectrum``; the 2^N-square form is
-        never built.  A local operator that ``classify`` finds unitary to
-        ``_UNITARY_TOL`` makes both blocks unitary, and they go through the
-        Hermitian eigensolver; any other block goes to nonsymmetric QR,
-        ``np.linalg.eigvals``.  Refused above ``DEFAULTS.dense_cap``.
+        never built.  A local operator that ``models.is_unitary`` finds
+        unitary to ``_UNITARY_TOL`` makes both blocks unitary, and they go
+        through the Hermitian eigensolver; any other block goes to
+        nonsymmetric QR, ``np.linalg.eigvals``.  Refused above
+        ``DEFAULTS.dense_cap``.
         """
         if self._eigenvalues is None:
-            unitary = classify(self.local, _UNITARY_TOL).is_qca
+            unitary = is_unitary(self.local, _UNITARY_TOL)
             try:
                 eig = np.concatenate([self._block_spectrum(b, unitary) for b in (0, 1)])
             except np.linalg.LinAlgError as exc:

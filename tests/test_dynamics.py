@@ -16,6 +16,7 @@ from ipszeta import (
     GlobalOperator,
     InvariantDrift,
     KindMismatch,
+    LocalOperator,
     ModelSpec,
     StateKind,
     StateVector,
@@ -30,7 +31,7 @@ from ipszeta import (
 from ipszeta.config import DEFAULTS
 from ipszeta.dynamics import evolve_states
 
-from helpers import last_state, one_step_distribution
+from helpers import last_state, one_step_distribution, product_apply
 
 RULE90 = build_local(ModelSpec.qca2(0, 0))
 # a unitary local operator with complex entries: qca1 with a phase on each site pair
@@ -153,13 +154,14 @@ class TestStateOwnership:
         assert out.dtype == np.float64 and peak <= 1.25 * out.nbytes
 
     def test_initial_state_owns_its_basis_vector(self):
+        # one float64 parity block of 2^17 entries, not the 2^18 vector
         tracemalloc.start()
         try:
-            state = initial_state((1,) * 18, StateKind.PCA_PROBABILITY)
+            initial_state((1,) * 18, StateKind.PCA_PROBABILITY)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= state.components.nbytes + (64 << 10)
+        assert peak <= (8 << 17) + (64 << 10)
 
     @pytest.mark.parametrize("spec, kind, evolution", (
         pytest.param(ModelSpec.dk(0.6, 0.8), StateKind.PCA_PROBABILITY, evolve_trajectory,
@@ -198,6 +200,51 @@ class TestStateOwnership:
             state = StateVector(7, StateKind.QCA_AMPLITUDE, v, step, evolved=True)
             np.testing.assert_allclose(marginals, site_marginals(state), rtol=0, atol=1e-15)
             v = op.apply(v)
+
+
+def _random_local(rng, kind):
+    """Random column-stochastic or unitary 2x2 blocks, one per right-site state."""
+    if kind is StateKind.PCA_PROBABILITY:
+        blocks = []
+        for _ in range(2):
+            top = rng.random(2)
+            blocks.append(np.array([top, 1.0 - top]))
+    else:
+        blocks = [np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
+                  for _ in range(2)]
+    return LocalOperator.from_blocks(*blocks)
+
+
+class TestParityBlocks:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 10), st.integers(0, 4), st.sampled_from(tuple(StateKind)),
+           st.booleans(), st.integers(0, 2 ** 32 - 1))
+    def test_blocks_evolve_as_the_product_oracle(self, n, steps, kind, both, seed):
+        # oracle: product_apply, the closed product of transition weights,
+        # iterated from the start vector; a basis start holds one parity
+        # block, a random start with mass at both parities holds two
+        rng = np.random.default_rng(seed)
+        local = _random_local(rng, kind)
+        if both:
+            v = rng.random(2 ** n) + 0.1
+            v /= v.sum()
+            if kind is StateKind.QCA_AMPLITUDE:
+                v = np.sqrt(v) * np.exp(2j * math.pi * rng.random(2 ** n))
+            start = StateVector(n, kind, v)
+            held = (True, True)
+        else:
+            bits = tuple(int(b) for b in rng.integers(0, 2, n))
+            start = initial_state(bits, kind)
+            v = start.components
+            held = (bits[-1] == 0, bits[-1] == 1)
+        index = np.arange(2 ** n)
+        for state in evolve_states(start, GlobalOperator(local, n), steps):
+            assert tuple(block is not None for block in state.blocks) == held
+            np.testing.assert_allclose(state.components, v, rtol=0, atol=1e-13)
+            p = v.real if kind is StateKind.PCA_PROBABILITY else np.abs(v) ** 2
+            oracle = [p[index >> (n - 1 - x) & 1 == 1].sum() for x in range(n)]
+            np.testing.assert_allclose(site_marginals(state), oracle, rtol=0, atol=1e-13)
+            v = product_apply(local.entries, n, v)
 
 
 _LEAK_MESSAGE = {"negative": "must be nonnegative", "imaginary": "must be real"}
