@@ -46,6 +46,8 @@ __all__ = ["GlobalOperator"]
 # identity columns swept together by the brute trace and power engine
 _BLOCK_BITS = 8
 _BLOCK_COLUMNS = 1 << _BLOCK_BITS
+# rows of a block image that ``power_equals_identity`` reduces at a time
+_CHECK_ROWS = 64
 # time per swept entry of the transfer engine (small arrays) over the brute
 # engine's, as measured where the two cross at N = 8..11
 _TRANSFER_COST = 2
@@ -151,14 +153,19 @@ class GlobalOperator:
         of parity b.  E holds columns ``start .. start + width - 1`` of the
         2^(N-1) identity, with width ``min(2^(N-1), 256)``.  Each step
         sweeps the image in place once it is larger than the sweep's
-        buffer, so an image is valid until the next one is drawn.  Blocks
-        come in a fixed order, so sums over them are deterministic.
+        buffer, and the next block's E is written over the last power, so
+        an image is valid until the next one is drawn.  The last power of a
+        block, r = r_max, is never stepped again, so a caller may overwrite
+        it.  Blocks come in a fixed order, so sums over them are
+        deterministic.
         """
         half = self.dim >> 1
         width = min(half, _BLOCK_COLUMNS)
+        image = np.empty((half, width), dtype=self.local.entries.dtype)
         for b in (0, 1):
             for start in range(0, half, width):
-                image = np.eye(half, width, -start, dtype=self.local.entries.dtype)
+                image[...] = 0
+                image[start:start + width].flat[::width + 1] = 1
                 for r in range(1, r_max + 1):
                     image = self._step(b, image)
                     yield start, r, image
@@ -245,6 +252,13 @@ class GlobalOperator:
         if not tol >= 0:
             raise DomainError(f"tol must be a number >= 0, got {tol!r}")
         for start, power, image in self._block_powers(r):
-            if power == r and not np.max(np.abs(image - np.eye(*image.shape, -start))) <= tol:
-                return False
+            if power < r:
+                continue
+            # the last power is free to overwrite: subtract E in place
+            width = image.shape[1]
+            image[start:start + width].flat[::width + 1] -= 1
+            for lo in range(0, len(image), _CHECK_ROWS):
+                # a NaN compares false, so it fails
+                if not np.max(np.abs(image[lo:lo + _CHECK_ROWS])) <= tol:
+                    return False
         return True

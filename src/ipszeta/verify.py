@@ -27,6 +27,7 @@ reports are deterministic.
 from __future__ import annotations
 
 import math
+import random
 from functools import partial
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, Iterator, Optional, Sequence
@@ -105,12 +106,14 @@ def _qca2_operator(xi: float, n: int) -> GlobalOperator:
 
 
 def _random_factor_pairs(count: int, seed: int = 20127):
-    rng = np.random.default_rng(seed)
+    # the stdlib generator: numpy's loads extension modules of about 6 MB
+    rng = random.Random(seed)
     for _ in range(count):
-        left = rng.uniform(-1.0, 1.0, (2, 2)) + 1j * rng.uniform(-1.0, 1.0, (2, 2))
-        mags = rng.uniform(0.3, 1.0, 2)
-        phases = rng.uniform(0.0, 2.0 * math.pi, 2)
-        yield TensorFactors(left, right=np.diag(mags * np.exp(1j * phases)))
+        left = [[rng.uniform(-1.0, 1.0) + 1j * rng.uniform(-1.0, 1.0) for _ in range(2)]
+                for _ in range(2)]
+        mags = np.array([rng.uniform(0.3, 1.0) for _ in range(2)])
+        phases = np.array([rng.uniform(0.0, 2.0 * math.pi) for _ in range(2)])
+        yield TensorFactors(np.array(left), right=np.diag(mags * np.exp(1j * phases)))
 
 
 def _tensor_eigen_traces(n_values, r_max, **_):

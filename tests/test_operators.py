@@ -536,6 +536,21 @@ class TestPowerEqualsIdentity:
         assert op.power_equals_identity(period, 1e-10)
         assert not op.power_equals_identity(period // 2, 1e-10)
 
+    # N = 10 has two 256-column blocks per parity
+    @pytest.mark.parametrize("n", (9, 10))
+    @pytest.mark.parametrize("local, r, expected", [
+        (build_local(ModelSpec.qca2(0, math.pi / 2)), 2, True),
+        (build_local(ModelSpec.qca2(0, math.pi / 2)), 1, False),
+        (RULE90, 16, True),
+        (RULE90, 8, False),
+    ], ids=["quarter-turn-r2", "quarter-turn-r1", "rule90-period", "rule90-half-period"])
+    def test_matches_the_dense_reference(self, local, r, expected, n):
+        op = GlobalOperator(local, n)
+        eye = np.eye(op.dim >> 1)
+        dense = all(np.allclose(np.linalg.matrix_power(op._half(b), r), eye, atol=1e-10, rtol=0)
+                    for b in (0, 1))
+        assert op.power_equals_identity(r, 1e-10) is dense is expected
+
     def test_rejects_nonpositive_power(self):
         with pytest.raises(DomainError):
             GlobalOperator(RULE90, 2).power_equals_identity(0, 1e-10)
@@ -702,6 +717,20 @@ def test_block_power_step_allocates_no_second_image():
         tracemalloc.stop()
     assert r == 2 and np.shares_memory(second, image)
     assert peak <= kernels._SLAB_BYTES + (64 << 10)
+
+
+def test_period_check_allocates_no_block_sized_temporary():
+    # at N = 12 an image is a (2^11, 256) float64 array of 4 MiB; the check
+    # subtracts the identity in place and reduces 64 rows at a time, and the
+    # next block's identity columns are written over the last power
+    op = _op(ModelSpec.qca2(0, math.pi / 2), 12)
+    tracemalloc.start()
+    try:
+        assert op.power_equals_identity(2, 1e-10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (4 << 20) + kernels._SLAB_BYTES + (256 << 10)
 
 
 def _largest_matched_distance(eig, expected):

@@ -2,12 +2,19 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ipszeta import DomainError, FORMULA_IDS, run_formula
 from ipszeta.cli import main
-from ipszeta.verify import FORMULAS, Formula
+from ipszeta.verify import FORMULAS, TENSOR_PAIRS, Formula, _random_factor_pairs
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 # small overrides keep this module fast; full default grids run in the
 # acceptance suite
@@ -125,3 +132,32 @@ def test_first_deviation_that_is_not_finite_fails_as_the_witness(monkeypatch, ca
 
     doc = json.loads(capsys.readouterr().out, parse_constant=refuse)
     assert doc["max_abs_error"] is None and doc["witness"] == {"i": witness, "error": None}
+
+
+def test_tensor_pairs_are_reproducible_and_in_range():
+    pairs = list(_random_factor_pairs(TENSOR_PAIRS))
+    assert [p.to_json() for p in pairs] == [p.to_json() for p in _random_factor_pairs(TENSOR_PAIRS)]
+    assert len(pairs) == 20 and len({json.dumps(p.to_json()) for p in pairs}) == 20
+    for pair in pairs:
+        for part in (pair.left.real, pair.left.imag):
+            assert np.all((-1.0 <= part) & (part <= 1.0))
+        assert not np.diag(pair.right[::-1]).any()
+        mags = np.abs(np.diag(pair.right))
+        assert np.all((0.3 <= mags) & (mags <= 1.0))
+
+
+_RANDOM_PROBE = """
+import sys
+import ipszeta
+assert ipszeta.run_formula("thm5_3", n_values=(2, 3), r_max=4).passed
+print("numpy.random" in sys.modules)
+"""
+
+
+def test_tensor_check_does_not_load_numpy_random():
+    # a fresh interpreter, since this one may have loaded numpy.random;
+    # its extension modules add about 6 MB to a verify process
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _RANDOM_PROBE], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout.split() == ["False"]
