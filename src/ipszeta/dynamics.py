@@ -43,71 +43,67 @@ class StateVector:
     """Configuration vector of N sites at a given time step, held as its parity blocks.
 
     ``blocks[b]`` holds the components at the indices 2i + b, those whose
-    last site holds b, as a read-only flat array of 2^(N-1) entries, or is
-    None when the state has no mass there.  ``components`` is the 2^N
-    vector and ``chunks`` yields it piece by piece; a state that evolution
-    yields holds only its blocks and forms those on request.  A state built
-    from a 2^N vector keeps it, and its blocks are strided views of it.
+    last site holds b, as a read-only contiguous array of 2^(N-1) entries,
+    or is None when the state has no mass there.  A state built from a 2^N
+    vector copies its two parity slices into two blocks; ``components``
+    forms the 2^N vector from the blocks on each request and ``chunks``
+    yields it piece by piece.
 
-    A fresh state copies its components and is held to strict tolerances,
-    and a probability vector that leaks below zero or off the real axis is
-    invalid input (DomainError).  An ``evolved`` state is held to
-    ``DEFAULTS.drift_tol``: its leakage, like its normalization error, is
-    numerical drift of the weights that classification accepted
-    (InvariantDrift).  A NaN component fails either check.  An evolved
-    state takes the array it is given (the operator's fresh result)
-    without copying it and holds a read-only view of it.
+    A fresh state is held to strict tolerances, and a probability vector
+    that leaks below zero or off the real axis is invalid input
+    (DomainError).  An ``evolved`` state is held to ``DEFAULTS.drift_tol``:
+    its leakage, like its normalization error, is numerical drift of the
+    weights that classification accepted (InvariantDrift).  A NaN component
+    fails either check.
     """
 
     n_sites: int
     kind: StateKind
     time_step: int
     blocks: tuple = field(repr=False)
-    _vector: Optional[np.ndarray] = field(repr=False)
 
     def __init__(self, n_sites: int, kind: StateKind, components, time_step: int = 0,
                  evolved: bool = False):
         n_sites = positive_int("n_sites", n_sites)
-        v = (np.asarray if evolved else np.array)(components).reshape(-1)
+        v = np.asarray(components).reshape(-1)
         if v.shape[0] != (1 << n_sites):
             raise DimensionMismatch(f"state length {v.shape[0]} does not match 2^{n_sites}")
-        v.setflags(write=False)
-        self._hold(n_sites, kind, (v[0::2], v[1::2]), time_step, evolved, v)
+        self._hold(n_sites, kind, (v[0::2].copy(), v[1::2].copy()), time_step, evolved)
 
     @classmethod
     def _of_blocks(cls, n_sites: int, kind: StateKind, blocks, time_step: int,
                    evolved: bool = True) -> "StateVector":
         """The state whose parity blocks are ``blocks``, taken without a copy."""
+        state = cls.__new__(cls)
+        state._hold(n_sites, kind, blocks, time_step, evolved)
+        return state
+
+    def _hold(self, n_sites, kind, blocks, time_step, evolved):
         views = []
         for block in blocks:
             if block is not None:
                 block = block.reshape(-1)
                 block.setflags(write=False)
             views.append(block)
-        state = cls.__new__(cls)
-        state._hold(n_sites, kind, tuple(views), time_step, evolved, None)
-        return state
-
-    def _hold(self, n_sites, kind, blocks, time_step, evolved, vector):
         for name, value in (("n_sites", n_sites), ("kind", StateKind(kind)),
-                            ("time_step", time_step), ("blocks", blocks), ("_vector", vector)):
+                            ("time_step", time_step), ("blocks", tuple(views))):
             object.__setattr__(self, name, value)
         self._check(evolved)
 
     @property
     def components(self) -> np.ndarray:
-        """The 2^N vector, read-only; formed from the blocks unless the state was built from it."""
-        if self._vector is not None:
-            return self._vector
+        """The 2^N vector, read-only, formed from the blocks."""
         v = self._interleave(0, 1 << (self.n_sites - 1))
         v.setflags(write=False)
         return v
 
     def chunks(self, size: int):
-        """Yield ``components`` in order, ``size`` entries at a time; ``size`` is even."""
-        half, step = 1 << (self.n_sites - 1), max(1, size >> 1)
-        for lo in range(0, half, step):
-            yield self._interleave(lo, min(lo + step, half))
+        """Yield ``components`` in order, ``size`` entries at a time; ``size`` is even and >= 2."""
+        size = positive_int("chunk size", size)
+        if size % 2:
+            raise DomainError(f"chunk size must be even, got {size}")
+        half, step = 1 << (self.n_sites - 1), size >> 1
+        return (self._interleave(lo, min(lo + step, half)) for lo in range(0, half, step))
 
     def _interleave(self, lo: int, hi: int) -> np.ndarray:
         """Components 2 lo .. 2 hi - 1: the blocks' entries lo .. hi - 1, zeros where one is absent."""

@@ -11,13 +11,15 @@ place, group by group, one part of at most ``_SLAB_BYTES`` at a time,
 through one buffer of that size, so a call holds that array plus the
 buffer.  A smaller array has its first group written to a fresh array
 with one batched numpy matmul, and the later groups update that one in
-place.  The fork pays for the transfer engine's many short sweeps: all
-in place, ``zeta --model qca2 --params 0.3,0.7 --format csv`` took
-0.45 s against 0.39 s and 0.6 MB more peak RSS at N = 64, R = 16, and
-1.21 s against 1.10 s at N = 1024, R = 14 (medians of 6 and 4
-alternating runs).  A site held fixed to the right of the array joins
-the last block, which keeps the rows and columns where that site holds
-its value.
+place.  The fork is kept for the transfer engine's many short sweeps:
+forced in place, qca2(0.3, 0.7) ``trace_powers`` took 0.281 against
+0.254 s at N = 64, R = 16, 0.333 against 0.275 s at N = 1024, R = 12, and
+the 11 ``verify`` grids 0.737 against 0.608 s (medians of 15 alternating
+child pairs on a shared 2-core Xeon; the fork won 11, 15 and 15), but
+each gain is below the quartile spread of the in-place runs (0.030, 0.20
+and 0.10 s), so the margin is unresolved.  A site held fixed to the
+right of the array joins the last block, which keeps the rows and
+columns where that site holds its value.
 Blocks are built by the pairwise loop on the identity and kept in a
 bounded cache.
 """

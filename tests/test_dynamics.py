@@ -125,21 +125,49 @@ class TestStateOwnership:
         np.testing.assert_array_equal(state.components, [0.25, 0.75])
         assert source.flags.writeable
 
-    def test_evolved_state_takes_the_operators_array(self):
-        fresh = np.array([0.25, 0.75])
-        state = StateVector(1, StateKind.PCA_PROBABILITY, fresh, 1, evolved=True)
-        assert np.shares_memory(state.components, fresh)
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 8), st.sampled_from(tuple(StateKind)), st.sampled_from((None, 0, 1)),
+           st.booleans(), st.integers(0, 2 ** 32 - 1))
+    def test_state_holds_two_copied_blocks(self, n, kind, empty, evolved, seed):
+        # the one layout: two contiguous read-only parity blocks, copied from
+        # the caller's array whether or not the state is evolved; ``empty``
+        # names a parity block that is all zero
+        rng = np.random.default_rng(seed)
+        p = rng.random(2 ** n)
+        if empty is not None:
+            p[empty::2] = 0.0
+        p /= p.sum()
+        source = (p if kind is StateKind.PCA_PROBABILITY
+                  else np.sqrt(p) * np.exp(2j * math.pi * rng.random(2 ** n)))
+        state = StateVector(n, kind, source, evolved=evolved)
+        for block in state.blocks:
+            assert block.shape == (2 ** (n - 1),)
+            assert block.flags.c_contiguous and not block.flags.writeable
+            assert not np.shares_memory(block, source)
+        assert source.flags.writeable
+        np.testing.assert_array_equal(state.components, source)
+        for size in range(2, 2 ** n + 1, 2):
+            np.testing.assert_array_equal(np.concatenate(list(state.chunks(size))), source)
+
+    @pytest.mark.parametrize("size", (3, 1, 0, -2, 2.0, True, "4"))
+    def test_chunks_refuse_a_size_that_is_not_an_even_integer(self, size):
+        state = StateVector(3, StateKind.PCA_PROBABILITY, np.full(8, 0.125))
+        with pytest.raises(DomainError, match="chunk size must be"):
+            state.chunks(size)
 
     def test_evolved_real_state_allocates_no_state_sized_array(self):
-        # no copy, and no all-zero imaginary part of a float64 state
-        fresh = np.full(1 << 16, 1.0 / (1 << 16))
+        # the checks read a float64 state's blocks in place: no copy, and no
+        # all-zero imaginary part
+        start = StateVector(16, StateKind.PCA_PROBABILITY, np.full(1 << 16, 1.0 / (1 << 16)))
+        *_, state = evolve_states(start, _op(ModelSpec.dk(0.6, 0.8), 16), 1)
+        assert all(block is not None for block in state.blocks)
         tracemalloc.start()
         try:
-            StateVector(16, StateKind.PCA_PROBABILITY, fresh, 1, evolved=True)
+            state._check(evolved=True)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < fresh.nbytes / 4
+        assert peak < state.blocks[0].nbytes / 4
 
     def test_sweep_holds_one_result_sized_array(self):
         # the array is larger than the buffer, so every fused group updates it in place
