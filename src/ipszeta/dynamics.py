@@ -66,6 +66,8 @@ class StateVector:
                  evolved: bool = False):
         n_sites = positive_int("n_sites", n_sites)
         v = np.asarray(components).reshape(-1)
+        if v.dtype == np.bool_:
+            raise DomainError("state components must be numbers, got a boolean array")
         if v.shape[0] != (1 << n_sites):
             raise DimensionMismatch(f"state length {v.shape[0]} does not match 2^{n_sites}")
         self._hold(n_sites, kind, (v[0::2].copy(), v[1::2].copy()), time_step, evolved)
@@ -191,6 +193,8 @@ def evolve_states(state: StateVector, op: GlobalOperator, steps: int):
     is not held past those copies.  Each yielded state is a read-only view
     of the working arrays, valid until the next one is drawn.
     """
+    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)):
+        raise DomainError(f"steps must be an integer, got {steps!r}")
     if steps < 0:
         raise DomainError(f"steps must be nonnegative, got {steps}")
     if state.n_sites != op.n_sites:

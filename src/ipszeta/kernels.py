@@ -9,17 +9,10 @@ SC '17).  The caller hands over an array it owns and uses the one the
 sweep returns.  An array larger than ``_SLAB_BYTES`` is updated in
 place, group by group, one part of at most ``_SLAB_BYTES`` at a time,
 through one buffer of that size, so a call holds that array plus the
-buffer.  A smaller array has its first group written to a fresh array
-with one batched numpy matmul, and the later groups update that one in
-place.  The fork is kept for the transfer engine's many short sweeps:
-forced in place, qca2(0.3, 0.7) ``trace_powers`` took 0.281 against
-0.254 s at N = 64, R = 16, 0.333 against 0.275 s at N = 1024, R = 12, and
-the 11 ``verify`` grids 0.737 against 0.608 s (medians of 15 alternating
-child pairs on a shared 2-core Xeon; the fork won 11, 15 and 15), but
-each gain is below the quartile spread of the in-place runs (0.030, 0.20
-and 0.10 s), so the margin is unresolved.  A site held fixed to the
-right of the array joins the last block, which keeps the rows and
-columns where that site holds its value.
+buffer.  A smaller array is never written: each group is one numpy
+matmul into a fresh array.  A site held fixed to the right of the array
+joins the last block, which keeps the rows and columns where that site
+holds its value.
 Blocks are built by the pairwise loop on the identity and kept in a
 bounded cache.
 """
@@ -33,12 +26,12 @@ BACKEND = "python"
 
 # widest fused block: 5 sites, 4 pairs, a 32 x 32 matrix
 _GROUP_SITES = 5
-# rows of each batched right product of an in-place last group when tail = 1;
-# one tall product there raises the peak RSS under a threaded BLAS
+# rows of each batch of a last group's right product when tail = 1; one tall
+# product raises the peak RSS under a threaded BLAS (0.45 MB at N = 64, R = 16)
 _ROWS = 256
-# bytes of the buffer through which a group updates the array in place; an
-# array larger than this takes every group in place, a smaller one every group
-# after the first; 512 KB was the fastest of 128 KB..2 MB at N = 20..22
+# bytes of the buffer through which a group updates an array larger than
+# this in place; a smaller array is replaced group by group; 512 KB was the
+# fastest of 128 KB..2 MB at N = 20..22
 _SLAB_BYTES = 1 << 19
 
 
@@ -98,11 +91,11 @@ def sweep(vec, local, n_sites, tail=1, held=None):
     the left one.
 
     ``vec`` must be a writable C-contiguous array in the promoted dtype of
-    it and ``local``; anything else raises ValueError untouched.  The
-    sweep consumes it: use the flat array it returns, which is ``vec``
-    updated in place when it is larger than ``_SLAB_BYTES`` (or has no
-    pair to update) and a fresh array otherwise.  Besides that array, a
-    call holds one buffer of at most ``_SLAB_BYTES``.
+    it and ``local``; anything else raises ValueError untouched.  Use the
+    flat array the sweep returns.  An array larger than ``_SLAB_BYTES``
+    is updated in place through one buffer of that size and returned.  A
+    smaller one is left untouched, and each group writes a fresh array
+    (with no pair to update, ``vec`` itself comes back).
     """
     q = np.asarray(local)
     v = np.asarray(vec)
@@ -113,20 +106,19 @@ def sweep(vec, local, n_sites, tail=1, held=None):
     if n_sites + (held is not None) < 2:
         return out
     key = q.tobytes(), q.dtype.str
-    groups = _groups(n_sites)
-    in_place = out.nbytes > _SLAB_BYTES
-    # every group but a fresh first one updates the array through buf
-    buf = (np.empty(min(out.size, _SLAB_BYTES // out.itemsize), out.dtype)
-           if in_place or len(groups) > 1 else None)
-    for i, (start, width) in enumerate(groups):
+    buf = np.empty(_SLAB_BYTES // out.itemsize, out.dtype) if out.nbytes > _SLAB_BYTES else None
+    for start, width in _groups(n_sites):
         # the held site joins the group that ends at the array's last site
         block = _block(*key, width, held if start + width == n_sites else None)
         dim = 1 << width
         inner = (1 << (n_sites - start - width)) * tail
-        if i or in_place:
+        if buf is not None:
             _update(out.reshape(-1, dim, inner), block, buf)
+        elif inner == 1:
+            # the right product in batches of _ROWS rows, as _update runs it
+            rows = min(_ROWS, out.size >> width)
+            out = np.matmul(out.reshape(-1, rows, dim), block.T).reshape(-1)
         else:
-            # a small array's first group writes a fresh array
             out = np.matmul(block, out.reshape(-1, dim, inner)).reshape(-1)
     return out
 

@@ -116,6 +116,13 @@ class TestStateInvariants:
         with pytest.raises(DimensionMismatch):
             StateVector(3, StateKind.QCA_AMPLITUDE, np.ones(4) / 2.0)
 
+    @pytest.mark.parametrize("kind", tuple(StateKind))
+    def test_boolean_components_are_refused(self, kind):
+        # as in LocalOperator: True is not the number 1, nor an amplitude
+        for components in (np.array([True, False]), [False, True]):
+            with pytest.raises(DomainError, match="boolean array"):
+                StateVector(1, kind, components)
+
 
 class TestStateOwnership:
     def test_state_copies_the_callers_array(self):
@@ -324,6 +331,18 @@ class TestEvolve:
             with pytest.raises(KindMismatch) as exc:
                 state_kind(local, kind)
             assert "--kind" not in str(exc.value)
+
+    @pytest.mark.parametrize("steps", (-1, True, False, 2.5, 1.0, None, "2"))
+    def test_steps_must_be_an_integer_at_least_zero(self, steps):
+        state = initial_state((0, 1), StateKind.PCA_PROBABILITY)
+        with pytest.raises(DomainError, match="steps must be"):
+            next(evolve_states(state, _op(ModelSpec.dk(0.3, 0.7), 2), steps))
+
+    def test_zero_steps_yield_the_start_state(self):
+        state = initial_state((0, 1), StateKind.PCA_PROBABILITY)
+        for steps in (0, np.int64(0)):
+            states = list(evolve_states(state, _op(ModelSpec.dk(0.3, 0.7), 2), steps))
+            assert [s.time_step for s in states] == [0]
 
     def test_site_count_mismatch(self):
         state = initial_state((0, 0), StateKind.PCA_PROBABILITY)

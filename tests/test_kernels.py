@@ -122,9 +122,11 @@ def test_in_place_layouts_match_pairwise_loop(n, tail, dtype):
 
 
 def test_sweep_leaves_input_untouched():
-    # below the buffer: the first group writes a fresh array, the input stays
+    # at or below the buffer every group writes a fresh array and the input
+    # stays: one group, then two to four groups with a single copy to the right
+    # of the last (the right product) or with several
     local = build_local(ModelSpec.qca2(0.3, 0.8)).entries
-    for n, tail in ((3, 1), (7, 1), (7, 3), (13, 2)):
+    for n, tail in ((3, 1), (7, 1), (15, 1), (7, 3), (13, 2), (14, 2)):
         v = random_vec(n, seed=5, tail=tail).reshape(-1)
         assert v.nbytes <= kernels._SLAB_BYTES
         keep = v.copy()
@@ -132,6 +134,27 @@ def test_sweep_leaves_input_untouched():
             out = kernels.sweep(v, local, n, tail=tail, held=held)
             assert not np.shares_memory(out, v)
             np.testing.assert_array_equal(v, keep)
+            np.testing.assert_allclose(out, held_pairwise_sweep(v, local, n, tail, held),
+                                       rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n, tail", ((15, 1), (14, 2)))
+def test_small_sweep_holds_two_arrays(n, tail):
+    # a group replaces the array: the one it reads and the one it writes are
+    # alive together, and no buffer is allocated
+    local = build_local(ModelSpec.qca2(0.3, 0.8)).entries
+    v = random_vec(n, seed=6, tail=tail).reshape(-1)
+    assert v.nbytes <= kernels._SLAB_BYTES
+    for held in HELD:
+        kernels.sweep(v, local, n, tail=tail, held=held)  # the blocks are cached
+        tracemalloc.start()
+        try:
+            out = kernels.sweep(v, local, n, tail=tail, held=held)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not np.shares_memory(out, v)
+        assert peak <= 2 * v.nbytes + (64 << 10)
 
 
 def test_large_input_is_swept_in_place():
