@@ -25,7 +25,8 @@ from .errors import DomainError, InvalidInput, IpsZetaError, SizeExceeded
 from .models import MODEL_NAMES, ModelSpec, build_local, classify
 from .operators import GlobalOperator
 from .dynamics import StateKind, evolve_states, evolve_trajectory, initial_state, state_kind
-from .serialize import complex_pair, from_pair, series_csv, spectrum_csv, trace_csv, trajectory_csv
+from .serialize import (complex_pair, from_pair, series_csv, spectrum_csv, tolerance, trace_csv,
+                        trajectory_csv)
 from .verify import FORMULA_IDS, run_formula
 
 _PI_FRACTION = re.compile(r"^(?P<sign>[+-]?)(?P<coef>\d+(?:\.\d+)?)?pi(?:/(?P<den>\d+(?:\.\d+)?))?$")
@@ -159,8 +160,7 @@ def _load_config(args) -> None:
         args.u = [_u_from_json(t) for t in args.u]
     if args.u is not None and not all(cmath.isfinite(u) for u in args.u):
         raise DomainError(f"--u takes finite points, got {args.u}")
-    if args.tol is not None and not 0.0 <= args.tol < math.inf:
-        raise DomainError(f"--tol must be finite and >= 0, got {args.tol!r}")
+    args.tol = None if args.tol is None else tolerance("--tol", args.tol)
 
 
 def _emit(text, out: Optional[str]) -> None:

@@ -88,7 +88,8 @@ class StateVector:
                 block.setflags(write=False)
             views.append(block)
         for name, value in (("n_sites", n_sites), ("kind", StateKind(kind)),
-                            ("time_step", time_step), ("blocks", tuple(views))):
+                            ("time_step", positive_int("time_step", time_step, 0)),
+                            ("blocks", tuple(views))):
             object.__setattr__(self, name, value)
         self._check(evolved)
 
@@ -149,7 +150,7 @@ def initial_state(bits, kind: StateKind, n_sites: Optional[int] = None) -> State
     allocated.  Only the parity block of the last bit is built, a basis
     vector of 2^(N-1) entries, and the state owns it: no copy is made.
     """
-    bits = tuple(int(b) for b in bits)
+    bits = tuple(positive_int("site state", b, 0) for b in bits)
     if not bits:
         raise DomainError("a configuration needs at least one site")
     if any(b not in (0, 1) for b in bits):
@@ -193,10 +194,7 @@ def evolve_states(state: StateVector, op: GlobalOperator, steps: int):
     is not held past those copies.  Each yielded state is a read-only view
     of the working arrays, valid until the next one is drawn.
     """
-    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)):
-        raise DomainError(f"steps must be an integer, got {steps!r}")
-    if steps < 0:
-        raise DomainError(f"steps must be nonnegative, got {steps}")
+    steps = positive_int("steps", steps, 0)
     if state.n_sites != op.n_sites:
         raise DimensionMismatch(
             f"state has {state.n_sites} sites, operator has {op.n_sites}"

@@ -38,8 +38,8 @@ from .errors import (
     SizeExceeded,
 )
 from .models import LocalOperator, is_unitary
-from .serialize import positive_int
-from .zeta import ZetaLogSeries, _ldexp
+from .serialize import positive_int, tolerance
+from .zeta import ZetaLogSeries, _check_finite, _ldexp
 
 __all__ = ["GlobalOperator"]
 
@@ -237,8 +237,8 @@ class GlobalOperator:
         Equals the log of the inverse zeta-type function without ever
         taking a 2^N-th root, so the branch is unambiguous.
         """
-        lam = self.eigenvalues()
-        factors = 1.0 - complex(u) * lam
+        # u is checked before the spectrum is solved
+        factors = 1.0 - _check_finite("u", complex(u)) * self.eigenvalues()
         if np.min(np.abs(factors)) < DEFAULTS.singular_eps:
             raise SingularAtU(f"1 - u*lambda vanishes at u={u}")
         return complex(np.sum(np.log(factors)) / self.dim)
@@ -246,11 +246,10 @@ class GlobalOperator:
     def power_equals_identity(self, r: int, tol: float) -> bool:
         """Whether Q^r is the identity to max-abs tolerance ``tol``, block by block.
 
-        A NaN or negative ``tol`` raises DomainError; a NaN entry fails.
+        A ``tol`` that is not a finite number >= 0 raises DomainError; a NaN entry fails.
         """
         r = positive_int("power", r)
-        if not tol >= 0:
-            raise DomainError(f"tol must be a number >= 0, got {tol!r}")
+        tolerance("tol", tol)
         for start, power, image in self._block_powers(r):
             if power < r:
                 continue

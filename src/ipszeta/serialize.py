@@ -7,6 +7,7 @@ function.
 
 from __future__ import annotations
 
+import numbers
 import operator
 
 import numpy as np
@@ -26,16 +27,24 @@ def real_number(value) -> float:
     return float(value)
 
 
-def positive_int(name: str, value) -> int:
-    """``value`` as an int, refused with DomainError unless it is an integer >= 1, not a bool."""
+def positive_int(name: str, value, minimum: int = 1) -> int:
+    """``value`` as an int; DomainError unless it is an integer >= ``minimum``, not a bool."""
     try:
         if isinstance(value, bool):
             raise TypeError
         value = operator.index(value)
     except TypeError:
         raise DomainError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise DomainError(f"{name} must be positive, got {value}")
+    if value < minimum:
+        rule = "positive" if minimum == 1 else f">= {minimum}"
+        raise DomainError(f"{name} must be {rule}, got {value}")
+    return value
+
+
+def tolerance(name: str, value):
+    """``value`` unchanged; DomainError unless it is a finite real number >= 0, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 <= value < np.inf:
+        raise DomainError(f"{name} must be a number >= 0, got {value!r}")
     return value
 
 

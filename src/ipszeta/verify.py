@@ -37,7 +37,7 @@ import numpy as np
 from .errors import DomainError
 from .models import LocalOperator, ModelSpec, TensorFactors, build_local
 from .operators import GlobalOperator
-from .serialize import complex_pair, positive_int
+from .serialize import complex_pair, positive_int, tolerance
 from .zeta import (
     SQRT2,
     _unit_disk_point,
@@ -276,8 +276,6 @@ def run_formula(
     with |u| >= 1 or a ``tol`` that is not finite and >= 0 raises
     DomainError.
     """
-    if tol is not None and not 0.0 <= tol < math.inf:
-        raise DomainError(f"tol must be finite and >= 0, got {tol!r}")
     try:
         formula = FORMULAS[formula_id]
     except KeyError:
@@ -291,7 +289,7 @@ def run_formula(
     r_max = formula.r_max if r_max is None else r_max
     u_points = formula.u_points if u_points is None else u_points
     u_points = None if u_points is None else tuple(_unit_disk_point(u) for u in u_points)
-    tol = formula.tol if tol is None else tol
+    tol = formula.tol if tol is None else tolerance("tol", tol)
     if not n_values or u_points == ():
         raise DomainError(f"{formula_id} needs a nonempty grid")
 

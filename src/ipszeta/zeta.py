@@ -49,8 +49,7 @@ def _linear_recurrence(coeffs: tuple, seeds: tuple, index: int) -> float:
 
 def chebyshev_t(n: int, x: float) -> float:
     """First-kind value T_n(x) by the three-term recurrence (any real x)."""
-    if n < 0:
-        raise DomainError(f"first-kind order must be >= 0, got {n}")
+    n = positive_int("first-kind order", n, 0)
     return _linear_recurrence((2.0 * float(x), -1.0), (1.0, float(x)), n)
 
 
@@ -86,6 +85,7 @@ class ZetaLogSeries:
     coefficients: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "n_sites", positive_int("n_sites", self.n_sites))
         c = self._finite(np.array(self.c_values, dtype=np.complex128).reshape(-1))
         c.setflags(write=False)
         object.__setattr__(self, "c_values", c)
@@ -107,8 +107,8 @@ class ZetaLogSeries:
             return self._finite(_ldexp(self.c_values, self.n_sites))
 
     def evaluate(self, u) -> complex:
-        """Sum of coefficient_r * u^r in ascending order of r."""
-        u = complex(u)
+        """Sum of coefficient_r * u^r in ascending order of r; u must be finite (DomainError)."""
+        u = _check_finite("u", complex(u))
         total = 0.0 + 0.0j
         power = 1.0 + 0.0j
         for c in self.coefficients:
@@ -133,8 +133,7 @@ def tensor_model_cr(factors: TensorFactors, n_sites: int, r: int) -> complex:
     factor's eigenvalues and m those of left @ right, taken as the product
     of the three halved sums, so no 2^N is formed.
     """
-    if n_sites < 2:
-        raise DomainError(f"tensor C_r needs N >= 2, got {n_sites}")
+    n_sites = positive_int("n_sites", n_sites, 2)
     r = positive_int("power", r)
     right = factors.right
     if right[0, 1] != 0 or right[1, 0] != 0:
@@ -150,9 +149,11 @@ def tensor_model_cr(factors: TensorFactors, n_sites: int, r: int) -> complex:
     return half_sum(lp, lm) * half_sum(mp, mm) ** (n_sites - 2) * half_sum(e, h)
 
 
-def _check_finite(name: str, value) -> None:
-    if not cmath.isfinite(value):
-        raise DomainError(f"{name} must be finite, got {value}")
+def _check_finite(name: str, value):
+    """``value`` unchanged; DomainError if it is a bool, Python or numpy, or not finite."""
+    if isinstance(value, (bool, np.bool_)) or not cmath.isfinite(value):
+        raise DomainError(f"{name} must be a finite number, got {value!r}")
+    return value
 
 
 def _check_sites_and_angle(n_sites: int, xi: float) -> None:
@@ -169,8 +170,7 @@ def binomial_zeta_qca1(n_sites: int, xi: float, u) -> complex:
     N in the thousands.
     """
     _check_sites_and_angle(n_sites, xi)
-    u = complex(u)
-    _check_finite("u", u)
+    u = _check_finite("u", complex(u))
     n = n_sites
     k = np.arange(n)
     log_w = np.array(
@@ -192,8 +192,7 @@ def clt_limit_zeta(xi: float, u, quad_nodes: int = DEFAULTS.quad_nodes) -> compl
     """
     _check_finite("angle", xi)
     u = _unit_disk_point(u)
-    if quad_nodes < 8:
-        raise DomainError(f"need at least 8 quadrature nodes, got {quad_nodes}")
+    quad_nodes = positive_int("quad_nodes", quad_nodes, 8)
     nodes, weights = np.polynomial.hermite.hermgauss(quad_nodes)
     values = np.log(1.0 - np.exp(1j * float(xi) * SQRT2 * nodes) * u)
     return complex((weights @ values) / math.sqrt(math.pi))
@@ -242,10 +241,8 @@ def rule90_trace_general_r(n_sites: int, k: int, s: int) -> float:
     the float range, 2^min(2^k, N) >= 2^1024, raises DomainError.
     """
     n_sites = positive_int("n_sites", n_sites)
-    if k < 0:
-        raise DomainError(f"k must be >= 0, got {k}")
-    if s < 1:
-        raise DomainError(f"s must be >= 1, got {s}")
+    k = positive_int("k", k, 0)
+    positive_int("s", s)
     # 2^k > N once k reaches the bit length of N, so no larger 2^k is built
     exponent = min(1 << min(k, n_sites.bit_length()), n_sites)
     if exponent >= 1024:

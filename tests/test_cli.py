@@ -296,6 +296,33 @@ class TestInputErrors:
                              "--n", "3", "--initial", "0x1")
         assert code == 2 and out == "" and "--initial" in err
 
+    @pytest.mark.parametrize("argv, config, needle", [
+        (("zeta", "--model", "qca2", "--params", "pie/2,0", "--n", "3"), None, "'pie/2'"),
+        (("zeta", "--model", "dk", "--params", "0.3,0.7", "--n", "3", "--u", "0.1+j2"), None,
+         "'0.1+j2'"),
+        (("zeta", "--model", "dk", "--params", "0.3,0.7", "--n", "3..2"), None, "'3..2'"),
+        (("zeta", "--model", "dk", "--params", "0.3,0.7", "--n", "3"), '{"u": ["0.1", "half"]}',
+         "'half'"),
+        (("zeta", "--model", "dk", "--params", "0.3,0.7", "--n", "3"), "[0.1, 0.2]",
+         "config file must hold a JSON object"),
+        (("zeta", "--model", "dk", "--n", "3"), None, "model 'dk' needs --params"),
+        (("zeta", "--model", "dk", "--params", "0.3,0.7"), None, "--n"),
+        (("zeta", "--model", "dk", "--params", "0.3,0.7", "--n", "5..8"), None, "single --n"),
+        (("verify", "thm5_3", "--n", "1"), None, "n_sites must be >= 2, got 1"),
+        (("evolve", "--model", "dk", "--params", "0.3,0.7", "--n", "2", "--initial", "01",
+          "--steps", "-1"), None, "steps must be >= 0, got -1"),
+        (("verify", "thm5_3", "--n", "3"), '{"tol": -1}', "--tol must be a number >= 0, got -1"),
+    ], ids=["angle", "complex", "empty-range", "config-u-string", "config-not-object",
+            "model-without-params", "zeta-without-n", "zeta-range", "tensor-one-site",
+            "negative-steps", "config-negative-tol"])
+    def test_refusal_names_the_input(self, capsys, tmp_path, argv, config, needle):
+        if config is not None:
+            cfg = tmp_path / "run.json"
+            cfg.write_text(config)
+            argv += ("--config", str(cfg))
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and needle in err
+
 
 @pytest.mark.parametrize("command, flag, value", FOREIGN_FLAGS,
                          ids=[f"{c}{f}" for c, f, _ in FOREIGN_FLAGS])
@@ -487,7 +514,7 @@ class TestEvolve:
         # the bytes of json.dumps of the whole document, on stdout and in --out
         spec = ModelSpec.from_json({"model": model,
                                     "params": [float(p) for p in params.split(",")]})
-        start = initial_state(bits, kind)
+        start = initial_state(tuple(map(int, bits)), kind)
         op = GlobalOperator(build_local(spec), len(bits))
         doc = {"model": spec.to_json(), "n_sites": len(bits), "kind": kind.value, "states": [
             {"step": s.time_step, "components": [complex_pair(z) for z in s.components]}

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from ipszeta import (
     ConstraintViolation,
+    DimensionMismatch,
     DomainError,
     GlobalOperator,
     LocalOperator,
@@ -135,6 +136,27 @@ GRID_SPECS += [
     )
     for _ in range(100)
 ]
+
+
+@pytest.mark.parametrize("build, error, needle", [
+    (lambda: LocalOperator(np.eye(3)), ConstraintViolation, r"4x4, got shape \(3, 3\)"),
+    (lambda: TensorFactors(np.eye(4), np.eye(2)), DimensionMismatch,
+     r"left factor must be 2x2, got shape \(4, 4\)"),
+    (lambda: TensorFactors(np.eye(2), [[1.0, 0.0], [0.0, math.inf]]), DomainError,
+     "right factor entries must be finite"),
+    (lambda: ModelSpec("dk", (0.3,)), DomainError, "dk takes 2 parameters, got 1"),
+    (lambda: ModelSpec.qca1(0.4, math.nan), DomainError, "qca1 parameters must be finite"),
+    (lambda: ModelSpec("tensor", (np.eye(2),)), DomainError, "tensor takes two 2x2 matrices"),
+    (lambda: ModelSpec("custom", (np.eye(4), np.eye(4))), DomainError,
+     "custom takes one 4x4 matrix"),
+    (lambda: ModelSpec.from_json({"model": "dk"}), DomainError, "'model' and 'params' keys"),
+    (lambda: ModelSpec.from_json([0.3, 0.7]), DomainError, "'model' and 'params' keys"),
+], ids=["local-not-4x4", "factor-not-2x2", "factor-not-finite", "family-count",
+        "family-not-finite", "tensor-count", "custom-count", "json-without-params",
+        "json-not-object"])
+def test_malformed_models_are_refused(build, error, needle):
+    with pytest.raises(error, match=needle):
+        build()
 
 
 def test_zero_pattern_exact_on_grids():

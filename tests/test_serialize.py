@@ -1,16 +1,40 @@
-"""Wire formats: [re, im] pairs, matrix round-trips, CSV headers."""
+"""Wire formats: [re, im] pairs, matrix round-trips, CSV headers; the input checks."""
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ipszeta import DimensionMismatch, DomainError, GlobalOperator, ModelSpec, build_local
+from ipszeta import (
+    DimensionMismatch,
+    DomainError,
+    GlobalOperator,
+    ModelSpec,
+    StateKind,
+    StateVector,
+    TensorFactors,
+    ZetaLogSeries,
+    binomial_zeta_qca1,
+    build_local,
+    chebyshev_t,
+    clt_limit_zeta,
+    initial_state,
+    rule90_trace_general_r,
+    run_formula,
+    tensor_model_cr,
+)
+from ipszeta.dynamics import evolve_states
 from ipszeta.serialize import (
     complex_pair,
     from_pair,
     matrix_from_pairs,
     matrix_pairs,
+    positive_int,
     series_csv,
     spectrum_csv,
+    tolerance,
     trace_csv,
     trajectory_csv,
 )
@@ -83,3 +107,106 @@ def test_trajectory_csv_header_and_values():
     rows = [(0, [0.0, 1.0]), (1, [0.25, 1 / 3])]
     lines = trajectory_csv(rows, 2).strip().splitlines()
     assert lines == ["step,site_0,site_1", "0,0,1", "1,0.25,0.33333333333333331"]
+
+
+@pytest.mark.parametrize("minimum, value, message", [
+    (1, 0, "count must be positive, got 0"),
+    (0, -1, "count must be >= 0, got -1"),
+    (2, 1, "count must be >= 2, got 1"),
+    (1, 2.0, "count must be an integer, got 2.0"),
+])
+def test_count_messages(minimum, value, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        positive_int("count", value, minimum)
+
+
+def test_counts_at_their_minimum_come_back_as_int():
+    for minimum in (0, 1, 2, 8):
+        for value in (minimum, np.int64(minimum), np.uint8(minimum)):
+            count = positive_int("count", value, minimum)
+            assert type(count) is int and count == minimum
+
+
+def test_tolerances_come_back_unchanged():
+    for value in (0, 0.0, 1e-12, 3, np.float32(0.5), np.float64(1e300), np.int64(2)):
+        assert tolerance("tol", value) is value
+
+
+_PCA = StateKind.PCA_PROBABILITY
+_QCA2 = GlobalOperator(build_local(ModelSpec.qca2(0.3, 0.7)), 3)
+_FACTORS = TensorFactors(np.array([[0.6, -0.8], [0.8, 0.6]]), np.diag([1.0, 0.5]))
+_ZETA = ZetaLogSeries(2, [0.5, 0.25])
+_START = initial_state((0, 0, 1), StateKind.QCA_AMPLITUDE)
+
+
+# a fractional or boolean count, an infinite tolerance, a point u that is not finite and
+# a boolean angle, each where the library takes it
+@pytest.mark.parametrize("call", [
+    lambda: tensor_model_cr(_FACTORS, 2.5, 1),
+    lambda: chebyshev_t(True, 0.3),
+    lambda: _QCA2.power_equals_identity(2, math.inf),
+    lambda: initial_state((0.5, 1), _PCA),
+    lambda: initial_state((1.7, 0), _PCA),
+    lambda: initial_state((True, 0), _PCA),
+    lambda: ZetaLogSeries(2.5, [0.5]),
+    lambda: StateVector(1, _PCA, [1.0, 0.0], time_step=-3.5),
+    lambda: _ZETA.evaluate(math.nan),
+    lambda: _ZETA.evaluate(complex(0.1, math.inf)),
+    lambda: _QCA2.log_det_factor(math.nan),
+    lambda: binomial_zeta_qca1(3, True, 0.3),
+    lambda: binomial_zeta_qca1(3, np.True_, 0.3),
+], ids=["tensor-fractional-n", "chebyshev-bool-order", "period-infinite-tol",
+        "bit-half", "bit-fraction", "bit-bool", "series-fractional-n", "state-fractional-time",
+        "series-nan-u", "series-infinite-u", "log-det-nan-u", "binomial-bool-angle",
+        "binomial-numpy-bool-angle"])
+def test_unchecked_inputs_are_refused(call):
+    with pytest.raises(DomainError):
+        call()
+
+
+# every public count: a call that passes the drawn value to it, and its minimum
+_COUNTS = {
+    "chebyshev_t-order": (lambda v: chebyshev_t(v, 0.3), 0),
+    "tensor_model_cr-n_sites": (lambda v: tensor_model_cr(_FACTORS, v, 1), 2),
+    "tensor_model_cr-power": (lambda v: tensor_model_cr(_FACTORS, 3, v), 1),
+    "clt_limit_zeta-quad_nodes": (lambda v: clt_limit_zeta(0.8, 0.3, v), 8),
+    "rule90_trace_general_r-k": (lambda v: rule90_trace_general_r(4, v, 1), 0),
+    "rule90_trace_general_r-s": (lambda v: rule90_trace_general_r(4, 1, v), 1),
+    "evolve_states-steps": (lambda v: next(evolve_states(_START, _QCA2, v)), 0),
+    "initial_state-site_state": (lambda v: initial_state((v, 1), _PCA), 0),
+    "ZetaLogSeries-n_sites": (lambda v: ZetaLogSeries(v, [0.5]), 1),
+    "StateVector-time_step": (lambda v: StateVector(1, _PCA, [1.0, 0.0], time_step=v), 0),
+}
+# every public tolerance: a call that passes the drawn value, and whether None is refused
+_TOLERANCES = {
+    "run_formula-tol": (lambda v: run_formula("prop6_pi2", tol=v), False),  # None: the default
+    "power_equals_identity-tol": (lambda v: _QCA2.power_equals_identity(2, v), True),
+}
+_NEITHER = (st.booleans(), st.sampled_from((np.True_, np.False_)), st.text(max_size=3))
+
+
+def _not_a_count(minimum):
+    return st.one_of(st.floats().filter(lambda x: not x.is_integer()),
+                     st.integers(-2 ** 53, 2 ** 53).map(float), *_NEITHER, st.none(),
+                     st.integers(max_value=minimum - 1))
+
+
+def _not_a_tolerance(none_refused):
+    return st.one_of(st.floats(max_value=0.0, exclude_max=True), st.integers(max_value=-1),
+                     st.sampled_from((math.nan, math.inf, np.float64(math.nan), 1j)),
+                     *_NEITHER, *((st.none(),) if none_refused else ()))
+
+
+@pytest.mark.parametrize("argument", [*_COUNTS, *_TOLERANCES])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_counts_and_tolerances_refuse_what_they_do_not_take(argument, data):
+    if argument in _COUNTS:
+        call, minimum = _COUNTS[argument]
+        value = data.draw(_not_a_count(minimum), label="value")
+    else:
+        call, none_refused = _TOLERANCES[argument]
+        value = data.draw(_not_a_tolerance(none_refused), label="value")
+    # DomainError, never a returned value nor numpy's or Python's TypeError or ValueError
+    with pytest.raises(DomainError):
+        call(value)

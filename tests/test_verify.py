@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ipszeta import DomainError, FORMULA_IDS, run_formula
+from ipszeta import DomainError, FORMULA_IDS, GlobalOperator, run_formula
+from ipszeta import verify
 from ipszeta.cli import main
 from ipszeta.verify import FORMULAS, TENSOR_PAIRS, Formula, _random_factor_pairs
 
@@ -85,6 +86,25 @@ def test_tol_that_is_not_finite_and_nonnegative_is_rejected(formula_id):
     for tol in (math.nan, -1e-3, -math.inf, math.inf):
         with pytest.raises(DomainError, match="tol"):
             run_formula(formula_id, tol=tol)
+
+
+def test_gaussian_limit_fails_when_the_gaps_rise(monkeypatch):
+    # every gap is below tolerance, but each is four times the last
+    limit = verify.clt_limit_zeta(verify.CLT_XI, verify.CLT_U)
+    monkeypatch.setattr(verify, "binomial_zeta_qca1", lambda n, xi, u: limit + 1e-6 * n)
+    report = run_formula("cor5_7")
+    assert report.grid["gaps"][-1] < report.tolerance
+    assert report.grid["monotone_within_noise"] is False and not report.passed
+    assert report.witness == {"check": "gap_decrease_within_noise", "error": 1.0}
+
+
+def test_quarter_turn_fails_when_period_2_fails(monkeypatch):
+    calls = []
+    monkeypatch.setattr(GlobalOperator, "power_equals_identity",
+                        lambda self, r, tol: calls.append((self.n_sites, r, tol)) or False)
+    report = run_formula("prop6_pi2", n_values=(1, 2))
+    assert calls == [(1, 2, 1e-10), (2, 2, 1e-10)] and not report.passed
+    assert report.witness == {"n": 1, "check": "period_2", "error": 1.0}
 
 
 def test_unknown_formula_id():
