@@ -10,7 +10,6 @@ input, 3 verification failure.
 from __future__ import annotations
 
 import argparse
-import cmath
 import contextlib
 import json
 import math
@@ -25,8 +24,8 @@ from .errors import DomainError, InvalidInput, IpsZetaError, SizeExceeded
 from .models import MODEL_NAMES, ModelSpec, build_local, classify
 from .operators import GlobalOperator
 from .dynamics import StateKind, evolve_states, evolve_trajectory, initial_state, state_kind
-from .serialize import (complex_pair, from_pair, series_csv, spectrum_csv, tolerance, trace_csv,
-                        trajectory_csv)
+from .serialize import (complex_pair, from_pair, number, series_csv, spectrum_csv, tolerance,
+                        trace_csv, trajectory_csv)
 from .verify import FORMULA_IDS, run_formula
 
 _PI_FRACTION = re.compile(r"^(?P<sign>[+-]?)(?P<coef>\d+(?:\.\d+)?)?pi(?:/(?P<den>\d+(?:\.\d+)?))?$")
@@ -56,18 +55,18 @@ def parse_complex(text: str) -> complex:
         raise DomainError(f"cannot parse complex number {text!r}")
 
 
-def parse_n_values(text: str) -> list:
-    """Site counts from ``6`` or an inclusive range ``5..8``."""
+def parse_n_values(text: str) -> range:
+    """Site counts from ``6`` or an inclusive range ``5..8``, as a range that is not built."""
     text = text.strip()
     try:
-        if ".." not in text:
-            return [int(text)]
-        lo, hi = (int(t) for t in text.split("..", 1))
+        lo, hi = (int(t) for t in text.split("..", 1)) if ".." in text else (int(text),) * 2
     except ValueError:
         raise DomainError(f"--n takes a site count like 6 or a range like 5..8, got {text!r}")
     if hi < lo:
         raise DomainError(f"empty site range {text!r}")
-    return list(range(lo, hi + 1))
+    if hi - lo >= sys.maxsize:
+        raise DomainError(f"--n range {text!r} holds more than {sys.maxsize} site counts")
+    return range(lo, hi + 1)
 
 
 _STATE_KINDS = {"pca": StateKind.PCA_PROBABILITY, "qca": StateKind.QCA_AMPLITUDE}
@@ -126,7 +125,7 @@ def _load_config(args) -> None:
 
     Flags win over the file.  A file may hold any config key, whether or not
     the command reads it, and each value is checked before any work starts.
-    Afterwards ``args.spec`` holds the model (or None), ``args.n`` a list of
+    Afterwards ``args.spec`` holds the model (or None), ``args.n`` a range of
     site counts and ``args.u`` a list of finite complex points.
     """
     if args.matrix is not None and args.params is not None:
@@ -158,8 +157,7 @@ def _load_config(args) -> None:
         args.u = [parse_complex(t) for t in args.u.split(",")]
     elif args.u is not None:
         args.u = [_u_from_json(t) for t in args.u]
-    if args.u is not None and not all(cmath.isfinite(u) for u in args.u):
-        raise DomainError(f"--u takes finite points, got {args.u}")
+    args.u = None if args.u is None else [number("--u", u) for u in args.u]
     args.tol = None if args.tol is None else tolerance("--tol", args.tol)
 
 
@@ -219,7 +217,7 @@ def _require_model(args) -> ModelSpec:
 def _single_n(args) -> int:
     if not args.n:
         raise DomainError("a site count is required (--n)")
-    if len(args.n) != 1:
+    if args.n[-1] != args.n[0]:
         raise DomainError("this command takes a single --n, not a range")
     return args.n[0]
 

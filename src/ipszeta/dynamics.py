@@ -27,7 +27,7 @@ from .config import DEFAULTS
 from .errors import DimensionMismatch, DomainError, InvariantDrift, KindMismatch
 from .models import LocalOperator, classify
 from .operators import GlobalOperator
-from .serialize import positive_int
+from .serialize import number_array, positive_int
 
 _CONSTRUCT_TOL = 1e-10  # normalization tolerance for freshly built states
 _REAL_TOL = 1e-12       # allowed imaginary / negative leakage of fresh probabilities
@@ -65,9 +65,7 @@ class StateVector:
     def __init__(self, n_sites: int, kind: StateKind, components, time_step: int = 0,
                  evolved: bool = False):
         n_sites = positive_int("n_sites", n_sites)
-        v = np.asarray(components).reshape(-1)
-        if v.dtype == np.bool_:
-            raise DomainError("state components must be numbers, got a boolean array")
+        v = number_array("state components", components).reshape(-1)
         if v.shape[0] != (1 << n_sites):
             raise DimensionMismatch(f"state length {v.shape[0]} does not match 2^{n_sites}")
         self._hold(n_sites, kind, (v[0::2].copy(), v[1::2].copy()), time_step, evolved)

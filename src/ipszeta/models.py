@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import DEFAULTS
 from .errors import ConstraintViolation, DimensionMismatch, DomainError
-from .serialize import matrix_from_pairs, matrix_pairs, real_number
+from .serialize import matrix_from_pairs, matrix_pairs, number, number_array, tolerance
 
 # a packed pair index 2a+b has parity b: the rows and columns of the block
 # for right site b, and the forbidden positions where the parities disagree
@@ -27,12 +27,14 @@ _FORBIDDEN = np.array([[(r ^ c) & 1 for c in range(4)] for r in range(4)], dtype
 
 def rotation(xi: float) -> np.ndarray:
     """Plane rotation [[cos, -sin], [sin, cos]] as a real 2x2 matrix."""
+    xi = number("angle", xi, real=True)
     c, s = math.cos(xi), math.sin(xi)
     return np.array([[c, -s], [s, c]])
 
 
 def reflection(xi: float) -> np.ndarray:
     """Unitary reflection [[-sin, cos], [cos, sin]]; squares to the identity."""
+    xi = number("angle", xi, real=True)
     c, s = math.cos(xi), math.sin(xi)
     return np.array([[-s, c], [c, s]])
 
@@ -60,14 +62,6 @@ _FAMILIES = {
 MODEL_NAMES = (*_FAMILIES, "tensor", "custom")
 
 
-def _complex_matrix(name: str, value) -> np.ndarray:
-    """A complex128 copy of ``value``; a boolean array is refused with DomainError."""
-    m = np.asarray(value)
-    if m.dtype == np.bool_:
-        raise DomainError(f"{name} entries must be numbers, got a boolean array")
-    return m.astype(np.complex128)
-
-
 @dataclass(frozen=True, eq=False)
 class LocalOperator:
     """Validated 4x4 transition-weight matrix of a two-site update."""
@@ -75,7 +69,7 @@ class LocalOperator:
     entries: np.ndarray
 
     def __post_init__(self):
-        m = _complex_matrix("local operator", self.entries)
+        m = number_array("local operator entries", self.entries).astype(np.complex128)
         if m.shape != (4, 4):
             raise ConstraintViolation(f"local operator must be 4x4, got shape {m.shape}")
         if not np.all(np.isfinite(m)):
@@ -123,7 +117,7 @@ class TensorFactors:
 
     def __post_init__(self):
         for name in ("left", "right"):
-            m = _complex_matrix(f"{name} factor", getattr(self, name))
+            m = number_array(f"{name} factor entries", getattr(self, name)).astype(np.complex128)
             if m.shape != (2, 2):
                 raise DimensionMismatch(f"{name} factor must be 2x2, got shape {m.shape}")
             if not np.all(np.isfinite(m)):
@@ -176,16 +170,13 @@ class ModelSpec:
             raise DomainError(f"unknown model {self.model!r}; expected one of {MODEL_NAMES}")
         family = _FAMILIES.get(self.model)
         if family is not None:
-            try:
-                vals = tuple(real_number(p) for p in self.params)
-            except (TypeError, ValueError, DomainError):
+            if not np.iterable(self.params) or any(map(np.iterable, self.params)):
                 raise DomainError(f"{self.model} params must be numbers, got {self.params!r}")
+            vals = tuple(number(f"{self.model} parameters", p, real=True) for p in self.params)
             if len(vals) != family.n_params:
                 raise DomainError(
                     f"{self.model} takes {family.n_params} parameters, got {len(vals)}"
                 )
-            if not all(math.isfinite(v) for v in vals):
-                raise DomainError(f"{self.model} parameters must be finite")
             if family.probabilities and not all(0.0 <= v <= 1.0 for v in vals):
                 raise DomainError(f"{self.model} probabilities must lie in [0, 1]")
             object.__setattr__(self, "params", vals)
@@ -276,7 +267,10 @@ def build_local(spec: ModelSpec) -> LocalOperator:
 
 @np.errstate(over="ignore", invalid="ignore")
 def is_unitary(op: LocalOperator, tol: float = DEFAULTS.classify_tol) -> bool:
-    """Whether the Gram matrix of ``op`` is the identity to max-abs ``tol``; NaN fails."""
+    """Whether the Gram matrix of ``op`` is the identity to max-abs ``tol``; NaN fails.
+
+    A ``tol`` that is not a finite number >= 0 raises DomainError."""
+    tol = tolerance("tol", tol)
     m = op.entries
     return bool(np.max(np.abs(m.conj().T @ m - np.eye(4))) <= tol)
 
@@ -284,7 +278,11 @@ def is_unitary(op: LocalOperator, tol: float = DEFAULTS.classify_tol) -> bool:
 # an overflow near the float limit fails the test that met it, silently
 @np.errstate(over="ignore", invalid="ignore")
 def classify(op: LocalOperator, tol: float = DEFAULTS.classify_tol) -> ModelClass:
-    """Total classification of a local operator; never raises."""
+    """Total classification of a local operator.
+
+    Never raises for a local operator given a valid ``tol``, a finite number
+    >= 0; any other ``tol`` raises DomainError."""
+    tol = tolerance("tol", tol)
     m = op.entries
     in_range = (m.real >= -tol) & (m.real <= 1.0 + tol) & (np.abs(m.imag) <= tol)
     columns_ok = np.abs(m.sum(axis=0) - 1.0) <= tol
@@ -304,8 +302,10 @@ def factor_tensor(op: LocalOperator, tol: float = DEFAULTS.classify_tol) -> Opti
     leading diagonal entry to 1 (the (0,0) entry when its block is
     nonzero, the (1,1) entry otherwise), which makes round-trips
     deterministic.  Returns None, never raises, when no finite factor
-    pair reproduces the operator within ``tol``.
+    pair reproduces the operator within ``tol``; a ``tol`` that is not a
+    finite number >= 0 raises DomainError.
     """
+    tol = tolerance("tol", tol)
     b0 = op.block_right0
     b1 = op.block_right1
     if not b0.any() and not b1.any():

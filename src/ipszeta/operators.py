@@ -38,8 +38,8 @@ from .errors import (
     SizeExceeded,
 )
 from .models import LocalOperator, is_unitary
-from .serialize import positive_int, tolerance
-from .zeta import ZetaLogSeries, _check_finite, _ldexp
+from .serialize import number, positive_int, tolerance
+from .zeta import ZetaLogSeries, _ldexp
 
 __all__ = ["GlobalOperator"]
 
@@ -238,7 +238,7 @@ class GlobalOperator:
         taking a 2^N-th root, so the branch is unambiguous.
         """
         # u is checked before the spectrum is solved
-        factors = 1.0 - _check_finite("u", complex(u)) * self.eigenvalues()
+        factors = 1.0 - number("u", u) * self.eigenvalues()
         if np.min(np.abs(factors)) < DEFAULTS.singular_eps:
             raise SingularAtU(f"1 - u*lambda vanishes at u={u}")
         return complex(np.sum(np.log(factors)) / self.dim)

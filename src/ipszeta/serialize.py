@@ -7,6 +7,8 @@ function.
 
 from __future__ import annotations
 
+import cmath
+import math
 import numbers
 import operator
 
@@ -14,17 +16,12 @@ import numpy as np
 
 from .errors import DimensionMismatch, DomainError
 
+_SCALARS = (numbers.Number, np.bool_)  # what ``from_pair`` takes for one part of a pair
+
 
 def complex_pair(z) -> list:
     z = complex(z)
     return [z.real, z.imag]
-
-
-def real_number(value) -> float:
-    """``float(value)``, but a bool, Python or numpy, is refused with DomainError."""
-    if isinstance(value, (bool, np.bool_)):
-        raise DomainError(f"expected a number, got the boolean {value!r}")
-    return float(value)
 
 
 def positive_int(name: str, value, minimum: int = 1) -> int:
@@ -48,14 +45,49 @@ def tolerance(name: str, value):
     return value
 
 
-def from_pair(pair) -> complex:
-    if isinstance(pair, (int, float, np.integer, np.floating, np.bool_)):
-        return complex(real_number(pair))
+def number(name: str, value, real: bool = False):
+    """``value`` as a finite float (``real``) or complex; DomainError for a bool (Python or
+    numpy), a string, None, a complex value where a real one is required, or a value not finite."""
+    if isinstance(value, (bool, np.bool_)):
+        raise DomainError(f"{name} must be a number, got the boolean {value!r}")
+    if not isinstance(value, numbers.Real if real else numbers.Complex):
+        raise DomainError(f"{name} must be a {'real ' if real else ''}number, got {value!r}")
     try:
-        real, imag = pair
-        return complex(real_number(real), real_number(imag))
+        value = float(value) if real else complex(value)
+    except OverflowError:  # an int beyond the float range
+        value = math.inf
+    if not cmath.isfinite(value):
+        raise DomainError(f"{name} must be finite, got {value!r}")
+    return value
+
+
+def unit_disk_point(u) -> complex:
+    """``number("u", u)`` with |u| < 1; a NaN or inf u is refused as off the disk."""
+    # a non-number falls through to ``number``; hypot, unlike abs, is inf for a far-out u
+    z = complex(u) if isinstance(u, numbers.Complex) and not isinstance(u, bool) else 0j
+    if not math.hypot(z.real, z.imag) < 1.0:
+        raise DomainError(f"u points must satisfy |u| < 1, got u={z}")
+    return number("u", u)
+
+
+def number_array(name: str, value) -> np.ndarray:
+    """``np.asarray(value)``; DomainError unless its dtype is integer, float or complex."""
+    m = np.asarray(value)
+    if m.dtype.kind not in "iufc":
+        kind = {"b": "boolean", "U": "string"}.get(m.dtype.kind, m.dtype.name)
+        raise DomainError(f"{name} must be numbers, got a {kind} array")
+    return m
+
+
+def from_pair(pair) -> complex:
+    """A complex number from ``[re, im]`` or a bare real; each part goes through ``number``."""
+    try:
+        real, imag = (pair, 0.0) if isinstance(pair, _SCALARS) else pair
+        if not (isinstance(real, _SCALARS) and isinstance(imag, _SCALARS)):
+            raise TypeError
     except (TypeError, ValueError):
         raise DimensionMismatch(f"expected [re, im], got {pair!r}")
+    return complex(number("re", real, real=True), number("im", imag, real=True))
 
 
 def matrix_pairs(m) -> list:

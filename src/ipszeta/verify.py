@@ -37,10 +37,9 @@ import numpy as np
 from .errors import DomainError
 from .models import LocalOperator, ModelSpec, TensorFactors, build_local
 from .operators import GlobalOperator
-from .serialize import complex_pair, positive_int, tolerance
+from .serialize import complex_pair, positive_int, tolerance, unit_disk_point
 from .zeta import (
     SQRT2,
-    _unit_disk_point,
     binomial_zeta_qca1,
     chebyshev_t,
     clt_limit_zeta,
@@ -288,7 +287,7 @@ def run_formula(
     n_values = tuple(formula.n_values if n_values is None else n_values)
     r_max = formula.r_max if r_max is None else r_max
     u_points = formula.u_points if u_points is None else u_points
-    u_points = None if u_points is None else tuple(_unit_disk_point(u) for u in u_points)
+    u_points = None if u_points is None else tuple(map(unit_disk_point, u_points))
     tol = formula.tol if tol is None else tolerance("tol", tol)
     if not n_values or u_points == ():
         raise DomainError(f"{formula_id} needs a nonempty grid")

@@ -17,7 +17,6 @@ root.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -26,7 +25,7 @@ import numpy as np
 from .config import DEFAULTS
 from .errors import DomainError, SingularAtU
 from .models import TensorFactors
-from .serialize import positive_int
+from .serialize import number, number_array, positive_int, unit_disk_point
 
 SQRT2 = math.sqrt(2.0)
 
@@ -50,20 +49,13 @@ def _linear_recurrence(coeffs: tuple, seeds: tuple, index: int) -> float:
 def chebyshev_t(n: int, x: float) -> float:
     """First-kind value T_n(x) by the three-term recurrence (any real x)."""
     n = positive_int("first-kind order", n, 0)
-    return _linear_recurrence((2.0 * float(x), -1.0), (1.0, float(x)), n)
-
-
-def _unit_disk_point(u) -> complex:
-    """``u`` as a complex number, refused with DomainError unless |u| < 1 (NaN too)."""
-    u = complex(u)
-    if not abs(u) < 1.0:
-        raise DomainError(f"u points must satisfy |u| < 1, got u={u}")
-    return u
+    x = number("x", x, real=True)
+    return _linear_recurrence((2.0 * x, -1.0), (1.0, x), n)
 
 
 def arctanh(u) -> complex:
     """Principal arctanh from its two linear log factors."""
-    u = complex(u)
+    u = number("u", u)
     return 0.5 * (np.log(1.0 + u) - np.log(1.0 - u))
 
 
@@ -86,7 +78,7 @@ class ZetaLogSeries:
 
     def __post_init__(self):
         object.__setattr__(self, "n_sites", positive_int("n_sites", self.n_sites))
-        c = self._finite(np.array(self.c_values, dtype=np.complex128).reshape(-1))
+        c = self._finite(number_array("C_r", self.c_values).astype(np.complex128).reshape(-1))
         c.setflags(write=False)
         object.__setattr__(self, "c_values", c)
         coefficients = -c / np.arange(1, len(c) + 1, dtype=np.float64)
@@ -108,7 +100,7 @@ class ZetaLogSeries:
 
     def evaluate(self, u) -> complex:
         """Sum of coefficient_r * u^r in ascending order of r; u must be finite (DomainError)."""
-        u = _check_finite("u", complex(u))
+        u = number("u", u)
         total = 0.0 + 0.0j
         power = 1.0 + 0.0j
         for c in self.coefficients:
@@ -149,16 +141,8 @@ def tensor_model_cr(factors: TensorFactors, n_sites: int, r: int) -> complex:
     return half_sum(lp, lm) * half_sum(mp, mm) ** (n_sites - 2) * half_sum(e, h)
 
 
-def _check_finite(name: str, value):
-    """``value`` unchanged; DomainError if it is a bool, Python or numpy, or not finite."""
-    if isinstance(value, (bool, np.bool_)) or not cmath.isfinite(value):
-        raise DomainError(f"{name} must be a finite number, got {value!r}")
-    return value
-
-
-def _check_sites_and_angle(n_sites: int, xi: float) -> None:
-    positive_int("n_sites", n_sites)
-    _check_finite("angle", xi)
+def _sites_and_angle(n_sites: int, xi: float) -> tuple:
+    return positive_int("n_sites", n_sites), number("angle", xi, real=True)
 
 
 def binomial_zeta_qca1(n_sites: int, xi: float, u) -> complex:
@@ -169,15 +153,14 @@ def binomial_zeta_qca1(n_sites: int, xi: float, u) -> complex:
     weights come from log-gamma differences, so the sum stays stable for
     N in the thousands.
     """
-    _check_sites_and_angle(n_sites, xi)
-    u = _check_finite("u", complex(u))
-    n = n_sites
+    n, xi = _sites_and_angle(n_sites, xi)
+    u = number("u", u)
     k = np.arange(n)
     log_w = np.array(
         [math.lgamma(n) - math.lgamma(kk + 1) - math.lgamma(n - kk) for kk in k]
     ) - (n - 1) * math.log(2.0)
     weights = np.exp(log_w)
-    phases = np.exp(1j * (2 * k - (n - 1)) * float(xi))
+    phases = np.exp(1j * (2 * k - (n - 1)) * xi)
     factors = 1.0 - phases * u
     if np.min(np.abs(factors)) < DEFAULTS.singular_eps:
         raise SingularAtU(f"a log factor vanishes at u={u}")
@@ -190,11 +173,11 @@ def clt_limit_zeta(xi: float, u, quad_nodes: int = DEFAULTS.quad_nodes) -> compl
     Gauss-Hermite quadrature with the sqrt(2) change of variables;
     deterministic for a fixed node count.
     """
-    _check_finite("angle", xi)
-    u = _unit_disk_point(u)
+    xi = number("angle", xi, real=True)
+    u = unit_disk_point(u)
     quad_nodes = positive_int("quad_nodes", quad_nodes, 8)
     nodes, weights = np.polynomial.hermite.hermgauss(quad_nodes)
-    values = np.log(1.0 - np.exp(1j * float(xi) * SQRT2 * nodes) * u)
+    values = np.log(1.0 - np.exp(1j * xi * SQRT2 * nodes) * u)
     return complex((weights @ values) / math.sqrt(math.pi))
 
 
@@ -206,7 +189,7 @@ def qca2_c1_closed_form(n_sites: int, xi: float) -> complex:
     distinct-root expression everywhere else, also close to coalescence,
     where it stays within 1e-9 of a 60-digit run of the recurrence.
     """
-    _check_sites_and_angle(n_sites, xi)
+    n_sites, xi = _sites_and_angle(n_sites, xi)
     s = math.sin(xi)
     disc = (1.0 + s) ** 2 - 8.0 * s
     if abs(disc) < DEFAULTS.double_root_tol:
@@ -227,7 +210,7 @@ def qca2_x2_recurrence(n_sites: int, xi: float) -> float:
               - 4 sin(xi) cos^2(xi) x_N
     with x_1 = 2, x_2 = 4, x_3 = 4 (1 + sin^2 xi).
     """
-    _check_sites_and_angle(n_sites, xi)
+    n_sites, xi = _sites_and_angle(n_sites, xi)
     s = math.sin(xi)
     sc = 2.0 * s * math.cos(xi) ** 2
     return _linear_recurrence((1.0 + s * s, sc, -2.0 * sc), (2.0, 4.0, 4.0 * (1.0 + s * s)),
@@ -268,7 +251,7 @@ def zeta_closed_form_qca2(n_sites: int, variant: str, u) -> complex:
     Both ``pi_half`` and ``rule90`` hold for every N >= 1.
     """
     positive_int("n_sites", n_sites)
-    u = _unit_disk_point(u)
+    u = unit_disk_point(u)
     if variant == "pi_half":
         amplitude = 2.0 ** (-(n_sites - 1) / 2.0) * chebyshev_t(n_sites - 1, SQRT2 / 2.0)
         return complex(0.5 * (np.log(1.0 - u) + np.log(1.0 + u)) - amplitude * arctanh(u))

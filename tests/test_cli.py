@@ -75,8 +75,8 @@ class TestParsers:
         assert parse_complex("0.1+0.2j") == 0.1 + 0.2j
 
     def test_n_values(self):
-        assert parse_n_values("6") == [6]
-        assert parse_n_values("5..8") == [5, 6, 7, 8]
+        assert list(parse_n_values("6")) == [6]
+        assert list(parse_n_values("5..8")) == [5, 6, 7, 8]
 
 
 class TestValidate:
@@ -267,6 +267,19 @@ class TestInputErrors:
         assert code == 2 and out == "" and "--u" in err
 
     @pytest.mark.parametrize("argv", [
+        ("zeta", "--model", "dk", "--params", "0.3,0.7", "--n", "1..100000000000000000000"),
+        ("verify", "thm5_3", "--n", "2..100000000000000000000"),
+        ("evolve", "--model", "dk", "--params", "0.3,0.7", "--n", "1..100000000000000000000",
+         "--initial", "01"),
+        ("spectrum", "--model", "dk", "--params", "0.3,0.7", "--n", "1..10000000"),
+        ("zeta", "--model", "dk", "--params", "0.3,0.7", "--n", "1..10000000"),
+    ], ids=["zeta-huge", "verify-huge", "evolve-huge", "spectrum-wide", "zeta-wide"])
+    def test_range_is_refused_before_it_is_built(self, capsys, argv):
+        # a range wider than sys.maxsize, or any range where one N is taken, exits 2
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "--n" in err
+
+    @pytest.mark.parametrize("argv", [
         ("validate", "--model", "qca1", "--params", "0.4,1.1", "--tol", "nan"),
         ("validate", "--model", "qca1", "--params", "0.4,1.1", "--tol", "-1"),
         ("validate", "--model", "qca1", "--params", "0.4,1.1", "--tol", "inf"),
@@ -312,9 +325,11 @@ class TestInputErrors:
         (("evolve", "--model", "dk", "--params", "0.3,0.7", "--n", "2", "--initial", "01",
           "--steps", "-1"), None, "steps must be >= 0, got -1"),
         (("verify", "thm5_3", "--n", "3"), '{"tol": -1}', "--tol must be a number >= 0, got -1"),
+        (("zeta", "--n", "3"), '{"model": "qca1", "params": [1%s, 0]}' % ("0" * 400),
+         "qca1 parameters must be finite"),
     ], ids=["angle", "complex", "empty-range", "config-u-string", "config-not-object",
             "model-without-params", "zeta-without-n", "zeta-range", "tensor-one-site",
-            "negative-steps", "config-negative-tol"])
+            "negative-steps", "config-negative-tol", "config-param-past-float-range"])
     def test_refusal_names_the_input(self, capsys, tmp_path, argv, config, needle):
         if config is not None:
             cfg = tmp_path / "run.json"
@@ -440,6 +455,8 @@ class TestVerify:
         pytest.param(("cor5_7", "--rmax", "3"), "--rmax", id="cor5_7-rmax"),
         pytest.param(("cor5_4", "--n", "3", "--rmax", "4", "--u", "0.2"), "--u", id="cor5_4-u"),
         pytest.param(("thm6_pi2zeta", "--n", "2", "--u", "1.5"), "1.5", id="thm6_pi2zeta-u"),
+        pytest.param(("thm6_pi2zeta", "--n", "2", "--u", "1.5e308+1.5e308j"), "|u| < 1",
+                     id="thm6_pi2zeta-u-past-abs-range"),
     ])
     def test_unsupported_override_or_point_exits_2(self, capsys, argv, needle):
         code, out, err = run(capsys, "verify", *argv)

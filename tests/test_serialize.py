@@ -11,21 +11,31 @@ from ipszeta import (
     DimensionMismatch,
     DomainError,
     GlobalOperator,
+    LocalOperator,
     ModelSpec,
     StateKind,
     StateVector,
     TensorFactors,
     ZetaLogSeries,
+    arctanh,
     binomial_zeta_qca1,
     build_local,
     chebyshev_t,
+    classify,
     clt_limit_zeta,
+    factor_tensor,
     initial_state,
+    qca2_c1_closed_form,
+    qca2_x2_recurrence,
+    reflection,
+    rotation,
     rule90_trace_general_r,
     run_formula,
     tensor_model_cr,
+    zeta_closed_form_qca2,
 )
 from ipszeta.dynamics import evolve_states
+from ipszeta.models import is_unitary
 from ipszeta.serialize import (
     complex_pair,
     from_pair,
@@ -139,8 +149,9 @@ _ZETA = ZetaLogSeries(2, [0.5, 0.25])
 _START = initial_state((0, 0, 1), StateKind.QCA_AMPLITUDE)
 
 
-# a fractional or boolean count, an infinite tolerance, a point u that is not finite and
-# a boolean angle, each where the library takes it
+# a fractional or boolean count, a tolerance, point, angle or parameter that is not a
+# finite number of its kind, and an array of booleans or strings, each where the library
+# takes it
 @pytest.mark.parametrize("call", [
     lambda: tensor_model_cr(_FACTORS, 2.5, 1),
     lambda: chebyshev_t(True, 0.3),
@@ -155,10 +166,37 @@ _START = initial_state((0, 0, 1), StateKind.QCA_AMPLITUDE)
     lambda: _QCA2.log_det_factor(math.nan),
     lambda: binomial_zeta_qca1(3, True, 0.3),
     lambda: binomial_zeta_qca1(3, np.True_, 0.3),
+    lambda: _ZETA.evaluate(True),
+    lambda: _ZETA.evaluate("0.3"),
+    lambda: clt_limit_zeta(0.8, False),
+    lambda: zeta_closed_form_qca2(3, "pi_half", False),
+    lambda: run_formula("thm6_pi2zeta", n_values=(2,), u_points=(False,)),
+    lambda: binomial_zeta_qca1(3, 0.3, True),
+    lambda: clt_limit_zeta(1j, 0.3),
+    lambda: qca2_c1_closed_form(5, 1j),
+    lambda: qca2_x2_recurrence(5, "0.3"),
+    lambda: binomial_zeta_qca1(3, None, 0.2),
+    lambda: chebyshev_t(2, True),
+    lambda: ModelSpec.qca1("0.3", 0),
+    lambda: ZetaLogSeries(3, [True, "0.5"]),
+    lambda: LocalOperator(np.eye(4).astype(str)),
+    lambda: TensorFactors(np.eye(2).astype(str), np.eye(2)),
+    lambda: StateVector(1, _PCA, ["1", "0"]),
+    lambda: from_pair([0.5, math.nan]),
+    lambda: classify(_QCA2.local, True),
+    lambda: classify(_QCA2.local, "x"),
+    lambda: classify(_QCA2.local, math.nan),
+    lambda: ModelSpec.qca1(10 ** 400, 0.0),
+    lambda: clt_limit_zeta(0.8, complex(1.5e308, 1.5e308)),
 ], ids=["tensor-fractional-n", "chebyshev-bool-order", "period-infinite-tol",
         "bit-half", "bit-fraction", "bit-bool", "series-fractional-n", "state-fractional-time",
         "series-nan-u", "series-infinite-u", "log-det-nan-u", "binomial-bool-angle",
-        "binomial-numpy-bool-angle"])
+        "binomial-numpy-bool-angle", "series-bool-u", "series-string-u", "clt-bool-u",
+        "closed-form-bool-u", "run-formula-bool-u", "binomial-bool-u", "clt-complex-angle",
+        "c1-complex-angle", "x2-string-angle", "binomial-none-angle", "chebyshev-bool-x",
+        "spec-string-param", "series-string-c", "local-string-array", "factors-string-array",
+        "state-string-array", "pair-nan-part", "classify-bool-tol", "classify-string-tol",
+        "classify-nan-tol", "param-past-the-float-range", "u-past-the-abs-range"])
 def test_unchecked_inputs_are_refused(call):
     with pytest.raises(DomainError):
         call()
@@ -181,6 +219,39 @@ _COUNTS = {
 _TOLERANCES = {
     "run_formula-tol": (lambda v: run_formula("prop6_pi2", tol=v), False),  # None: the default
     "power_equals_identity-tol": (lambda v: _QCA2.power_equals_identity(2, v), True),
+    "classify-tol": (lambda v: classify(_QCA2.local, v), True),
+    "is_unitary-tol": (lambda v: is_unitary(_QCA2.local, v), True),
+    "factor_tensor-tol": (lambda v: factor_tensor(_QCA2.local, v), True),
+}
+# every public number: a call that passes the drawn value, and whether it must be real
+_NUMBERS = {
+    "evaluate-u": (_ZETA.evaluate, False),
+    "log_det_factor-u": (_QCA2.log_det_factor, False),
+    "binomial_zeta_qca1-u": (lambda v: binomial_zeta_qca1(3, 0.2, v), False),
+    "clt_limit_zeta-u": (lambda v: clt_limit_zeta(0.8, v), False),
+    "zeta_closed_form_qca2-u": (lambda v: zeta_closed_form_qca2(3, "pi_half", v), False),
+    "run_formula-u": (lambda v: run_formula("thm6_pi2zeta", n_values=(2,), u_points=(v,)),
+                      False),
+    "arctanh-u": (arctanh, False),
+    "binomial_zeta_qca1-angle": (lambda v: binomial_zeta_qca1(3, v, 0.2), True),
+    "clt_limit_zeta-angle": (lambda v: clt_limit_zeta(v, 0.3), True),
+    "qca2_c1_closed_form-angle": (lambda v: qca2_c1_closed_form(5, v), True),
+    "qca2_x2_recurrence-angle": (lambda v: qca2_x2_recurrence(5, v), True),
+    "rotation-angle": (rotation, True),
+    "reflection-angle": (reflection, True),
+    "chebyshev_t-x": (lambda v: chebyshev_t(2, v), True),
+    "dk-param": (lambda v: ModelSpec.dk(0.3, v), True),
+    "gdk-param": (lambda v: ModelSpec.generalized_dk(0.1, v, 0.3, 0.4), True),
+    "qca1-param": (lambda v: ModelSpec.qca1(v, 0.0), True),
+    "qca2-param": (lambda v: ModelSpec.qca2(0.3, v), True),
+}
+# every public array: a call that passes the drawn entries, and how many it takes
+_ARRAYS = {
+    "LocalOperator-entries": (lambda v: LocalOperator(v.reshape(4, 4)), 16),
+    "TensorFactors-left": (lambda v: TensorFactors(v.reshape(2, 2), np.eye(2)), 4),
+    "TensorFactors-right": (lambda v: TensorFactors(np.eye(2), v.reshape(2, 2)), 4),
+    "StateVector-components": (lambda v: StateVector(1, _PCA, v), 2),
+    "ZetaLogSeries-c_values": (lambda v: ZetaLogSeries(2, v), 2),
 }
 _NEITHER = (st.booleans(), st.sampled_from((np.True_, np.False_)), st.text(max_size=3))
 
@@ -197,16 +268,35 @@ def _not_a_tolerance(none_refused):
                      *_NEITHER, *((st.none(),) if none_refused else ()))
 
 
-@pytest.mark.parametrize("argument", [*_COUNTS, *_TOLERANCES])
+def _not_a_number(real):
+    not_finite = st.sampled_from((math.nan, math.inf, -math.inf, np.float64(math.nan),
+                                  complex(0.1, math.inf), complex(math.nan, 0.0)))
+    complexes = (st.complex_numbers(), st.just(np.complex128(0.5))) if real else ()
+    return st.one_of(not_finite, *_NEITHER, st.none(), *complexes)
+
+
+def _not_a_number_array(size):
+    entries = st.one_of(st.booleans(), st.text(max_size=3))
+    return st.lists(entries, min_size=size, max_size=size).map(np.array)
+
+
+# counts, tolerances, numbers and arrays: every public argument that one input rule checks
+@pytest.mark.parametrize("argument", [*_COUNTS, *_TOLERANCES, *_NUMBERS, *_ARRAYS])
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_counts_and_tolerances_refuse_what_they_do_not_take(argument, data):
     if argument in _COUNTS:
         call, minimum = _COUNTS[argument]
         value = data.draw(_not_a_count(minimum), label="value")
-    else:
+    elif argument in _TOLERANCES:
         call, none_refused = _TOLERANCES[argument]
         value = data.draw(_not_a_tolerance(none_refused), label="value")
+    elif argument in _NUMBERS:
+        call, real = _NUMBERS[argument]
+        value = data.draw(_not_a_number(real), label="value")
+    else:
+        call, size = _ARRAYS[argument]
+        value = data.draw(_not_a_number_array(size), label="value")
     # DomainError, never a returned value nor numpy's or Python's TypeError or ValueError
     with pytest.raises(DomainError):
         call(value)
