@@ -14,12 +14,13 @@ steps each occupied parity block of an evolving state.  The blocks of a
 unitary Q are normal, so ``eigenvalues`` solves them through the
 Hermitian eigensolver; every other block goes to nonsymmetric QR.
 
-Traces have two engines behind ``GlobalOperator.trace_powers``, which
-returns the averages C_r as a ``zeta.ZetaLogSeries``.  The brute engine
-sweeps blocks of identity columns through both halves in O(r 4^N / 2).
-The transfer engine, ``transfer.traces``, reads the r-periodic space-time
-histories along space in O(N r 2^r); ``transfer.py`` gives its T_r.
-A cost model picks the engine; see ``_transfer_cheaper``.
+Traces have two engines behind ``trace_series``, which yields C_r as a
+``zeta.ZetaLogSeries`` per N of a grid (``trace_powers`` at one N).  The
+brute engine sweeps blocks of identity columns through both halves in
+O(r 4^N / 2).  The transfer engine, ``transfer.traces``, reads the
+r-periodic space-time histories along space in O(N r 2^r), all N of a
+grid in one pass; ``transfer.py`` gives its T_r.  A cost model, monotone
+in N, picks the engine; see ``_transfer_cheaper``.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .models import LocalOperator, is_unitary
 from .serialize import number, positive_int, tolerance
 from .zeta import ZetaLogSeries, _ldexp
 
-__all__ = ["GlobalOperator"]
+__all__ = ["GlobalOperator", "trace_series"]
 
 # identity columns swept together by the brute trace and power engine
 _BLOCK_BITS = 8
@@ -75,6 +76,32 @@ def _transfer_cheaper(n_sites: int, r_max: int) -> bool:
     if r_max + 1 > n_sites + min(n_sites - 1, _BLOCK_BITS):
         return False
     return _TRANSFER_COST * (((r_max - 1) << (r_max + 2)) + 4) < r_max << (2 * n_sites - 1)
+
+
+def trace_series(local, n_values, r_max: int):
+    """Yield ``(N, ZetaLogSeries)`` for each of the strictly increasing site counts ``n_values``.
+
+    All are checked before any trace is computed.  The cost model is monotone in N:
+    each N below its crossover runs the brute engine, one operator per N, and all N
+    above it come from one transfer pass.  A C_r past the float range raises DomainError.
+    """
+    if not isinstance(local, LocalOperator):
+        local = LocalOperator(local)
+    n_values = [positive_int("n_sites", n) for n in n_values]
+    r_max = positive_int("r_max", r_max)
+    if any(lo >= hi for lo, hi in zip(n_values, n_values[1:])):
+        raise DomainError(f"site counts must increase strictly, got {n_values}")
+    split = sum(not _transfer_cheaper(n, r_max) for n in n_values)
+    # ZetaLogSeries refuses overflow; no errstate holds a yield, so the caller still warns
+    for n in n_values[:split]:
+        with np.errstate(over="ignore", invalid="ignore"):
+            c_values = GlobalOperator(local, n)._brute_traces(r_max)
+        yield n, ZetaLogSeries(n, c_values)
+    if split < len(n_values):
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = transfer.traces(local.entries, n_values[split:], r_max)
+        for n, c_values in zip(n_values[split:], rows):
+            yield n, ZetaLogSeries(n, c_values)
 
 
 class GlobalOperator:
@@ -126,18 +153,8 @@ class GlobalOperator:
         return q_b
 
     def trace_powers(self, r_max: int) -> ZetaLogSeries:
-        """C_r for r = 1..r_max and their log series, from the engine the cost model picks.
-
-        Transfer costs O(N r 2^r) per r, brute O(r 4^N / 2).  A C_r that leaves
-        the float range raises DomainError, and so does a trace read from
-        ``values`` that leaves it.
-        """
-        r_max = positive_int("r_max", r_max)
-        # ZetaLogSeries refuses what is not finite, so numpy need not warn of overflow
-        with np.errstate(over="ignore", invalid="ignore"):
-            c_values = (transfer.traces(self.local.entries, self.n_sites, r_max)
-                        if _transfer_cheaper(self.n_sites, r_max) else self._brute_traces(r_max))
-            return ZetaLogSeries(self.n_sites, c_values)
+        """C_r for r = 1..r_max and their log series: ``trace_series`` at this N."""
+        return next(trace_series(self.local, (self.n_sites,), r_max))[1]
 
     def _brute_traces(self, r_max: int) -> np.ndarray:
         """C_r for r = 1..r_max from the diagonals of both parity blocks, in O(r 4^N / 2)."""

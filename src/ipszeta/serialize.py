@@ -71,10 +71,18 @@ def unit_disk_point(u) -> complex:
 
 
 def number_array(name: str, value) -> np.ndarray:
-    """``np.asarray(value)``; DomainError unless its dtype is integer, float or complex."""
-    m = np.asarray(value)
-    if m.dtype.kind not in "iufc":
-        kind = {"b": "boolean", "U": "string"}.get(m.dtype.kind, m.dtype.name)
+    """``np.asarray(value)``; DomainError unless it is rectangular, of integers, floats or
+    complex numbers, with no bool in a sequence (numpy would read it as a number)."""
+    try:
+        m = np.asarray(value)
+    except ValueError:  # numpy's "inhomogeneous shape"
+        raise DomainError(f"{name} must be a rectangular array, got {value!r}")
+    kind = m.dtype.kind
+    if kind in "iufc" and not isinstance(value, np.ndarray) and any(
+            isinstance(x, (bool, np.bool_)) for x in np.asarray(value, dtype=object).flat):
+        kind = "b"
+    if kind not in "iufc":
+        kind = {"b": "boolean", "U": "string"}.get(kind, m.dtype.name)
         raise DomainError(f"{name} must be numbers, got a {kind} array")
     return m
 

@@ -1,11 +1,11 @@
 """Formula verification registry.
 
 Each identifier maps to one row of ``FORMULAS``: its default grid, its
-tolerance and a check that compares one closed form against brute-force
-linear algebra on the global operator.  ``run_formula`` resolves the grid,
-keeps the worst deviation and its witness point (the first that is not
-finite, if any), and reports pass/fail at the tolerance.  Identifiers are
-the stable tokens the CLI exposes:
+tolerance and a check that compares one closed form against the C_r
+that ``operators.trace_series`` reads, one pass per model.  ``run_formula``
+resolves the grid, keeps the worst deviation and its witness point (the
+first that is not finite, if any), and reports pass/fail at the
+tolerance.  Identifiers are the stable tokens the CLI exposes:
 
     thm5_3            tensor-factor eigenvalue product vs brute C_r
     cor5_4            cosine-polynomial C_r identity, uniform-rotation model
@@ -35,8 +35,8 @@ from typing import Callable, Dict, Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .models import LocalOperator, ModelSpec, TensorFactors, build_local
-from .operators import GlobalOperator
+from .models import ModelSpec, TensorFactors, build_local
+from .operators import GlobalOperator, trace_series
 from .serialize import complex_pair, positive_int, tolerance, unit_disk_point
 from .zeta import (
     SQRT2,
@@ -100,10 +100,6 @@ class Formula:
     fields: dict = field(default_factory=dict)
 
 
-def _qca2_operator(xi: float, n: int) -> GlobalOperator:
-    return GlobalOperator(build_local(ModelSpec.qca2(0.0, xi)), n)
-
-
 def _random_factor_pairs(count: int, seed: int = 20127):
     # the stdlib generator: numpy's loads extension modules of about 6 MB
     rng = random.Random(seed)
@@ -118,9 +114,8 @@ def _random_factor_pairs(count: int, seed: int = 20127):
 def _tensor_eigen_traces(n_values, r_max, **_):
     """Eigenvalue-product C_r of tensor models vs brute traces, relative."""
     for idx, factors in enumerate(_random_factor_pairs(TENSOR_PAIRS)):
-        local = LocalOperator(factors.kron())
-        for n in n_values:
-            brute = GlobalOperator(local, n).trace_powers(r_max).c_values
+        for n, series in trace_series(factors.kron(), n_values, r_max):
+            brute = series.c_values
             for r in range(1, r_max + 1):
                 closed = tensor_model_cr(factors, n, r)
                 rel = abs(closed - brute[r - 1]) / max(1.0, abs(brute[r - 1]))
@@ -130,20 +125,16 @@ def _tensor_eigen_traces(n_values, r_max, **_):
 def _rotation_cosine_traces(n_values, r_max, **_):
     """Brute C_r of the uniform-rotation model vs T_r(cos xi)^(N-1)."""
     for xi in SIX_XI:
-        local = build_local(ModelSpec.qca1(xi, xi))
-        for n in n_values:
-            brute = GlobalOperator(local, n).trace_powers(r_max).c_values
+        for n, series in trace_series(build_local(ModelSpec.qca1(xi, xi)), n_values, r_max):
             for r in range(1, r_max + 1):
                 closed = chebyshev_t(r, math.cos(xi)) ** (n - 1)
-                yield abs(brute[r - 1] - closed), {"xi": xi, "n": n, "r": r}
+                yield abs(series.c_values[r - 1] - closed), {"xi": xi, "n": n, "r": r}
 
 
 def _binomial_series_coefficients(n_values, r_max, **_):
     """Binomial log-sum coefficients -sum_k w_k z_k^r / r vs -C_r / r."""
     for xi in SIX_XI:
-        local = build_local(ModelSpec.qca1(xi, xi))
-        for n in n_values:
-            series = GlobalOperator(local, n).trace_powers(r_max)
+        for n, series in trace_series(build_local(ModelSpec.qca1(xi, xi)), n_values, r_max):
             k = np.arange(n)
             # int true division is correctly rounded: 2.0 ** (n - 1) overflows from N = 1025
             weights = np.array([math.comb(n - 1, kk) / (1 << (n - 1)) for kk in k])
@@ -173,29 +164,29 @@ def _gaussian_limit(n_values, notes, **_):
 def _reflection_trace(n_values, power: int, closed: Callable[[int, float], complex], **_):
     """Brute power-th trace of qca2(0, xi) vs ``closed(n, xi)``, relative."""
     for xi in R1_XI_GRID:
-        for n in n_values:
-            brute = _qca2_operator(xi, n).trace_powers(power).values[power - 1]
+        for n, series in trace_series(build_local(ModelSpec.qca2(0.0, xi)), n_values, power):
+            brute = series.values[power - 1]
             yield abs(brute - closed(n, xi)) / max(1.0, abs(brute)), {"xi": xi, "n": n}
 
 
 def _quarter_turn(n_values, r_max, tol, **_):
     """Quarter-turn trace values for odd/even powers and period 2."""
-    for n in n_values:
-        op = _qca2_operator(math.pi / 2, n)
-        traces = op.trace_powers(r_max).values
+    local = build_local(ModelSpec.qca2(0.0, math.pi / 2))
+    for n, series in trace_series(local, n_values, r_max):
+        traces = series.values
         amp = 2.0 ** ((n + 1) / 2.0) * chebyshev_t(n - 1, SQRT2 / 2.0)
         for r in range(1, r_max + 1):
             expected = amp if r % 2 else float(2 ** n)
             yield abs(traces[r - 1] - expected), {"n": n, "r": r}
-        if not op.power_equals_identity(2, tol):
+        if not GlobalOperator(local, n).power_equals_identity(2, tol):
             yield 1.0, {"n": n, "check": "period_2"}
 
 
 def _rule90_power_traces(n_values, **_):
     """Brute Rule 90 power traces vs the 2^(2^k) / 2^N rule."""
     top = (2 ** RULE90_K_MAX) * (2 * RULE90_S_MAX - 1)
-    for n in n_values:
-        traces = _qca2_operator(0.0, n).trace_powers(top).values
+    for n, series in trace_series(build_local(ModelSpec.qca2(0.0, 0.0)), n_values, top):
+        traces = series.values
         for k in range(RULE90_K_MAX + 1):
             for s in range(1, RULE90_S_MAX + 1):
                 r = (2 ** k) * (2 * s - 1)
@@ -205,16 +196,10 @@ def _rule90_power_traces(n_values, **_):
 
 def _zeta_series(n_values, r_max, u_points, xi: float,
                  closed: Callable[[int, complex], complex], **_):
-    """``closed(n, u)`` vs the truncated trace series of qca2(0, xi).
-
-    The closed form runs before the series, so an invalid N is rejected
-    before any operator is built.
-    """
-    for n in n_values:
-        closed_values = [closed(n, u) for u in u_points]
-        series = _qca2_operator(xi, n).trace_powers(r_max)
-        for u, value in zip(u_points, closed_values):
-            yield abs(value - series.evaluate(u)), {"n": n, "u": complex_pair(u)}
+    """``closed(n, u)`` vs the truncated trace series of qca2(0, xi)."""
+    for n, series in trace_series(build_local(ModelSpec.qca2(0.0, xi)), n_values, r_max):
+        for u in u_points:
+            yield abs(closed(n, u) - series.evaluate(u)), {"n": n, "u": complex_pair(u)}
 
 
 # the lambdas look each closed form up by name at call time, so a wrapper

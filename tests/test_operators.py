@@ -34,7 +34,7 @@ from ipszeta import (
     tensor_model_cr,
 )
 from ipszeta.config import DEFAULTS
-from ipszeta.operators import _UNITARY_TOL, _transfer_cheaper
+from ipszeta.operators import _UNITARY_TOL, _transfer_cheaper, trace_series
 
 from helpers import (
     E00,
@@ -365,7 +365,7 @@ class TestTraceEngines:
     def test_engines_agree(self, blocks, n, r_max):
         local = LocalOperator.from_blocks(*(np.reshape(b, (2, 2)) for b in blocks))
         op = GlobalOperator(local, n)
-        brute, transferred = op._brute_traces(r_max), transfer.traces(local.entries, n, r_max)
+        brute, transferred = op._brute_traces(r_max), transfer.traces(local.entries, (n,), r_max)[0]
         scale = _no_cancellation_traces(local, n, r_max)
         # the engines round a subnormal C_r differently (transfer halves after
         # every step, brute scales once by 2^-N), so the bound has a floor of
@@ -395,7 +395,7 @@ class TestTraceEngines:
             exact = exact_transfer_c(exact_q, n, r_max)
             for engine in engines:
                 c_values = (GlobalOperator(entries, n)._brute_traces(r_max) if engine == "brute"
-                            else transfer.traces(entries, n, r_max))
+                            else transfer.traces(entries, (n,), r_max)[0])
                 # in Fractions: a float difference of C_r near 1e-646 is 0
                 for c, want in zip(c_values, exact):
                     assert c.imag == 0 and abs(Fraction(c.real) - want) <= Fraction(rel) * want, (
@@ -425,12 +425,59 @@ class TestTraceEngines:
         calls = []
         monkeypatch.setattr(GlobalOperator, "_brute_traces",
                             lambda self, r_max: calls.append("_brute_traces") or np.ones(r_max))
-        monkeypatch.setattr(transfer, "traces",
-                            lambda q, n_sites, r_max: calls.append("_transfer_traces") or np.ones(r_max))
+        monkeypatch.setattr(transfer, "traces", lambda q, n_values, r_max:
+                            calls.append("_transfer_traces") or np.ones((len(n_values), r_max)))
         op = _op(ModelSpec.dk(0.4, 0.2), 4)
         op.trace_powers(12)
         op.trace_powers(2)
         assert calls == ["_brute_traces", "_transfer_traces"]
+
+    def test_cost_model_is_monotone_in_n(self):
+        # so a grid splits once: brute below the crossover, transfer above it
+        for r_max in range(1, 65):
+            picks = [_transfer_cheaper(n, r_max) for n in range(1, 600)]
+            assert picks == sorted(picks), r_max
+
+    def test_a_mixed_range_makes_one_transfer_pass(self, monkeypatch):
+        calls = []
+        brute, traces = GlobalOperator._brute_traces, transfer.traces
+        monkeypatch.setattr(GlobalOperator, "_brute_traces", lambda self, r_max:
+                            calls.append(("brute", self.n_sites)) or brute(self, r_max))
+        monkeypatch.setattr(transfer, "traces", lambda q, n_values, r_max:
+                            calls.append(("transfer", list(n_values))) or traces(q, n_values, r_max))
+        # at R = 12 the cost model crosses from brute to transfer at N = 8
+        sizes = [n for n, _ in trace_series(build_local(ModelSpec.dk(0.4, 0.2)), range(2, 21), 12)]
+        assert sizes == list(range(2, 21))
+        assert calls == [("brute", n) for n in range(2, 8)] + [("transfer", list(range(8, 21)))]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(st.tuples(_REAL_BLOCK, _REAL_BLOCK), st.tuples(_COMPLEX_BLOCK, _COMPLEX_BLOCK)),
+           st.integers(1, 12), st.data())
+    def test_one_pass_equals_per_n_traces_bitwise(self, blocks, r_max, data):
+        local = LocalOperator.from_blocks(*(np.reshape(b, (2, 2)) for b in blocks))
+        crossover = next(n for n in range(1, 64) if _transfer_cheaper(n, r_max))
+        below = data.draw(st.sets(st.integers(1, crossover - 1), min_size=1), label="below")
+        above = data.draw(st.sets(st.integers(crossover, crossover + 40), min_size=1, max_size=6),
+                          label="above")
+        sizes = sorted(below | above)
+        pass_ = list(trace_series(local, sizes, r_max))
+        assert [n for n, _ in pass_] == sizes
+        for n, series in pass_:
+            one = GlobalOperator(local, n).trace_powers(r_max)
+            assert series.c_values.tobytes() == one.c_values.tobytes(), n
+
+    @pytest.mark.parametrize("sizes", [(7, 4), (4, 4)], ids=["decreasing", "repeated"])
+    def test_grids_that_do_not_increase_are_refused(self, sizes):
+        with pytest.raises(DomainError, match="must increase strictly"):
+            next(trace_series(RULE90, sizes, 2))
+
+    def test_no_errstate_reaches_the_loop_body(self):
+        # N = 2 runs brute, N = 3 and 64 one transfer pass; numpy warns in the body each time
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for _ in trace_series(RULE90, (2, 3, 64), 2):
+                np.float64(1e300) * np.float64(1e300)
+        assert [issubclass(w.category, RuntimeWarning) for w in caught] == [True] * 3
 
     # the recurrence and the root formula share no code with either engine;
     # the double-root angle is left out, where the root formula itself loses digits

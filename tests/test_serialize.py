@@ -188,6 +188,9 @@ _START = initial_state((0, 0, 1), StateKind.QCA_AMPLITUDE)
     lambda: classify(_QCA2.local, math.nan),
     lambda: ModelSpec.qca1(10 ** 400, 0.0),
     lambda: clt_limit_zeta(0.8, complex(1.5e308, 1.5e308)),
+    lambda: ZetaLogSeries(3, [True, 0.5]),
+    lambda: StateVector(1, _PCA, [True, 0.0]),
+    lambda: LocalOperator([[1], [2, 3]]),
 ], ids=["tensor-fractional-n", "chebyshev-bool-order", "period-infinite-tol",
         "bit-half", "bit-fraction", "bit-bool", "series-fractional-n", "state-fractional-time",
         "series-nan-u", "series-infinite-u", "log-det-nan-u", "binomial-bool-angle",
@@ -196,7 +199,8 @@ _START = initial_state((0, 0, 1), StateKind.QCA_AMPLITUDE)
         "c1-complex-angle", "x2-string-angle", "binomial-none-angle", "chebyshev-bool-x",
         "spec-string-param", "series-string-c", "local-string-array", "factors-string-array",
         "state-string-array", "pair-nan-part", "classify-bool-tol", "classify-string-tol",
-        "classify-nan-tol", "param-past-the-float-range", "u-past-the-abs-range"])
+        "classify-nan-tol", "param-past-the-float-range", "u-past-the-abs-range",
+        "series-bool-among-numbers", "state-bool-among-numbers", "local-ragged-array"])
 def test_unchecked_inputs_are_refused(call):
     with pytest.raises(DomainError):
         call()

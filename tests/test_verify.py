@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from ipszeta import DomainError, FORMULA_IDS, GlobalOperator, run_formula
-from ipszeta import verify
+from ipszeta import transfer, verify
 from ipszeta.cli import main
 from ipszeta.verify import FORMULAS, TENSOR_PAIRS, Formula, _random_factor_pairs
 
@@ -78,6 +78,34 @@ def test_u_outside_disk_is_rejected(formula_id, u):
 def test_empty_grid_is_rejected(axis):
     with pytest.raises(DomainError, match="nonempty"):
         run_formula("thm6_pi2zeta", **{axis: ()})
+
+
+@pytest.mark.parametrize("n_values", [(7, 4), (4, 4)], ids=["decreasing", "repeated"])
+def test_grid_that_does_not_increase_is_rejected(n_values):
+    # one transfer pass up a grid reads each N on its way, so it needs them in order
+    with pytest.raises(DomainError, match="must increase strictly"):
+        run_formula("prop6_r1", n_values=n_values)
+
+
+# each model (angle, tensor pair) of a check makes one transfer pass over the whole grid
+@pytest.mark.parametrize("formula_id, grid, models", [
+    ("thm5_3", dict(n_values=range(20, 40), r_max=6), TENSOR_PAIRS),
+    ("cor5_4", dict(n_values=range(20, 40), r_max=6), len(verify.SIX_XI)),
+    ("thm5_6", dict(n_values=range(20, 40), r_max=6), len(verify.SIX_XI)),
+    ("prop6_r1", dict(n_values=range(20, 40)), len(verify.R1_XI_GRID)),
+    ("prop6_r2", dict(n_values=range(20, 40)), len(verify.R1_XI_GRID)),
+    ("prop6_pi2", dict(n_values=range(6, 10)), 1),
+    ("thm6_pi2zeta", dict(n_values=range(20, 40), r_max=4), 1),
+    ("thm6_rule90zeta", dict(n_values=range(20, 40), r_max=4), 1),
+    ("conj_rule90", dict(n_values=range(20, 40), r_max=4), 1),
+])
+def test_each_model_makes_one_transfer_pass(monkeypatch, formula_id, grid, models):
+    calls = []
+    traces = transfer.traces
+    monkeypatch.setattr(transfer, "traces", lambda q, n_values, r_max:
+                        calls.append(list(n_values)) or traces(q, n_values, r_max))
+    run_formula(formula_id, **grid)
+    assert calls == [list(grid["n_values"])] * models
 
 
 @pytest.mark.parametrize("formula_id", FORMULA_IDS)
