@@ -238,8 +238,8 @@ def cmd_zeta(args) -> int:
         raise DomainError("--u needs --format json; the csv tables hold no evaluations")
     dense = n <= DEFAULTS.dense_cap
     if args.u and not dense:
-        raise SizeExceeded(f"--u needs the spectrum, which is computed up to the dense cap "
-                           f"N={DEFAULTS.dense_cap}; got N={n}")
+        raise SizeExceeded(f"--u needs the dense parity blocks, which are built up to the "
+                           f"dense cap N={DEFAULTS.dense_cap}; got N={n}")
     op = GlobalOperator(build_local(spec), n)
     r_max = DEFAULTS.series_order if args.rmax is None else args.rmax
     series = op.trace_powers(r_max)
@@ -262,8 +262,8 @@ def cmd_zeta(args) -> int:
         ],
     }
     if dense:
-        spectral_radius = float(np.max(np.abs(op.eigenvalues())))
-        # the series radius is reported empirically, never asserted
+        # exactly 1 for a stochastic or unitary model, otherwise read off the spectrum
+        spectral_radius = op.spectral_radius()
         doc["empirical_radius"] = None if spectral_radius == 0 else 1.0 / spectral_radius
         doc["evaluations"] = []
         for u in args.u or ():

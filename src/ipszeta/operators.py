@@ -14,6 +14,12 @@ steps each occupied parity block of an evolving state.  The blocks of a
 unitary Q are normal, so ``eigenvalues`` solves them through the
 Hermitian eigensolver; every other block goes to nonsymmetric QR.
 
+The zeta value and the radius solve no more than they need.
+``log_det_factor`` of a real orthogonal Q reads only the cosines of its
+spectrum, the eigenvalues of the symmetric parts of the blocks, with no
+eigenvectors.  ``spectral_radius`` is 1 by proof for a stochastic or
+unitary Q, and only other operators solve the spectrum for it.
+
 Traces have two engines behind ``trace_series``, which yields C_r as a
 ``zeta.ZetaLogSeries`` per N of a grid (``trace_powers`` at one N).  The
 brute engine sweeps blocks of identity columns through both halves in
@@ -38,7 +44,7 @@ from .errors import (
     SingularAtU,
     SizeExceeded,
 )
-from .models import LocalOperator, is_unitary
+from .models import LocalOperator, classify, is_unitary
 from .serialize import number, positive_int, tolerance
 from .zeta import ZetaLogSeries, _ldexp
 
@@ -61,6 +67,11 @@ _UNITARY_TOL = 8 * _EPS
 # this; eigh's eigenvectors then span each cluster's subspace to within an
 # angle ~eps / gap, and the compression's eigenvalues err by its square
 _CLUSTER_GAP = _EPS ** (1 / 3)
+# largest |u| at which ``log_det_factor`` takes the cosines of a real orthogonal
+# Q; a cosine c near +-1 is solved to about eps, so the pair factor
+# 1 + u^2 - 2uc errs by about eps / (1 - |u|)^2 relative.  Against the
+# eigenvalue path up to N = 11: 1.7e-14 at |u| = 0.9, 2.1e-12 at |u| = 0.99
+_COSINE_RADIUS = 0.9
 
 
 def _transfer_cheaper(n_sites: int, r_max: int) -> bool:
@@ -121,6 +132,7 @@ class GlobalOperator:
         self.local = local
         self.n_sites = positive_int("n_sites", n_sites)
         self._eigenvalues: Optional[np.ndarray] = None
+        self._cosines: Optional[np.ndarray] = None
 
     @property
     def dim(self) -> int:
@@ -211,6 +223,20 @@ class GlobalOperator:
             self._eigenvalues = eig
         return self._eigenvalues
 
+    def spectral_radius(self) -> float:
+        """max |lambda| over the spectrum: 1.0 by proof when ``models.classify``
+        finds the local operator stochastic or unitary to ``_UNITARY_TOL``.
+
+        A column-stochastic Q has norm 1 in the column-sum norm and 1 as a
+        left eigenvector, and a unitary Q has its spectrum on the unit
+        circle, so neither needs its spectrum solved.  Any other Q takes
+        the largest modulus of ``eigenvalues``.
+        """
+        kind = classify(self.local, _UNITARY_TOL)
+        if kind.is_pca or kind.is_qca:
+            return 1.0
+        return float(np.max(np.abs(self.eigenvalues())))
+
     def _block_spectrum(self, b: int, unitary: bool) -> np.ndarray:
         """Eigenvalues of Q_b; a unitary block's come from its Hermitian part.
 
@@ -225,13 +251,9 @@ class GlobalOperator:
         in float64 throughout, which keeps the pair exact.  H overwrites
         Q_b, and Q_b V is one held sweep of a copy of V.
         """
-        h = self._half(b)
         if not unitary:
-            return np.linalg.eigvals(h)
-        h += h.conj().T  # numpy buffers the overlapping operand
-        h *= 0.5
-        w, v = np.linalg.eigh(h)
-        del h
+            return np.linalg.eigvals(self._half(b))
+        w, v = np.linalg.eigh(self._hermitian_part(b))
         qv = self._step(b, v.copy())
         starts = np.flatnonzero(np.diff(w, prepend=-np.inf) > _CLUSTER_GAP)
         sizes = np.diff(starts, append=len(w))
@@ -243,6 +265,13 @@ class GlobalOperator:
             eig.append(np.linalg.eigvals(compressions).reshape(-1))
         return np.concatenate(eig)
 
+    def _hermitian_part(self, b: int) -> np.ndarray:
+        """H = (Q_b + Q_b^H) / 2, written over a fresh Q_b."""
+        h = self._half(b)
+        h += h.conj().T  # numpy buffers the overlapping operand
+        h *= 0.5
+        return h
+
     def _step(self, b: int, columns: np.ndarray) -> np.ndarray:
         """Q_b applied to each column of a (2^(N-1), width) array, in one held sweep of it."""
         return kernels.sweep(columns, self.local.entries, self.n_sites - 1,
@@ -252,13 +281,47 @@ class GlobalOperator:
         """Mean principal log of the factors 1 - u*lambda over the spectrum.
 
         Equals the log of the inverse zeta-type function without ever
-        taking a 2^N-th root, so the branch is unambiguous.
+        taking a 2^N-th root, so the branch is unambiguous.  A real
+        orthogonal Q, a float64 local operator that ``models.is_unitary``
+        finds unitary to ``_UNITARY_TOL``, needs only the cosines of its
+        spectrum at |u| <= ``_COSINE_RADIUS``, ``_spectrum_cosines``: the
+        spectrum is closed under conjugation, so each cosine c stands for
+        half of the pair c +- is, s = sqrt(max(0, 1 - c^2)), and the mean
+        runs over both halves.  Every other Q or u takes ``eigenvalues``.
+        Each factor keeps its own principal log and its own test against
+        ``DEFAULTS.singular_eps``.
         """
         # u is checked before the spectrum is solved
-        factors = 1.0 - number("u", u) * self.eigenvalues()
+        u = number("u", u)
+        if (abs(u) <= _COSINE_RADIUS and self.local.entries.dtype == np.float64
+                and is_unitary(self.local, _UNITARY_TOL)):
+            cosines = self._spectrum_cosines()
+            upper = cosines + 1j * np.sqrt(np.maximum(0.0, 1.0 - cosines * cosines))
+            spectrum = np.concatenate((upper, upper.conj()))
+        else:
+            spectrum = self.eigenvalues()
+        factors = 1.0 - u * spectrum
         if np.min(np.abs(factors)) < DEFAULTS.singular_eps:
             raise SingularAtU(f"1 - u*lambda vanishes at u={u}")
-        return complex(np.sum(np.log(factors)) / self.dim)
+        return complex(np.sum(np.log(factors)) / len(factors))
+
+    def _spectrum_cosines(self) -> np.ndarray:
+        """The 2^N eigenvalues of the Hermitian parts ``_hermitian_part``.  Cached.
+
+        For a real orthogonal Q_b they are the real parts cos(theta) of its
+        e^(i theta), counted with multiplicity; ``eigvalsh`` gives them
+        without eigenvectors, one block's H freed before the next is built.
+        """
+        if self._cosines is None:
+            try:
+                cosines = np.concatenate([np.linalg.eigvalsh(self._hermitian_part(b))
+                                          for b in (0, 1)])
+            except np.linalg.LinAlgError as exc:
+                raise ConvergenceFailure(f"the eigensolver did not converge on a parity block "
+                                         f"at N={self.n_sites}: {exc}")
+            cosines.setflags(write=False)
+            self._cosines = cosines
+        return self._cosines
 
     def power_equals_identity(self, r: int, tol: float) -> bool:
         """Whether Q^r is the identity to max-abs tolerance ``tol``, block by block.

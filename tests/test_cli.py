@@ -146,7 +146,7 @@ class TestZeta:
         for row in doc["table"]:
             expected = chebyshev_t(row["r"], math.cos(xi)) ** 3
             assert row["c_r"][0] == pytest.approx(expected, abs=1e-10)
-        assert doc["empirical_radius"] == pytest.approx(1.0, abs=1e-9)
+        assert doc["empirical_radius"] == 1.0
         for ev in doc["evaluations"]:
             assert ev["difference"] < 1e-9
 
@@ -726,6 +726,24 @@ def test_overflow_is_one_error_line_and_no_warning(capsys, argv):
     assert code == 2 and out == "" and caught == []
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "N=3" in err and "float range" in err
+
+
+def test_stochastic_radius_is_proved_without_a_spectrum(capsys, monkeypatch):
+    def unsolved(op):
+        raise AssertionError("the spectrum was solved")
+
+    monkeypatch.setattr(GlobalOperator, "eigenvalues", unsolved)
+    code, out, _ = run(capsys, "zeta", "--model", "dk", "--params", "0.6,0.8", "--n", "12",
+                       "--format", "json")
+    assert code == 0 and json.loads(out)["empirical_radius"] == 1.0
+
+
+def test_other_radius_is_read_off_the_spectrum(capsys):
+    half_identity = json.dumps([[0.5 if i % 5 == 0 else 0.0, 0.0] for i in range(16)])
+    code, out, _ = run(capsys, "zeta", "--model", "custom", "--matrix", half_identity,
+                       "--n", "3", "--rmax", "2")
+    # Q = 0.5^(N-1) I, so 1 / max |lambda| = 4
+    assert code == 0 and json.loads(out)["empirical_radius"] == 4.0
 
 
 def test_nilpotent_radius_is_null_in_strict_json(capsys):

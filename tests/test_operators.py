@@ -34,6 +34,7 @@ from ipszeta import (
     tensor_model_cr,
 )
 from ipszeta.config import DEFAULTS
+from ipszeta.models import is_unitary
 from ipszeta.operators import _UNITARY_TOL, _transfer_cheaper, trace_series
 
 from helpers import (
@@ -59,9 +60,41 @@ MODELS = (
 
 RULE90 = build_local(ModelSpec.qca2(0, 0))
 
+# real orthogonal local operators, whose zeta value comes from the cosines of the spectrum
+_REAL_ORTHOGONAL = (
+    ModelSpec.qca2(0.3, 0.7),
+    ModelSpec.qca2(0, math.pi / 2),
+    ModelSpec.qca1(0, 0),
+    ModelSpec.qca2(0, 0),
+    ModelSpec.dk(1, 0),
+    ModelSpec.tensor(reflection(0.9), np.diag([1.0, -1.0])),
+)
+_REAL_ORTHOGONAL_IDS = ("qca2", "qca2-quarter", "qca1-identity", "rule90", "dk-swap", "tensor")
+# a unitary local operator with complex entries, assembled from its right-site blocks
+_COMPLEX_UNITARY = LocalOperator.from_blocks(
+    [[0.6, -0.8j], [-0.8j, 0.6]], np.diag(np.exp([0.3j, -1.1j]))).entries
+
 
 def _op(spec, n):
     return GlobalOperator(build_local(spec), n)
+
+
+def _mp_log_abs_det(dense, u) -> float:
+    """log|det(I - uQ)| / 2^N at 50 digits, from the two parity blocks of a dense Q."""
+    import mpmath
+
+    assert not dense[0::2, 1::2].any() and not dense[1::2, 0::2].any()
+    with mpmath.workdps(50):
+        total = mpmath.mpf(0)
+        for block in (dense[0::2, 0::2], dense[1::2, 1::2]):
+            factor = mpmath.eye(len(block)) - mpmath.mpc(u) * mpmath.matrix(block.tolist())
+            total += mpmath.log(abs(mpmath.det(factor)))
+        return float(total / len(dense))
+
+
+def _mean_arg(dense, u) -> float:
+    """Mean principal Arg of 1 - u*lambda over the nonsymmetric QR spectrum of a dense Q."""
+    return float(np.mean(np.angle(1.0 - u * np.linalg.eigvals(dense))))
 
 
 def random_vec(n, seed):
@@ -581,6 +614,74 @@ class TestLogDetFactor:
     def test_singular_at_eigenvalue(self):
         with pytest.raises(SingularAtU):
             GlobalOperator(np.eye(4), 3).log_det_factor(1.0)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_quarter_turn_singular_at_each_unit_eigenvalue(self, n):
+        local = build_local(ModelSpec.qca2(0, math.pi / 2))
+        op = GlobalOperator(local, n)
+        # the spectrum is signs: {1} at N = 1, {-1, 1} beyond
+        signs = set(np.rint(np.linalg.eigvals(kron_global(local.entries, n)).real))
+        assert signs == ({1.0} if n == 1 else {-1.0, 1.0})
+        for sign in signs:
+            with pytest.raises(SingularAtU):
+                op.log_det_factor(sign)
+
+    @pytest.mark.parametrize("n", (4, 8))
+    @pytest.mark.parametrize("u", (0.99, -0.999, 0.95j))
+    def test_real_orthogonal_near_the_unit_circle_keeps_the_eigenvalue_path(self, n, u):
+        # a cosine within rounding of +-1 would err by ~eps / (1 - |u|)^2 here
+        local = build_local(ModelSpec.qca2(0, math.pi / 2))
+        op = GlobalOperator(local, n)
+        got = op.log_det_factor(u)
+        assert op._cosines is None
+        signs = np.rint(np.linalg.eigvals(kron_global(local.entries, n)).real)
+        plus = int(np.sum(signs > 0))
+        exact = (plus * np.log(1 - u) + (len(signs) - plus) * np.log(1 + u)) / len(signs)
+        assert abs(got - exact) < 1e-13
+
+    @pytest.mark.parametrize("n, u", ((1, 0.9), (3, -0.6 + 0.6j), (6, 0.45 - 0.75j)))
+    @pytest.mark.parametrize("spec", _REAL_ORTHOGONAL, ids=_REAL_ORTHOGONAL_IDS)
+    def test_real_orthogonal_cosines_match_oracles(self, spec, n, u):
+        local = build_local(spec)
+        op = GlobalOperator(local, n)
+        got = op.log_det_factor(u)
+        assert op._eigenvalues is None and op._cosines is not None
+        dense = kron_global(local.entries, n)
+        assert abs(got.real - _mp_log_abs_det(dense, u)) < 1e-13
+        assert abs(got.imag - _mean_arg(dense, u)) < 1e-13
+
+    def test_cosine_solver_failure_is_a_convergence_failure(self, monkeypatch):
+        def fail(matrix):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        with pytest.raises(ConvergenceFailure, match="did not converge"):
+            _op(ModelSpec.qca2(0.3, 0.7), 3).log_det_factor(0.3)
+
+    @pytest.mark.parametrize("n", (1, 3, 5))
+    def test_complex_unitary_keeps_the_eigenvalue_path(self, n):
+        local = build_local(ModelSpec.custom(_COMPLEX_UNITARY))
+        assert local.entries.dtype == np.complex128 and is_unitary(local, _UNITARY_TOL)
+        op = GlobalOperator(local, n)
+        u = 0.7 * np.exp(0.4j)
+        got = op.log_det_factor(u)
+        assert op._eigenvalues is not None and op._cosines is None
+        dense = kron_global(local.entries, n)
+        assert abs(got.real - _mp_log_abs_det(dense, u)) < 1e-13
+        assert abs(got.imag - _mean_arg(dense, u)) < 1e-13
+
+
+class TestSpectralRadius:
+    @pytest.mark.parametrize("spec", (ModelSpec.dk(0.6, 0.8),
+                                      ModelSpec.generalized_dk(0.2, 1.1, 2.5, 0.9),
+                                      *_REAL_ORTHOGONAL,
+                                      ModelSpec.custom(_COMPLEX_UNITARY)))
+    def test_stochastic_or_unitary_is_one_without_a_spectrum(self, spec, monkeypatch):
+        def unsolved(op):
+            raise AssertionError("the spectrum was solved")
+
+        monkeypatch.setattr(GlobalOperator, "eigenvalues", unsolved)
+        assert _op(spec, 4).spectral_radius() == 1.0
 
 
 class TestPowerEqualsIdentity:
