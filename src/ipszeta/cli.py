@@ -262,9 +262,11 @@ def cmd_zeta(args) -> int:
         ],
     }
     if dense:
-        # exactly 1 for a stochastic or unitary model, otherwise read off the spectrum
+        # exactly 1 for a stochastic or unitary model, otherwise read off the spectrum;
+        # null where 1 / max|lambda| is not a finite float (a nilpotent or subnormal spectrum)
         spectral_radius = op.spectral_radius()
-        doc["empirical_radius"] = None if spectral_radius == 0 else 1.0 / spectral_radius
+        inverse = 1.0 / spectral_radius if spectral_radius else math.inf
+        doc["empirical_radius"] = inverse if math.isfinite(inverse) else None
         doc["evaluations"] = []
         for u in args.u or ():
             series_value = series.evaluate(u)
@@ -273,7 +275,8 @@ def cmd_zeta(args) -> int:
                 "u": complex_pair(u),
                 "series": complex_pair(series_value),
                 "eigen": complex_pair(eigen_value),
-                "difference": abs(series_value - eigen_value),
+                "difference": number("|series - eigen|", abs(series_value - eigen_value),
+                                     real=True),
             })
     _emit(json.dumps(doc, indent=2), args.out)
     return 0

@@ -10,11 +10,11 @@ sweep returns.  An array larger than ``_SLAB_BYTES`` is updated in
 place, group by group, one part of at most ``_SLAB_BYTES`` at a time,
 through one buffer of that size, so a call holds that array plus the
 buffer.  A smaller array is never written: each group is one numpy
-matmul into a fresh array.  A site held fixed to the right of the array
-joins the last block, which keeps the rows and columns where that site
-holds its value.
-Blocks are built by the pairwise loop on the identity and kept in a
-bounded cache.
+matmul into a fresh array.  Both go through ``_update``, the one place a
+group's product is written, the right product of a last group included.
+A site held fixed to the right of the array joins the last block, which
+keeps the rows and columns where that site holds its value.  Blocks are
+built by the pairwise loop on the identity and kept in a bounded cache.
 """
 
 import functools
@@ -110,44 +110,39 @@ def sweep(vec, local, n_sites, tail=1, held=None):
     for start, width in _groups(n_sites):
         # the held site joins the group that ends at the array's last site
         block = _block(*key, width, held if start + width == n_sites else None)
-        dim = 1 << width
         inner = (1 << (n_sites - start - width)) * tail
-        if buf is not None:
-            _update(out.reshape(-1, dim, inner), block, buf)
-        elif inner == 1:
-            # the right product in batches of _ROWS rows, as _update runs it
-            rows = min(_ROWS, out.size >> width)
-            out = np.matmul(out.reshape(-1, rows, dim), block.T).reshape(-1)
-        else:
-            out = np.matmul(block, out.reshape(-1, dim, inner)).reshape(-1)
+        out = _update(out.reshape(-1, 1 << width, inner), block, buf).reshape(-1)
     return out
 
 
 def _update(slabs, block, buf):
-    """Apply ``block`` to each (dim, inner) slab of ``slabs`` in place, through ``buf``.
+    """Apply ``block`` to each (dim, inner) slab of ``slabs``: in place through ``buf``,
+    or, with ``buf`` None, into a fresh array.  Returns the product.
 
-    The group is block-diagonal over the slabs, so each part is multiplied
-    into the front of ``buf`` and copied back: batches of whole slabs when
-    they fit, column chunks of one slab when they do not, and batches of
-    rows of the right product when inner = 1.
+    When inner = 1 the group is the right product ``slabs @ block.T``, in
+    batches of ``_ROWS`` rows.  The group is block-diagonal over the slabs,
+    so in place each part is multiplied into the front of ``buf`` and
+    copied back: batches of whole slabs when they fit, column chunks of
+    one slab when they do not.
     """
     count, dim, inner = slabs.shape
     right = inner == 1
     if right:
-        # the right product, in batches of _ROWS rows
         slabs = slabs.reshape(-1, min(_ROWS, count), dim)
+
+    def product(part, out=None):
+        return np.matmul(part, block.T, out=out) if right else np.matmul(block, part, out=out)
+
+    if buf is None:
+        return product(slabs)
     rows, cols = slabs.shape[1:]
     batch = max(1, buf.size // (rows * cols))
     width = min(cols, buf.size // rows)
     for i in range(0, len(slabs), batch):
         for j in range(0, cols, width):
             part = slabs[i:i + batch, :, j:j + width]
-            tmp = buf[:part.size].reshape(part.shape)
-            if right:
-                np.matmul(part, block.T, out=tmp)
-            else:
-                np.matmul(block, part, out=tmp)
-            part[...] = tmp
+            part[...] = product(part, buf[:part.size].reshape(part.shape))
+    return slabs
 
 
 __all__ = ["sweep", "BACKEND"]

@@ -10,28 +10,29 @@ The last site never changes, so Q splits by index parity into two
 them: the brute traces, ``eigenvalues`` and ``power_equals_identity``.
 The 2^N-square form is never built.  A step of Q_b is one kernel sweep
 of the first N - 1 sites with the last held at b, ``_step``, which also
-steps each occupied parity block of an evolving state.  The blocks of a
-unitary Q are normal, so ``eigenvalues`` solves them through the
-Hermitian eigensolver; every other block goes to nonsymmetric QR.
+steps each occupied parity block of an evolving state.
 
-The zeta value and the radius solve no more than they need.
-``log_det_factor`` of a real orthogonal Q reads only the cosines of its
-spectrum, the eigenvalues of the symmetric parts of the blocks, with no
-eigenvectors.  ``spectral_radius`` is 1 by proof for a stochastic or
-unitary Q, and only other operators solve the spectrum for it.
+One classification per operator, ``models.classify`` to 8 ulps, picks
+how its spectrum is read, and each spectral result is solved once.  A
+unitary Q has normal blocks, which ``eigenvalues`` solves through the
+Hermitian eigensolver; other blocks go to nonsymmetric QR.  The radius
+of a stochastic or unitary Q is 1 by proof, and ``log_det_factor`` of a
+real orthogonal Q reads only the cosines of its spectrum, the
+eigenvalues of the symmetric parts of the blocks, with no eigenvectors.
 
-Traces have two engines behind ``trace_series``, which yields C_r as a
-``zeta.ZetaLogSeries`` per N of a grid (``trace_powers`` at one N).  The
-brute engine sweeps blocks of identity columns through both halves in
-O(r 4^N / 2).  The transfer engine, ``transfer.traces``, reads the
-r-periodic space-time histories along space in O(N r 2^r), all N of a
-grid in one pass; ``transfer.py`` gives its T_r.  A cost model, monotone
-in N, picks the engine; see ``_transfer_cheaper``.
+Traces have two engines of one call shape, ``engine(q, n_values, r_max)``
+giving one row of C_r per N.  The brute engine, ``_brute_traces``, sweeps
+blocks of identity columns through both halves in O(r 4^N / 2) per N.
+The transfer engine, ``transfer.traces``, reads the r-periodic
+space-time histories along space in O(N r 2^r), all N of a grid in one
+pass; ``transfer.py`` gives its T_r.  ``trace_series`` splits a grid
+between them by a cost model monotone in N, ``_transfer_cheaper``, and
+yields a ``zeta.ZetaLogSeries`` per N (``trace_powers`` at one N).
 """
 
 from __future__ import annotations
 
-from typing import Optional
+import functools
 
 import numpy as np
 
@@ -44,7 +45,7 @@ from .errors import (
     SingularAtU,
     SizeExceeded,
 )
-from .models import LocalOperator, classify, is_unitary
+from .models import LocalOperator, ModelClass, classify
 from .serialize import number, positive_int, tolerance
 from .zeta import ZetaLogSeries, _ldexp
 
@@ -103,16 +104,24 @@ def trace_series(local, n_values, r_max: int):
     if any(lo >= hi for lo, hi in zip(n_values, n_values[1:])):
         raise DomainError(f"site counts must increase strictly, got {n_values}")
     split = sum(not _transfer_cheaper(n, r_max) for n in n_values)
-    # ZetaLogSeries refuses overflow; no errstate holds a yield, so the caller still warns
-    for n in n_values[:split]:
+    for engine, grid in ((_brute_traces, n_values[:split]), (transfer.traces, n_values[split:])):
+        if not grid:
+            continue
+        # ZetaLogSeries refuses overflow; no errstate holds a yield, so the caller still warns
         with np.errstate(over="ignore", invalid="ignore"):
-            c_values = GlobalOperator(local, n)._brute_traces(r_max)
-        yield n, ZetaLogSeries(n, c_values)
-    if split < len(n_values):
-        with np.errstate(over="ignore", invalid="ignore"):
-            rows = transfer.traces(local.entries, n_values[split:], r_max)
-        for n, c_values in zip(n_values[split:], rows):
+            rows = engine(local.entries, grid, r_max)
+        for n, c_values in zip(grid, rows):
             yield n, ZetaLogSeries(n, c_values)
+
+
+def _brute_traces(q: np.ndarray, n_values, r_max: int) -> np.ndarray:
+    """C_r for r = 1..r_max from the diagonals of both parity blocks, one row per N, O(r 4^N / 2)."""
+    rows = np.zeros((len(n_values), r_max), dtype=np.complex128)
+    for row, n in zip(rows, n_values):
+        for start, r, image in GlobalOperator(q, n)._block_powers(r_max):
+            row[r - 1] += np.trace(image, offset=-start)
+        row[:] = _ldexp(row, -n)
+    return rows
 
 
 class GlobalOperator:
@@ -131,8 +140,6 @@ class GlobalOperator:
             local = LocalOperator(local)
         self.local = local
         self.n_sites = positive_int("n_sites", n_sites)
-        self._eigenvalues: Optional[np.ndarray] = None
-        self._cosines: Optional[np.ndarray] = None
 
     @property
     def dim(self) -> int:
@@ -168,13 +175,6 @@ class GlobalOperator:
         """C_r for r = 1..r_max and their log series: ``trace_series`` at this N."""
         return next(trace_series(self.local, (self.n_sites,), r_max))[1]
 
-    def _brute_traces(self, r_max: int) -> np.ndarray:
-        """C_r for r = 1..r_max from the diagonals of both parity blocks, in O(r 4^N / 2)."""
-        traces = np.zeros(r_max, dtype=np.complex128)
-        for start, r, image in self._block_powers(r_max):
-            traces[r - 1] += np.trace(image, offset=-start)
-        return _ldexp(traces, -self.n_sites)
-
     def _block_powers(self, r_max: int):
         """Yield ``(start, r, Q_b^r E)`` for b = 0, 1 and r = 1..r_max.
 
@@ -203,41 +203,46 @@ class GlobalOperator:
         """All 2^N eigenvalues, sorted by (re, im).  Cached.
 
         The spectrum of Q is that of Q_0 and Q_1, each solved as a
-        2^(N-1)-square block by ``_block_spectrum``; the 2^N-square form is
-        never built.  A local operator that ``models.is_unitary`` finds
-        unitary to ``_UNITARY_TOL`` makes both blocks unitary, and they go
-        through the Hermitian eigensolver; any other block goes to
-        nonsymmetric QR, ``np.linalg.eigvals``.  Refused above
-        ``DEFAULTS.dense_cap``.
+        2^(N-1)-square block by ``_block_spectrum``: through the Hermitian
+        eigensolver when ``_model_class`` finds Q unitary, else by
+        nonsymmetric QR, ``np.linalg.eigvals``.  The 2^N-square form is
+        never built.  Refused above ``DEFAULTS.dense_cap``.
         """
-        if self._eigenvalues is None:
-            unitary = is_unitary(self.local, _UNITARY_TOL)
-            try:
-                eig = np.concatenate([self._block_spectrum(b, unitary) for b in (0, 1)])
-            except np.linalg.LinAlgError as exc:
-                raise ConvergenceFailure(f"the eigensolver did not converge on a parity block "
-                                         f"at N={self.n_sites}: {exc}")
-            eig = eig.astype(np.complex128, copy=False)
-            eig = eig[np.lexsort((eig.imag, eig.real))]
-            eig.setflags(write=False)
-            self._eigenvalues = eig
-        return self._eigenvalues
+        return self._spectrum
+
+    @functools.cached_property
+    def _spectrum(self) -> np.ndarray:
+        eig = self._solve_blocks(self._block_spectrum).astype(np.complex128, copy=False)
+        eig = eig[np.lexsort((eig.imag, eig.real))]
+        eig.setflags(write=False)
+        return eig
+
+    @functools.cached_property
+    def _model_class(self) -> ModelClass:
+        """``models.classify`` to ``_UNITARY_TOL``: picks solver, radius proof and cosine path."""
+        return classify(self.local, _UNITARY_TOL)
+
+    def _solve_blocks(self, solve) -> np.ndarray:
+        """``solve(b)`` of both parity blocks, joined; a solver that fails raises ConvergenceFailure."""
+        try:
+            return np.concatenate([solve(b) for b in (0, 1)])
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceFailure(f"the eigensolver did not converge on a parity block "
+                                     f"at N={self.n_sites}: {exc}")
 
     def spectral_radius(self) -> float:
-        """max |lambda| over the spectrum: 1.0 by proof when ``models.classify``
-        finds the local operator stochastic or unitary to ``_UNITARY_TOL``.
+        """max |lambda| over the spectrum: 1.0 by proof for a stochastic or unitary Q.
 
         A column-stochastic Q has norm 1 in the column-sum norm and 1 as a
         left eigenvector, and a unitary Q has its spectrum on the unit
-        circle, so neither needs its spectrum solved.  Any other Q takes
-        the largest modulus of ``eigenvalues``.
+        circle, so ``_model_class`` decides without a spectrum.  Any other
+        Q takes the largest modulus of ``eigenvalues``.
         """
-        kind = classify(self.local, _UNITARY_TOL)
-        if kind.is_pca or kind.is_qca:
+        if self._model_class.is_pca or self._model_class.is_qca:
             return 1.0
         return float(np.max(np.abs(self.eigenvalues())))
 
-    def _block_spectrum(self, b: int, unitary: bool) -> np.ndarray:
+    def _block_spectrum(self, b: int) -> np.ndarray:
         """Eigenvalues of Q_b; a unitary block's come from its Hermitian part.
 
         H = (Q_b + Q_b^H) / 2 has the eigenvectors V of a unitary Q_b and
@@ -251,7 +256,7 @@ class GlobalOperator:
         in float64 throughout, which keeps the pair exact.  H overwrites
         Q_b, and Q_b V is one held sweep of a copy of V.
         """
-        if not unitary:
+        if not self._model_class.is_qca:
             return np.linalg.eigvals(self._half(b))
         w, v = np.linalg.eigh(self._hermitian_part(b))
         qv = self._step(b, v.copy())
@@ -277,25 +282,27 @@ class GlobalOperator:
         return kernels.sweep(columns, self.local.entries, self.n_sites - 1,
                              tail=columns.shape[1], held=b).reshape(columns.shape)
 
+    # the mean is checked for finiteness, so numpy need not warn of overflow
+    @np.errstate(over="ignore", invalid="ignore", divide="ignore")
     def log_det_factor(self, u) -> complex:
         """Mean principal log of the factors 1 - u*lambda over the spectrum.
 
         Equals the log of the inverse zeta-type function without ever
         taking a 2^N-th root, so the branch is unambiguous.  A real
-        orthogonal Q, a float64 local operator that ``models.is_unitary``
-        finds unitary to ``_UNITARY_TOL``, needs only the cosines of its
-        spectrum at |u| <= ``_COSINE_RADIUS``, ``_spectrum_cosines``: the
-        spectrum is closed under conjugation, so each cosine c stands for
-        half of the pair c +- is, s = sqrt(max(0, 1 - c^2)), and the mean
-        runs over both halves.  Every other Q or u takes ``eigenvalues``.
-        Each factor keeps its own principal log and its own test against
-        ``DEFAULTS.singular_eps``.
+        orthogonal Q, a float64 local operator that ``_model_class`` finds
+        unitary, needs only the cosines of its spectrum at
+        |u| <= ``_COSINE_RADIUS``, ``_cosines``: the spectrum is closed
+        under conjugation, so each cosine c stands for half of the pair
+        c +- is, s = sqrt(max(0, 1 - c^2)), and the mean runs over both
+        halves.  Every other Q or u takes ``eigenvalues``.  Each factor
+        keeps its own principal log and its own test against
+        ``DEFAULTS.singular_eps``; a mean outside the float range raises DomainError.
         """
         # u is checked before the spectrum is solved
         u = number("u", u)
         if (abs(u) <= _COSINE_RADIUS and self.local.entries.dtype == np.float64
-                and is_unitary(self.local, _UNITARY_TOL)):
-            cosines = self._spectrum_cosines()
+                and self._model_class.is_qca):
+            cosines = self._cosines
             upper = cosines + 1j * np.sqrt(np.maximum(0.0, 1.0 - cosines * cosines))
             spectrum = np.concatenate((upper, upper.conj()))
         else:
@@ -303,25 +310,17 @@ class GlobalOperator:
         factors = 1.0 - u * spectrum
         if np.min(np.abs(factors)) < DEFAULTS.singular_eps:
             raise SingularAtU(f"1 - u*lambda vanishes at u={u}")
-        return complex(np.sum(np.log(factors)) / len(factors))
+        return number(f"the mean log factor at u={u}", np.sum(np.log(factors)) / len(factors))
 
-    def _spectrum_cosines(self) -> np.ndarray:
-        """The 2^N eigenvalues of the Hermitian parts ``_hermitian_part``.  Cached.
-
-        For a real orthogonal Q_b they are the real parts cos(theta) of its
-        e^(i theta), counted with multiplicity; ``eigvalsh`` gives them
-        without eigenvectors, one block's H freed before the next is built.
-        """
-        if self._cosines is None:
-            try:
-                cosines = np.concatenate([np.linalg.eigvalsh(self._hermitian_part(b))
-                                          for b in (0, 1)])
-            except np.linalg.LinAlgError as exc:
-                raise ConvergenceFailure(f"the eigensolver did not converge on a parity block "
-                                         f"at N={self.n_sites}: {exc}")
-            cosines.setflags(write=False)
-            self._cosines = cosines
-        return self._cosines
+    @functools.cached_property
+    def _cosines(self) -> np.ndarray:
+        """The 2^N eigenvalues of the Hermitian parts ``_hermitian_part``: for a
+        real orthogonal Q_b the real parts cos(theta) of its e^(i theta), with
+        multiplicity, from ``eigvalsh`` with no eigenvectors, one block's H
+        freed before the next is built."""
+        cosines = self._solve_blocks(lambda b: np.linalg.eigvalsh(self._hermitian_part(b)))
+        cosines.setflags(write=False)
+        return cosines
 
     def power_equals_identity(self, r: int, tol: float) -> bool:
         """Whether Q^r is the identity to max-abs tolerance ``tol``, block by block.

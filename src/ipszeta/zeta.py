@@ -98,14 +98,18 @@ class ZetaLogSeries:
         with np.errstate(over="ignore", invalid="ignore"):
             return self._finite(_ldexp(self.c_values, self.n_sites))
 
+    # the sum is checked for finiteness, so numpy need not warn of overflow
+    @np.errstate(over="ignore", invalid="ignore")
     def evaluate(self, u) -> complex:
-        """Sum of coefficient_r * u^r in ascending order of r; u must be finite (DomainError)."""
+        """Sum of coefficient_r * u^r in ascending order of r; u and the sum must be finite
+        (DomainError)."""
         u = number("u", u)
         total = 0.0 + 0.0j
         power = 1.0 + 0.0j
         for c in self.coefficients:
             power *= u
             total += c * power
+        number(f"the series at N={self.n_sites} and u={u}", total)
         return total
 
 

@@ -20,7 +20,8 @@ The 2x2 matrix units E_ab write out the append-site recursion of Q.
 
 The library builds no 2^N-square form and keeps no single-state evolve:
 ``parity_dense`` places its two parity blocks in the dense form, and
-``last_state`` runs ``evolve_states`` to its end.
+``last_state`` runs ``evolve_states`` to its end.  ``spectral_calls``
+counts the spectral work an operator does.
 """
 
 import math
@@ -29,6 +30,7 @@ from itertools import product
 
 import numpy as np
 
+from ipszeta import models, operators
 from ipszeta.dynamics import evolve_states
 
 # the 2x2 matrix units: E_ab has a single 1 at row a, column b
@@ -236,3 +238,25 @@ def exact_transfer_c(q, n: int, r_max: int) -> list:
             v = t @ v
         c_values.append(Fraction(int(v.sum()), d ** (r * (n - 1)) << n))
     return c_values
+
+
+def spectral_calls(monkeypatch) -> dict:
+    """Count each call of the classification, the unitarity test and the two Hermitian solvers.
+
+    The unitarity test is counted under every name the operator module could call it by.
+    """
+    calls = {}
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(operators, "classify", counted("classify", operators.classify))
+    for module in (models, operators):
+        monkeypatch.setattr(module, "is_unitary", counted("is_unitary", models.is_unitary),
+                            raising=False)
+    for solver in ("eigvalsh", "eigh"):
+        monkeypatch.setattr(np.linalg, solver, counted(solver, getattr(np.linalg, solver)))
+    return calls

@@ -17,7 +17,7 @@ from ipszeta.serialize import complex_pair
 from ipszeta.config import DEFAULTS
 from ipszeta.cli import main, parse_angle, parse_complex, parse_n_values, states_json
 
-from helpers import qca2_c2_recurrence
+from helpers import qca2_c2_recurrence, spectral_calls
 
 
 def run(capsys, *argv):
@@ -744,6 +744,50 @@ def test_other_radius_is_read_off_the_spectrum(capsys):
                        "--n", "3", "--rmax", "2")
     # Q = 0.5^(N-1) I, so 1 / max |lambda| = 4
     assert code == 0 and json.loads(out)["empirical_radius"] == 4.0
+
+
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_radius_past_the_float_range_is_null_in_strict_json(capsys):
+    # Q = 1e-320 I at N = 3: its radius is subnormal, and 1 / radius overflows
+    tiny_identity = json.dumps([[1e-160 if i % 5 == 0 else 0.0, 0.0] for i in range(16)])
+    code, out, _ = run(capsys, "zeta", "--model", "custom", "--matrix", tiny_identity,
+                       "--n", "3", "--rmax", "2", "--format", "json")
+    assert code == 0 and _strict_json(out)["empirical_radius"] is None
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--model", "qca2", "--params", "0.3,0.7", "--n", "3", "--rmax", "40", "--u=1e20"),
+     "the series at N=3 and u=(1e+20+0j) must be finite, got (nan+nanj)"),
+    # Q = 1e10 I at N = 2: the series -1e10 u is finite, |series - eigen| is not
+    (("--model", "custom", "--matrix", json.dumps([[1e10 if i % 5 == 0 else 0.0, 0.0]
+                                                   for i in range(16)]),
+      "--n", "2", "--rmax", "1", "--u=-1.5e298-1.5e298j"),
+     "|series - eigen| must be finite, got inf"),
+], ids=["series", "difference"])
+def test_evaluation_past_the_float_range_exits_2_without_a_warning(capsys, argv, message):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "zeta", *argv, "--format", "json")
+    # whatever is printed must parse as strict JSON
+    if out:
+        _strict_json(out)
+    assert code == 2 and out == "" and caught == []
+    assert err == f"error: {message}\n"
+
+
+def test_json_zeta_classifies_once_and_solves_each_block_once(capsys, monkeypatch):
+    calls = spectral_calls(monkeypatch)
+    # one point on each side of the cosine radius: cosines at 0.3, eigenvalues at 0.95
+    code, out, _ = run(capsys, "zeta", "--model", "qca2", "--params", "0.3,0.7", "--n", "6",
+                       "--rmax", "20", "--u=0.3,0.95", "--format", "json")
+    assert code == 0 and len(_strict_json(out)["evaluations"]) == 2
+    assert calls == {"classify": 1, "is_unitary": 1, "eigvalsh": 2, "eigh": 2}
 
 
 def test_nilpotent_radius_is_null_in_strict_json(capsys):

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from ipszeta import kernels, transfer
+from ipszeta import kernels, operators, transfer
 from ipszeta import (
     ConvergenceFailure,
     DimensionMismatch,
@@ -35,7 +35,7 @@ from ipszeta import (
 )
 from ipszeta.config import DEFAULTS
 from ipszeta.models import is_unitary
-from ipszeta.operators import _UNITARY_TOL, _transfer_cheaper, trace_series
+from ipszeta.operators import _UNITARY_TOL, _brute_traces, _transfer_cheaper, trace_series
 
 from helpers import (
     E00,
@@ -49,6 +49,7 @@ from helpers import (
     product_global,
     product_half,
     qca2_c2_recurrence,
+    spectral_calls,
 )
 
 MODELS = (
@@ -381,7 +382,7 @@ _COMPLEX_BLOCK = st.lists(st.builds(complex, _UNIT, _UNIT), min_size=4, max_size
 
 def _no_cancellation_traces(local, n, r_max):
     """C_r of |Q|: every history weight taken by magnitude, an upper bound on |C_r|."""
-    return GlobalOperator(np.abs(local.entries), n)._brute_traces(r_max).real
+    return _brute_traces(np.abs(local.entries), (n,), r_max)[0].real
 
 
 class TestTraceEngines:
@@ -397,8 +398,8 @@ class TestTraceEngines:
            st.integers(1, 9), st.integers(1, 10))
     def test_engines_agree(self, blocks, n, r_max):
         local = LocalOperator.from_blocks(*(np.reshape(b, (2, 2)) for b in blocks))
-        op = GlobalOperator(local, n)
-        brute, transferred = op._brute_traces(r_max), transfer.traces(local.entries, (n,), r_max)[0]
+        brute = _brute_traces(local.entries, (n,), r_max)[0]
+        transferred = transfer.traces(local.entries, (n,), r_max)[0]
         scale = _no_cancellation_traces(local, n, r_max)
         # the engines round a subnormal C_r differently (transfer halves after
         # every step, brute scales once by 2^-N), so the bound has a floor of
@@ -427,8 +428,8 @@ class TestTraceEngines:
         for n in sizes:
             exact = exact_transfer_c(exact_q, n, r_max)
             for engine in engines:
-                c_values = (GlobalOperator(entries, n)._brute_traces(r_max) if engine == "brute"
-                            else transfer.traces(entries, (n,), r_max)[0])
+                c_values = (_brute_traces if engine == "brute"
+                            else transfer.traces)(entries, (n,), r_max)[0]
                 # in Fractions: a float difference of C_r near 1e-646 is 0
                 for c, want in zip(c_values, exact):
                     assert c.imag == 0 and abs(Fraction(c.real) - want) <= Fraction(rel) * want, (
@@ -456,8 +457,8 @@ class TestTraceEngines:
 
     def test_trace_powers_runs_the_picked_engine(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(GlobalOperator, "_brute_traces",
-                            lambda self, r_max: calls.append("_brute_traces") or np.ones(r_max))
+        monkeypatch.setattr(operators, "_brute_traces", lambda q, n_values, r_max:
+                            calls.append("_brute_traces") or np.ones((len(n_values), r_max)))
         monkeypatch.setattr(transfer, "traces", lambda q, n_values, r_max:
                             calls.append("_transfer_traces") or np.ones((len(n_values), r_max)))
         op = _op(ModelSpec.dk(0.4, 0.2), 4)
@@ -473,15 +474,15 @@ class TestTraceEngines:
 
     def test_a_mixed_range_makes_one_transfer_pass(self, monkeypatch):
         calls = []
-        brute, traces = GlobalOperator._brute_traces, transfer.traces
-        monkeypatch.setattr(GlobalOperator, "_brute_traces", lambda self, r_max:
-                            calls.append(("brute", self.n_sites)) or brute(self, r_max))
+        brute, traces = operators._brute_traces, transfer.traces
+        monkeypatch.setattr(operators, "_brute_traces", lambda q, n_values, r_max:
+                            calls.append(("brute", list(n_values))) or brute(q, n_values, r_max))
         monkeypatch.setattr(transfer, "traces", lambda q, n_values, r_max:
                             calls.append(("transfer", list(n_values))) or traces(q, n_values, r_max))
         # at R = 12 the cost model crosses from brute to transfer at N = 8
         sizes = [n for n, _ in trace_series(build_local(ModelSpec.dk(0.4, 0.2)), range(2, 21), 12)]
         assert sizes == list(range(2, 21))
-        assert calls == [("brute", n) for n in range(2, 8)] + [("transfer", list(range(8, 21)))]
+        assert calls == [("brute", list(range(2, 8))), ("transfer", list(range(8, 21)))]
 
     @settings(max_examples=40, deadline=None)
     @given(st.one_of(st.tuples(_REAL_BLOCK, _REAL_BLOCK), st.tuples(_COMPLEX_BLOCK, _COMPLEX_BLOCK)),
@@ -626,6 +627,27 @@ class TestLogDetFactor:
             with pytest.raises(SingularAtU):
                 op.log_det_factor(sign)
 
+    def test_mean_past_the_float_range_is_refused_without_a_warning(self):
+        # Q = 4 I at N = 3, so each factor 1 - 4u overflows
+        op = GlobalOperator(2.0 * np.eye(4), 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="mean log factor .* must be finite"):
+                op.log_det_factor(1e308)
+
+    def test_each_spectral_fact_is_solved_once(self, monkeypatch):
+        calls = spectral_calls(monkeypatch)
+        op = _op(ModelSpec.qca2(0.3, 0.7), 6)
+
+        def facts():
+            # one point on each side of the cosine radius
+            return [op.spectral_radius(), op.log_det_factor(0.3), op.log_det_factor(0.95)]
+
+        first = facts()
+        once = {"classify": 1, "is_unitary": 1, "eigvalsh": 2, "eigh": 2}
+        assert calls == once
+        assert facts() == first and calls == once
+
     @pytest.mark.parametrize("n", (4, 8))
     @pytest.mark.parametrize("u", (0.99, -0.999, 0.95j))
     def test_real_orthogonal_near_the_unit_circle_keeps_the_eigenvalue_path(self, n, u):
@@ -633,7 +655,7 @@ class TestLogDetFactor:
         local = build_local(ModelSpec.qca2(0, math.pi / 2))
         op = GlobalOperator(local, n)
         got = op.log_det_factor(u)
-        assert op._cosines is None
+        assert "_cosines" not in vars(op)
         signs = np.rint(np.linalg.eigvals(kron_global(local.entries, n)).real)
         plus = int(np.sum(signs > 0))
         exact = (plus * np.log(1 - u) + (len(signs) - plus) * np.log(1 + u)) / len(signs)
@@ -645,7 +667,7 @@ class TestLogDetFactor:
         local = build_local(spec)
         op = GlobalOperator(local, n)
         got = op.log_det_factor(u)
-        assert op._eigenvalues is None and op._cosines is not None
+        assert "_spectrum" not in vars(op) and "_cosines" in vars(op)
         dense = kron_global(local.entries, n)
         assert abs(got.real - _mp_log_abs_det(dense, u)) < 1e-13
         assert abs(got.imag - _mean_arg(dense, u)) < 1e-13
@@ -665,7 +687,7 @@ class TestLogDetFactor:
         op = GlobalOperator(local, n)
         u = 0.7 * np.exp(0.4j)
         got = op.log_det_factor(u)
-        assert op._eigenvalues is not None and op._cosines is None
+        assert "_spectrum" in vars(op) and "_cosines" not in vars(op)
         dense = kron_global(local.entries, n)
         assert abs(got.real - _mp_log_abs_det(dense, u)) < 1e-13
         assert abs(got.imag - _mean_arg(dense, u)) < 1e-13
@@ -918,7 +940,7 @@ def test_unitary_spectrum_matches_the_oracles(blocks, n):
     assert _largest_matched_distance(eig, np.linalg.eigvals(kron_global(local.entries, n))) <= 1e-12
     assert np.abs(np.abs(eig) - 1.0).max() <= 1e-13
     power_sums = [np.sum(eig ** r) for r in (1, 2, 3)]
-    np.testing.assert_allclose(power_sums, op._brute_traces(3) * 2.0 ** n,
+    np.testing.assert_allclose(power_sums, _brute_traces(local.entries, (n,), 3)[0] * 2.0 ** n,
                                rtol=0, atol=1e-12 * 2 ** n)
     if local.entries.dtype == np.float64:
         # each conjugate pair is exact: the conjugates are the spectrum, bit for bit

@@ -1,6 +1,7 @@
 """Log series, special functions and every closed-form evaluator."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -77,6 +78,13 @@ class TestZetaLogSeries:
         series = _series(GlobalOperator(np.eye(4), 3), 50)
         u = 0.4
         assert series.evaluate(u) == pytest.approx(math.log(1 - u), abs=1e-13)
+
+    def test_evaluate_past_the_float_range_is_refused_without_a_warning(self):
+        series = _series(GlobalOperator(build_local(ModelSpec.qca2(0.3, 0.7)), 3), 40)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="the series at N=3 .* must be finite"):
+                series.evaluate(1e20)
 
     @pytest.mark.parametrize("spec", (
         ModelSpec.dk(0.25, 0.85),
