@@ -292,25 +292,25 @@ class GlobalOperator:
         orthogonal Q, a float64 local operator that ``_model_class`` finds
         unitary, needs only the cosines of its spectrum at
         |u| <= ``_COSINE_RADIUS``, ``_cosines``: the spectrum is closed
-        under conjugation, so each cosine c stands for half of the pair
-        c +- is, s = sqrt(max(0, 1 - c^2)), and the mean runs over both
-        halves.  Every other Q or u takes ``eigenvalues``.  Each factor
-        keeps its own principal log and its own test against
-        ``DEFAULTS.singular_eps``; a mean outside the float range raises DomainError.
+        under conjugation, so each cosine c stands for the pair c +- is,
+        whose factors have positive real parts (so none vanishes, and the
+        Log of their product 1 - u(2c - u) is the sum of their Logs): the
+        mean is half the mean of Log(1 - u(2c - u)).  Every other Q or u
+        takes ``eigenvalues``, where each factor keeps its own principal log
+        and its own test against ``DEFAULTS.singular_eps``.  A mean outside
+        the float range raises DomainError.
         """
         # u is checked before the spectrum is solved
         u = number("u", u)
         if (abs(u) <= _COSINE_RADIUS and self.local.entries.dtype == np.float64
                 and self._model_class.is_qca):
-            cosines = self._cosines
-            upper = cosines + 1j * np.sqrt(np.maximum(0.0, 1.0 - cosines * cosines))
-            spectrum = np.concatenate((upper, upper.conj()))
+            mean = np.mean(np.log(1.0 - u * (2.0 * self._cosines - u))) / 2.0
         else:
-            spectrum = self.eigenvalues()
-        factors = 1.0 - u * spectrum
-        if np.min(np.abs(factors)) < DEFAULTS.singular_eps:
-            raise SingularAtU(f"1 - u*lambda vanishes at u={u}")
-        return number(f"the mean log factor at u={u}", np.sum(np.log(factors)) / len(factors))
+            factors = 1.0 - u * self.eigenvalues()
+            if np.min(np.abs(factors)) < DEFAULTS.singular_eps:
+                raise SingularAtU(f"1 - u*lambda vanishes at u={u}")
+            mean = np.sum(np.log(factors)) / len(factors)
+        return number(f"the mean log factor at u={u}", mean)
 
     @functools.cached_property
     def _cosines(self) -> np.ndarray:

@@ -3,9 +3,11 @@
 Each identifier maps to one row of ``FORMULAS``: its default grid, its
 tolerance and a check that compares one closed form against the C_r
 that ``operators.trace_series`` reads, one pass per model.  ``run_formula``
-resolves the grid, keeps the worst deviation and its witness point (the
-first that is not finite, if any), and reports pass/fail at the
-tolerance.  Identifiers are the stable tokens the CLI exposes:
+passes the whole resolved grid to the check, so a report prints the grid
+that ran, measures each ``(got, want, point)`` the check yields, keeps the
+worst deviation and its witness point (the first that is not finite, if
+any), and reports pass/fail at the tolerance.  Identifiers are the stable
+tokens the CLI exposes:
 
     thm5_3            tensor-factor eigenvalue product vs brute C_r
     cor5_4            cosine-polynomial C_r identity, uniform-rotation model
@@ -88,8 +90,11 @@ class Formula:
     """One verifier: its check, default grid, tolerance and fixed report fields.
 
     ``r_max`` or ``u_points`` is None when the check has no such axis.  The
-    check takes the resolved grid and ``tol`` as keywords, plus a ``notes``
-    dict for measured report fields, and yields ``(error, point)`` pairs.
+    check takes the resolved ``n_values``, ``r_max``, ``u_points``, every
+    ``fields`` entry, ``tol`` and a ``notes`` dict (measured report fields)
+    as keywords, and yields ``(got, want, point)``: the deviation is
+    |got - want|, over max(1, |got|) if ``fields["error_kind"]`` is
+    ``"relative"``.  A pass/fail side check yields ``(1.0, 0.0, point)``.
     """
 
     check: Callable[..., Iterator[tuple]]
@@ -111,29 +116,27 @@ def _random_factor_pairs(count: int, seed: int = 20127):
         yield TensorFactors(np.array(left), right=np.diag(mags * np.exp(1j * phases)))
 
 
-def _tensor_eigen_traces(n_values, r_max, **_):
-    """Eigenvalue-product C_r of tensor models vs brute traces, relative."""
-    for idx, factors in enumerate(_random_factor_pairs(TENSOR_PAIRS)):
+def _tensor_eigen_traces(n_values, r_max, pairs, **_):
+    """Brute C_r of tensor models vs their eigenvalue-product C_r."""
+    for idx, factors in enumerate(_random_factor_pairs(pairs)):
         for n, series in trace_series(factors.kron(), n_values, r_max):
-            brute = series.c_values
             for r in range(1, r_max + 1):
                 closed = tensor_model_cr(factors, n, r)
-                rel = abs(closed - brute[r - 1]) / max(1.0, abs(brute[r - 1]))
-                yield rel, {"pair": idx, "n": n, "r": r}
+                yield series.c_values[r - 1], closed, {"pair": idx, "n": n, "r": r}
 
 
-def _rotation_cosine_traces(n_values, r_max, **_):
+def _rotation_cosine_traces(n_values, r_max, xi_values, **_):
     """Brute C_r of the uniform-rotation model vs T_r(cos xi)^(N-1)."""
-    for xi in SIX_XI:
+    for xi in xi_values:
         for n, series in trace_series(build_local(ModelSpec.qca1(xi, xi)), n_values, r_max):
             for r in range(1, r_max + 1):
                 closed = chebyshev_t(r, math.cos(xi)) ** (n - 1)
-                yield abs(series.c_values[r - 1] - closed), {"xi": xi, "n": n, "r": r}
+                yield series.c_values[r - 1], closed, {"xi": xi, "n": n, "r": r}
 
 
-def _binomial_series_coefficients(n_values, r_max, **_):
-    """Binomial log-sum coefficients -sum_k w_k z_k^r / r vs -C_r / r."""
-    for xi in SIX_XI:
+def _binomial_series_coefficients(n_values, r_max, xi_values, **_):
+    """Series coefficients -C_r / r vs the binomial log-sum -sum_k w_k z_k^r / r."""
+    for xi in xi_values:
         for n, series in trace_series(build_local(ModelSpec.qca1(xi, xi)), n_values, r_max):
             k = np.arange(n)
             # int true division is correctly rounded: 2.0 ** (n - 1) overflows from N = 1025
@@ -141,32 +144,32 @@ def _binomial_series_coefficients(n_values, r_max, **_):
             phases = np.exp(1j * (2 * k - (n - 1)) * xi)
             for r in range(1, r_max + 1):
                 closed = -np.sum(weights * phases ** r) / r
-                yield abs(series.coefficients[r - 1] - closed), {"xi": xi, "n": n, "r": r}
+                yield series.coefficients[r - 1], closed, {"xi": xi, "n": n, "r": r}
 
 
-def _gaussian_limit(n_values, notes, **_):
-    """Quadrature limit vs the finite-N binomial form at xi/sqrt(N).
+def _gaussian_limit(n_values, xi, u, notes, **_):
+    """The finite-N binomial form at xi/sqrt(N) vs its quadrature limit.
 
-    Passes when the gap sequence decreases up to the noise factor and the
-    final gap is below tolerance; the gaps themselves go in the report.
-    """
+    Passes when the reported gaps decrease up to the noise factor and the
+    last is below tolerance."""
     n_values = [positive_int("n_sites", n) for n in n_values]
-    limit = clt_limit_zeta(CLT_XI, CLT_U)
-    gaps = [abs(binomial_zeta_qca1(n, CLT_XI / math.sqrt(n), CLT_U) - limit) for n in n_values]
+    u = complex(*u)  # the [re, im] pair the row prints
+    limit = clt_limit_zeta(xi, u)
+    values = [binomial_zeta_qca1(n, xi / math.sqrt(n), u) for n in n_values]
+    gaps = [abs(value - limit) for value in values]
     monotone = all(gaps[i + 1] <= gaps[i] * CLT_NOISE for i in range(len(gaps) - 1))
     notes.update(gaps=gaps, monotone_within_noise=monotone,
-                 quadrature_stability=abs(limit - clt_limit_zeta(CLT_XI, CLT_U, 128)))
-    yield gaps[-1], {"n": n_values[-1], "xi": CLT_XI, "u": complex_pair(CLT_U)}
+                 quadrature_stability=abs(limit - clt_limit_zeta(xi, u, 128)))
+    yield values[-1], limit, {"n": n_values[-1], "xi": xi, "u": complex_pair(u)}
     if not monotone:
-        yield 1.0, {"check": "gap_decrease_within_noise"}
+        yield 1.0, 0.0, {"check": "gap_decrease_within_noise"}
 
 
-def _reflection_trace(n_values, power: int, closed: Callable[[int, float], complex], **_):
-    """Brute power-th trace of qca2(0, xi) vs ``closed(n, xi)``, relative."""
-    for xi in R1_XI_GRID:
+def _reflection_trace(n_values, xi_values, power, closed, **_):
+    """Brute power-th trace of qca2(0, xi) vs ``closed(n, xi)``."""
+    for xi in xi_values:
         for n, series in trace_series(build_local(ModelSpec.qca2(0.0, xi)), n_values, power):
-            brute = series.values[power - 1]
-            yield abs(brute - closed(n, xi)) / max(1.0, abs(brute)), {"xi": xi, "n": n}
+            yield series.values[power - 1], closed(n, xi), {"xi": xi, "n": n}
 
 
 def _quarter_turn(n_values, r_max, tol, **_):
@@ -176,30 +179,28 @@ def _quarter_turn(n_values, r_max, tol, **_):
         traces = series.values
         amp = 2.0 ** ((n + 1) / 2.0) * chebyshev_t(n - 1, SQRT2 / 2.0)
         for r in range(1, r_max + 1):
-            expected = amp if r % 2 else float(2 ** n)
-            yield abs(traces[r - 1] - expected), {"n": n, "r": r}
+            yield traces[r - 1], (amp if r % 2 else float(2 ** n)), {"n": n, "r": r}
         if not GlobalOperator(local, n).power_equals_identity(2, tol):
-            yield 1.0, {"n": n, "check": "period_2"}
+            yield 1.0, 0.0, {"n": n, "check": "period_2"}
 
 
-def _rule90_power_traces(n_values, **_):
+def _rule90_power_traces(n_values, k_max, s_max, **_):
     """Brute Rule 90 power traces vs the 2^(2^k) / 2^N rule."""
-    top = (2 ** RULE90_K_MAX) * (2 * RULE90_S_MAX - 1)
+    top = (2 ** k_max) * (2 * s_max - 1)
     for n, series in trace_series(build_local(ModelSpec.qca2(0.0, 0.0)), n_values, top):
         traces = series.values
-        for k in range(RULE90_K_MAX + 1):
-            for s in range(1, RULE90_S_MAX + 1):
+        for k in range(k_max + 1):
+            for s in range(1, s_max + 1):
                 r = (2 ** k) * (2 * s - 1)
                 expected = rule90_trace_general_r(n, k, s)
-                yield abs(traces[r - 1] - expected), {"n": n, "k": k, "s": s, "r": r}
+                yield traces[r - 1], expected, {"n": n, "k": k, "s": s, "r": r}
 
 
-def _zeta_series(n_values, r_max, u_points, xi: float,
-                 closed: Callable[[int, complex], complex], **_):
-    """``closed(n, u)`` vs the truncated trace series of qca2(0, xi)."""
+def _zeta_series(n_values, r_max, u_points, xi, closed, **_):
+    """The truncated trace series of qca2(0, xi) vs ``closed(n, u)``."""
     for n, series in trace_series(build_local(ModelSpec.qca2(0.0, xi)), n_values, r_max):
         for u in u_points:
-            yield abs(closed(n, u) - series.evaluate(u)), {"n": n, "u": complex_pair(u)}
+            yield series.evaluate(u), closed(n, u), {"n": n, "u": complex_pair(u)}
 
 
 # the lambdas look each closed form up by name at call time, so a wrapper
@@ -263,9 +264,7 @@ def run_formula(
     try:
         formula = FORMULAS[formula_id]
     except KeyError:
-        raise DomainError(
-            f"unknown formula id {formula_id!r}; expected one of {FORMULA_IDS}"
-        )
+        raise DomainError(f"unknown formula id {formula_id!r}; expected one of {FORMULA_IDS}")
     for axis, flag, value in (("r_max", "--rmax", r_max), ("u_points", "--u", u_points)):
         if value is not None and getattr(formula, axis) is None:
             raise DomainError(f"{formula_id} has no {axis} axis; it takes no {flag}")
@@ -277,19 +276,19 @@ def run_formula(
     if not n_values or u_points == ():
         raise DomainError(f"{formula_id} needs a nonempty grid")
 
+    # one grid runs and is printed; an axis the verifier lacks (None) is not printed
+    grid = {"n_values": n_values, "r_max": r_max, "u_points": u_points, **formula.fields}
+    relative = grid.get("error_kind") == "relative"
     notes: dict = {}
     error, witness = 0.0, {}
-    for err, point in formula.check(n_values=n_values, r_max=r_max, u_points=u_points,
-                                    tol=tol, notes=notes):
-        err = float(err)
+    for got, want, point in formula.check(**grid, tol=tol, notes=notes):
+        err = float(abs(got - want) / (max(1.0, abs(got)) if relative else 1.0))
         # the first deviation that is not finite (NaN too) stays the witness and fails
         if not witness or (math.isfinite(error) and not err <= error):
             error, witness = err, dict(point, error=err)
 
-    grid = {"n_values": list(n_values)}
-    if r_max is not None:
-        grid["r_max"] = r_max
+    grid.update(notes, n_values=list(n_values))
     if u_points is not None:
         grid["u_points"] = [complex_pair(u) for u in u_points]
-    grid.update(formula.fields, **notes)
+    grid = {key: value for key, value in grid.items() if value is not None}
     return ClosedFormReport(formula_id, grid, error, bool(error <= tol), witness, tol)

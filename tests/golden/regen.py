@@ -6,7 +6,9 @@ Run from the repository root to rewrite ``corpus.json`` beside this file:
 
 Each case is replayed in-process through ``cli.main`` and stored with its
 exit code, stdout and stderr; ``test_golden.py`` replays the corpus and
-compares.  A case's mode says how its output is compared:
+compares.  A case may carry a config object, which the replay writes to a
+temporary file that ``--config`` names; no recorded text holds that path.
+A case's mode says how its output is compared:
 
 - ``text``: the text between numbers byte for byte, each number within
   1e-12 relative; numbers under the JSON keys ``eigen`` and ``difference``
@@ -18,8 +20,9 @@ compares.  A case's mode says how its output is compared:
 
 The cases are the benchmark's argv at seeds 1-3, every ``verify`` id at
 its default grid, each CLI step of the CI workflow at a size that replays
-in well under a second, a sample of the refusals, and the three runs
-whose values leave the float range.
+in well under a second, QCA amplitudes as CSV, a sample of the refusals,
+the ``--config`` runs of the CLI tests, and the three runs whose values
+leave the float range.
 """
 
 import contextlib
@@ -27,9 +30,10 @@ import io
 import json
 import pathlib
 import sys
+import tempfile
 import warnings
 
-from ipszeta import cli
+from ipszeta import FORMULA_IDS, cli
 
 CORPUS = pathlib.Path(__file__).with_name("corpus.json")
 
@@ -37,12 +41,12 @@ _COMPLEX_UNITARY = "[[[0.6,0],[0,-0.8],[0,-0.8],[0.6,0]],[[0.6,0.8],[0,0],[0,0],
 _BIG_IDENTITY = json.dumps([[1e200 if i % 5 == 0 else 0.0, 0.0] for i in range(16)])
 _TINY_IDENTITY = json.dumps([[1e-160 if i % 5 == 0 else 0.0, 0.0] for i in range(16)])
 _HUGE_IDENTITY = json.dumps([[1e10 if i % 5 == 0 else 0.0, 0.0] for i in range(16)])
-_VERIFY_IDS = ("thm5_3", "cor5_4", "thm5_6", "cor5_7", "prop6_r1", "prop6_r2", "prop6_pi2",
-               "thm6_pi2zeta", "prop6_rule90_r", "thm6_rule90zeta", "conj_rule90")
 _QCA2 = ("--model", "qca2", "--params", "0.3,0.7")
 _DK = ("--model", "dk", "--params", "0.6,0.8")
 
-# (argv, mode)
+_CONFIG = {"model": "qca1", "params": [0.9, 0.9], "n": 3}
+
+# (argv, mode) or (argv, mode, config object)
 CASES = [
     # the benchmark: zeta-dense, trace-mf and evolve-wide at seeds 1, 2 and 3
     *((("zeta", *_QCA2, "--n", "10", "--rmax", "20", f"--u={u}", "--format", "json"), "text")
@@ -55,7 +59,7 @@ CASES = [
        "text")
       for bits in ("00101111001011011001", "00010110001111100111", "00110011001110001000")),
     # the benchmark's verify-all: every formula at its default grid
-    *((("verify", formula_id), "text") for formula_id in _VERIFY_IDS),
+    *((("verify", formula_id), "text") for formula_id in FORMULA_IDS),
     # the CI workflow's CLI steps, smaller where the step is slow
     (("spectrum", *_QCA2, "--n", "8"), "spectrum"),
     (("spectrum", "--model", "tensor", "--matrix", _COMPLEX_UNITARY, "--n", "7"), "spectrum"),
@@ -78,6 +82,11 @@ CASES = [
       "--format", "csv"), "text"),
     (("evolve", *_DK, "--n", "16", "--initial", "0110100101101001", "--steps", "1",
       "--format", "csv"), "text"),
+    # QCA amplitudes as CSV marginals: real, then complex
+    (("evolve", *_QCA2, "--n", "8", "--initial", "01101001", "--steps", "2", "--format", "csv"),
+     "text"),
+    (("evolve", "--model", "tensor", "--matrix", _COMPLEX_UNITARY, "--n", "5", "--initial",
+      "01101", "--steps", "2", "--format", "csv"), "text"),
     (("zeta", *_QCA2, "--n", "64", "--rmax", "12", "--format", "csv"), "text"),
     (("zeta", "--model", "qca2", "--params", "0,1.0", "--n", "512", "--rmax", "2",
       "--format", "csv"), "text"),
@@ -111,6 +120,25 @@ CASES = [
     (("zeta", "--model", "custom", "--matrix", _BIG_IDENTITY, "--n", "3", "--format", "csv"),
      "text"),
     (("spectrum", "--model", "custom", "--matrix", _BIG_IDENTITY, "--n", "3"), "text"),
+    # config files: a flag wins over the file, and each refusal names its key
+    (("zeta", "--rmax", "2"), "text", dict(_CONFIG, rmax=4, format="csv")),
+    *((("zeta",), "text", dict(_CONFIG, **keys)) for keys in (
+        {"rmax": "5"}, {"tol": "x"}, {"tol": -1}, {"u": "nan"}, {"u": [[0.1]]},
+        {"format": "xml"}, {"rmx": 5}, {"n": True}, {"params": [[1], 2]},
+        {"model": "custom", "params": [[[1], [0]]] + [[0, 0]] * 15})),
+    (("validate",), "text", {"model": "tensor", "params": [1, 2]}),
+    (("spectrum",), "text", {"model": "dk", "params": [0.3, 0.7], "n": "abc"}),
+    (("zeta", "--n", "3", "--rmax", "2", "--format", "csv"), "text",
+     {"model": "dk", "params": [True, 0.5]}),
+    (("zeta", "--n", "3", "--rmax", "2"), "text",
+     {"model": "dk", "params": [0.6, 0.8], "u": [[True, False]]}),
+    (("zeta", *_DK, "--n", "3"), "text", {"u": ["0.1", "half"]}),
+    (("zeta", *_DK, "--n", "3"), "text", [0.1, 0.2]),
+    (("zeta", "--n", "3"), "text", {"model": "qca1", "params": [10 ** 400, 0]}),
+    (("verify", "thm5_3", "--n", "3"), "text", {"tol": -1}),
+    (("verify", "thm6_pi2zeta", "--n", "2"), "text", {"u": []}),
+    (("evolve",), "text",
+     {"model": "qca2", "params": [0, 0], "n": 3, "initial": "001", "kind": "bogus"}),
     # values past the float range: refused, or null in strict JSON; the
     # difference of a finite series and a finite eigen mean can overflow too
     (("zeta", "--model", "qca2", "--params", "0.3,0.7", "--n", "3", "--rmax", "40", "--u=1e20",
@@ -122,12 +150,19 @@ CASES = [
 ]
 
 
-def replay(argv) -> tuple:
+def replay(argv, config=None) -> tuple:
     """``(exit code, stdout, stderr)`` of ``cli.main(argv)`` run in this process.
 
-    A warning is appended to stderr as ``Category: message``, so a run that
-    warns differs from one that does not, whatever the warning filters.
+    A ``config`` object is written to a temporary file that ``--config``
+    names.  A warning is appended to stderr as ``Category: message``, so a
+    run that warns differs from one that does not, whatever the warning
+    filters.
     """
+    if config is not None:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = pathlib.Path(tmp, "run.json")
+            path.write_text(json.dumps(config), encoding="utf-8")
+            return replay((*argv, "--config", str(path)))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
             warnings.catch_warnings(record=True) as caught:
@@ -142,10 +177,11 @@ def replay(argv) -> tuple:
 
 def main() -> int:
     corpus = []
-    for argv, mode in CASES:
-        code, out, err = replay(argv)
-        corpus.append({"argv": list(argv), "mode": mode, "exit": code,
-                       "stdout": out, "stderr": err})
+    for argv, mode, *config in CASES:
+        code, out, err = replay(argv, *config)
+        corpus.append({"argv": list(argv), "mode": mode,
+                       **({"config": config[0]} if config else {}),
+                       "exit": code, "stdout": out, "stderr": err})
     CORPUS.write_text(json.dumps(corpus, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {len(corpus)} cases to {CORPUS}", file=sys.stderr)
     return 0

@@ -51,7 +51,7 @@ def _differences(mode: str, want: str, got: str) -> list:
 def test_cli_output_matches_the_golden_corpus():
     mismatches = []
     for case in json.loads(CORPUS.read_text(encoding="utf-8")):
-        code, out, err = replay(case["argv"])
+        code, out, err = replay(case["argv"], case.get("config"))
         found = [] if code == case["exit"] else [f"exit {case['exit']} recorded, {code} now"]
         found += [f"stdout: {d}" for d in _differences(case["mode"], case["stdout"], out)]
         found += [f"stderr: {d}" for d in _differences("text", case["stderr"], err)]

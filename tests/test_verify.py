@@ -1,5 +1,6 @@
 """The formula registry: every verifier runs, passes, and is deterministic."""
 
+import dataclasses
 import json
 import math
 import os
@@ -166,7 +167,7 @@ def test_first_deviation_that_is_not_finite_fails_as_the_witness(monkeypatch, ca
                                                                 errors, witness):
     def check(**_):
         for i, error in enumerate(errors):
-            yield error, {"i": i}
+            yield error, 0.0, {"i": i}
 
     monkeypatch.setitem(FORMULAS, "cor5_4", Formula(check, (1,), 1e-8))
     report = run_formula("cor5_4")
@@ -180,6 +181,30 @@ def test_first_deviation_that_is_not_finite_fails_as_the_witness(monkeypatch, ca
 
     doc = json.loads(capsys.readouterr().out, parse_constant=refuse)
     assert doc["max_abs_error"] is None and doc["witness"] == {"i": witness, "error": None}
+
+
+def test_a_row_runs_the_grid_it_prints(monkeypatch):
+    passes = []
+    trace_series = verify.trace_series
+    monkeypatch.setattr(verify, "trace_series", lambda local, n_values, r_max:
+                        passes.append(local) or trace_series(local, n_values, r_max))
+    monkeypatch.setitem(FORMULAS, "cor5_4",
+                        dataclasses.replace(FORMULAS["cor5_4"], fields={"xi_values": [0.5]}))
+    report = run_formula("cor5_4")
+    assert report.grid["xi_values"] == [0.5] and report.witness["xi"] == 0.5
+    assert len(passes) == 1 and report.passed
+
+
+@pytest.mark.parametrize("fields, error", [({"error_kind": "relative"}, 1e-3), ({}, 1.0)],
+                         ids=["relative", "absolute"])
+def test_the_printed_error_kind_picks_the_measure(monkeypatch, fields, error):
+    def check(**_):
+        yield 1000.0, 1001.0, {}
+
+    monkeypatch.setitem(FORMULAS, "cor5_4", Formula(check, (1,), 1e-8, fields=fields))
+    report = run_formula("cor5_4")
+    assert report.max_abs_error == error and report.witness == {"error": error}
+    assert report.grid.get("error_kind") == fields.get("error_kind")
 
 
 def test_tensor_pairs_are_reproducible_and_in_range():
