@@ -25,8 +25,8 @@ giving one row of C_r per N.  The brute engine, ``_brute_traces``, sweeps
 blocks of identity columns through both halves in O(r 4^N / 2) per N.
 The transfer engine, ``transfer.traces``, reads the r-periodic
 space-time histories along space in O(N r 2^r), all N of a grid in one
-pass; ``transfer.py`` gives its T_r.  ``trace_series`` splits a grid
-between them by a cost model monotone in N, ``_transfer_cheaper``, and
+pass; ``transfer.py`` gives its T_r.  ``trace_series`` runs a grid on the
+engine the cost model ``_transfer_cheaper`` picks at its largest N, and
 yields a ``zeta.ZetaLogSeries`` per N (``trace_powers`` at one N).
 """
 
@@ -93,9 +93,9 @@ def _transfer_cheaper(n_sites: int, r_max: int) -> bool:
 def trace_series(local, n_values, r_max: int):
     """Yield ``(N, ZetaLogSeries)`` for each of the strictly increasing site counts ``n_values``.
 
-    All are checked before any trace is computed.  The cost model is monotone in N:
-    each N below its crossover runs the brute engine, one operator per N, and all N
-    above it come from one transfer pass.  A C_r past the float range raises DomainError.
+    All are checked before any trace is computed.  One call runs the whole grid on the engine
+    the cost model picks at its largest N; one transfer pass reads every smaller N on its way.
+    A C_r past the float range raises DomainError.
     """
     if not isinstance(local, LocalOperator):
         local = LocalOperator(local)
@@ -103,15 +103,14 @@ def trace_series(local, n_values, r_max: int):
     r_max = positive_int("r_max", r_max)
     if any(lo >= hi for lo, hi in zip(n_values, n_values[1:])):
         raise DomainError(f"site counts must increase strictly, got {n_values}")
-    split = sum(not _transfer_cheaper(n, r_max) for n in n_values)
-    for engine, grid in ((_brute_traces, n_values[:split]), (transfer.traces, n_values[split:])):
-        if not grid:
-            continue
-        # ZetaLogSeries refuses overflow; no errstate holds a yield, so the caller still warns
-        with np.errstate(over="ignore", invalid="ignore"):
-            rows = engine(local.entries, grid, r_max)
-        for n, c_values in zip(grid, rows):
-            yield n, ZetaLogSeries(n, c_values)
+    # an empty grid goes to brute, which makes no row
+    engine = (transfer.traces if n_values and _transfer_cheaper(n_values[-1], r_max)
+              else _brute_traces)
+    # ZetaLogSeries refuses overflow; no errstate holds a yield, so the caller still warns
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = engine(local.entries, n_values, r_max)
+    for n, c_values in zip(n_values, rows):
+        yield n, ZetaLogSeries(n, c_values)
 
 
 def _brute_traces(q: np.ndarray, n_values, r_max: int) -> np.ndarray:

@@ -467,22 +467,33 @@ class TestTraceEngines:
         assert calls == ["_brute_traces", "_transfer_traces"]
 
     def test_cost_model_is_monotone_in_n(self):
-        # so a grid splits once: brute below the crossover, transfer above it
+        # so a grid whose largest N runs brute is cheaper on brute at every N
         for r_max in range(1, 65):
             picks = [_transfer_cheaper(n, r_max) for n in range(1, 600)]
             assert picks == sorted(picks), r_max
 
-    def test_a_mixed_range_makes_one_transfer_pass(self, monkeypatch):
+    @staticmethod
+    def _engine_calls(monkeypatch, sizes, r_max):
+        """The (engine, grid) of each engine call ``trace_series`` makes over ``sizes``."""
         calls = []
         brute, traces = operators._brute_traces, transfer.traces
         monkeypatch.setattr(operators, "_brute_traces", lambda q, n_values, r_max:
                             calls.append(("brute", list(n_values))) or brute(q, n_values, r_max))
         monkeypatch.setattr(transfer, "traces", lambda q, n_values, r_max:
                             calls.append(("transfer", list(n_values))) or traces(q, n_values, r_max))
-        # at R = 12 the cost model crosses from brute to transfer at N = 8
-        sizes = [n for n, _ in trace_series(build_local(ModelSpec.dk(0.4, 0.2)), range(2, 21), 12)]
-        assert sizes == list(range(2, 21))
-        assert calls == [("brute", list(range(2, 8))), ("transfer", list(range(8, 21)))]
+        series = trace_series(build_local(ModelSpec.dk(0.4, 0.2)), sizes, r_max)
+        assert [n for n, _ in series] == list(sizes)
+        return calls
+
+    def test_a_mixed_range_makes_one_transfer_pass(self, monkeypatch):
+        # at R = 12 the cost model crosses from brute to transfer at N = 8, and the
+        # largest N picks the engine: the pass to N = 20 reads N = 2..7 on its way
+        calls = self._engine_calls(monkeypatch, range(2, 21), 12)
+        assert calls == [("transfer", list(range(2, 21)))]
+
+    def test_a_range_below_the_crossover_makes_one_brute_call(self, monkeypatch):
+        calls = self._engine_calls(monkeypatch, range(2, 8), 12)
+        assert calls == [("brute", list(range(2, 8)))]
 
     @settings(max_examples=40, deadline=None)
     @given(st.one_of(st.tuples(_REAL_BLOCK, _REAL_BLOCK), st.tuples(_COMPLEX_BLOCK, _COMPLEX_BLOCK)),
@@ -491,22 +502,30 @@ class TestTraceEngines:
         local = LocalOperator.from_blocks(*(np.reshape(b, (2, 2)) for b in blocks))
         crossover = next(n for n in range(1, 64) if _transfer_cheaper(n, r_max))
         below = data.draw(st.sets(st.integers(1, crossover - 1), min_size=1), label="below")
-        above = data.draw(st.sets(st.integers(crossover, crossover + 40), min_size=1, max_size=6),
+        above = data.draw(st.sets(st.integers(crossover, crossover + 40), max_size=6),
                           label="above")
         sizes = sorted(below | above)
+        engine = transfer.traces if above else _brute_traces
         pass_ = list(trace_series(local, sizes, r_max))
         assert [n for n, _ in pass_] == sizes
         for n, series in pass_:
-            one = GlobalOperator(local, n).trace_powers(r_max)
-            assert series.c_values.tobytes() == one.c_values.tobytes(), n
+            with np.errstate(over="ignore", invalid="ignore"):
+                alone = engine(local.entries, (n,), r_max)[0]
+            assert series.c_values.tobytes() == alone.tobytes(), n
+            # a row below the crossover may come from the other engine than a one-N call
+            one = GlobalOperator(local, n).trace_powers(r_max).c_values
+            assert np.all(np.abs(series.c_values - one) <= 1e-12 * np.maximum(1, np.abs(one))), n
 
     @pytest.mark.parametrize("sizes", [(7, 4), (4, 4)], ids=["decreasing", "repeated"])
     def test_grids_that_do_not_increase_are_refused(self, sizes):
         with pytest.raises(DomainError, match="must increase strictly"):
             next(trace_series(RULE90, sizes, 2))
 
+    def test_an_empty_grid_yields_nothing(self):
+        assert list(trace_series(RULE90, (), 2)) == []
+
     def test_no_errstate_reaches_the_loop_body(self):
-        # N = 2 runs brute, N = 3 and 64 one transfer pass; numpy warns in the body each time
+        # N = 2, 3 and 64 are one transfer pass; numpy warns in the body each time
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             for _ in trace_series(RULE90, (2, 3, 64), 2):

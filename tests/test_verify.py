@@ -88,7 +88,8 @@ def test_grid_that_does_not_increase_is_rejected(n_values):
         run_formula("prop6_r1", n_values=n_values)
 
 
-# each model (angle, tensor pair) of a check makes one transfer pass over the whole grid
+# each model (angle, tensor pair) of a check makes one transfer pass over the whole grid;
+# dict() runs the default grid, which for these four ids spans the cost model's crossover
 @pytest.mark.parametrize("formula_id, grid, models", [
     ("thm5_3", dict(n_values=range(20, 40), r_max=6), TENSOR_PAIRS),
     ("cor5_4", dict(n_values=range(20, 40), r_max=6), len(verify.SIX_XI)),
@@ -99,6 +100,10 @@ def test_grid_that_does_not_increase_is_rejected(n_values):
     ("thm6_pi2zeta", dict(n_values=range(20, 40), r_max=4), 1),
     ("thm6_rule90zeta", dict(n_values=range(20, 40), r_max=4), 1),
     ("conj_rule90", dict(n_values=range(20, 40), r_max=4), 1),
+    ("thm5_3", dict(), TENSOR_PAIRS),
+    ("prop6_r1", dict(), len(verify.R1_XI_GRID)),
+    ("prop6_r2", dict(), len(verify.R1_XI_GRID)),
+    ("prop6_pi2", dict(), 1),
 ])
 def test_each_model_makes_one_transfer_pass(monkeypatch, formula_id, grid, models):
     calls = []
@@ -106,7 +111,7 @@ def test_each_model_makes_one_transfer_pass(monkeypatch, formula_id, grid, model
     monkeypatch.setattr(transfer, "traces", lambda q, n_values, r_max:
                         calls.append(list(n_values)) or traces(q, n_values, r_max))
     run_formula(formula_id, **grid)
-    assert calls == [list(grid["n_values"])] * models
+    assert calls == [list(grid.get("n_values", FORMULAS[formula_id].n_values))] * models
 
 
 @pytest.mark.parametrize("formula_id", FORMULA_IDS)
