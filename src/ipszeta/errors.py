@@ -22,7 +22,7 @@ class DimensionMismatch(InvalidInput):
 
 
 class SizeExceeded(InvalidInput):
-    """The requested dense computation is above the configured site cap."""
+    """A dense computation is above the configured site cap, or numpy cannot allocate it."""
 
 
 class ConvergenceFailure(IpsZetaError):

@@ -97,16 +97,6 @@ class LocalOperator:
             m[np.ix_(rows, rows)] = block
         return cls(m)
 
-    @property
-    def block_right0(self) -> np.ndarray:
-        """2x2 action on the left site when the right site is 0."""
-        return self.entries[np.ix_(_RIGHT_SITE[0], _RIGHT_SITE[0])]
-
-    @property
-    def block_right1(self) -> np.ndarray:
-        """2x2 action on the left site when the right site is 1."""
-        return self.entries[np.ix_(_RIGHT_SITE[1], _RIGHT_SITE[1])]
-
 
 @dataclass(frozen=True, eq=False)
 class TensorFactors:
@@ -136,12 +126,11 @@ class TensorFactors:
 
 @dataclass(frozen=True)
 class ModelClass:
-    """Classification flags for a local operator."""
+    """Classification flags for a local operator; ``factors`` is None unless it factorizes."""
 
     is_pca: bool
     is_qca: bool
     is_ca: bool
-    tensor_factorizable: bool
     factors: Optional[TensorFactors] = None
 
     def to_json(self) -> dict:
@@ -149,7 +138,7 @@ class ModelClass:
             "is_pca": self.is_pca,
             "is_qca": self.is_qca,
             "is_ca": self.is_ca,
-            "tensor_factorizable": self.tensor_factorizable,
+            "tensor_factorizable": self.factors is not None,
             "factors": self.factors.to_json() if self.factors is not None else None,
         }
 
@@ -265,20 +254,10 @@ def build_local(spec: ModelSpec) -> LocalOperator:
     return LocalOperator(spec.params[0])
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def is_unitary(op: LocalOperator, tol: float = DEFAULTS.classify_tol) -> bool:
-    """Whether the Gram matrix of ``op`` is the identity to max-abs ``tol``; NaN fails.
-
-    A ``tol`` that is not a finite number >= 0 raises DomainError."""
-    tol = tolerance("tol", tol)
-    m = op.entries
-    return bool(np.max(np.abs(m.conj().T @ m - np.eye(4))) <= tol)
-
-
 # an overflow near the float limit fails the test that met it, silently
 @np.errstate(over="ignore", invalid="ignore")
 def classify(op: LocalOperator, tol: float = DEFAULTS.classify_tol) -> ModelClass:
-    """Total classification of a local operator.
+    """Total classification of a local operator, each test to max-abs ``tol``; NaN fails.
 
     Never raises for a local operator given a valid ``tol``, a finite number
     >= 0; any other ``tol`` raises DomainError."""
@@ -287,10 +266,9 @@ def classify(op: LocalOperator, tol: float = DEFAULTS.classify_tol) -> ModelClas
     in_range = (m.real >= -tol) & (m.real <= 1.0 + tol) & (np.abs(m.imag) <= tol)
     columns_ok = np.abs(m.sum(axis=0) - 1.0) <= tol
     is_pca = bool(in_range.all() and columns_ok.all())
-    is_qca = is_unitary(op, tol)
+    is_qca = bool(np.max(np.abs(m.conj().T @ m - np.eye(4))) <= tol)  # the Gram test
     is_ca = bool(np.all((np.abs(m) <= tol) | (np.abs(m - 1.0) <= tol)))
-    factors = factor_tensor(op, tol)
-    return ModelClass(is_pca, is_qca, is_ca, factors is not None, factors)
+    return ModelClass(is_pca, is_qca, is_ca, factor_tensor(op, tol))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -306,8 +284,7 @@ def factor_tensor(op: LocalOperator, tol: float = DEFAULTS.classify_tol) -> Opti
     finite number >= 0 raises DomainError.
     """
     tol = tolerance("tol", tol)
-    b0 = op.block_right0
-    b1 = op.block_right1
+    b0, b1 = (op.entries[np.ix_(rows, rows)] for rows in _RIGHT_SITE)
     if not b0.any() and not b1.any():
         return None  # the zero operator has no nonzero factor pair
     if b0.any():

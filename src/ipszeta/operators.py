@@ -185,11 +185,16 @@ class GlobalOperator:
         an image is valid until the next one is drawn.  The last power of a
         block, r = r_max, is never stepped again, so a caller may overwrite
         it.  Blocks come in a fixed order, so sums over them are
-        deterministic.
+        deterministic.  An image numpy cannot allocate raises SizeExceeded.
         """
         half = self.dim >> 1
         width = min(half, _BLOCK_COLUMNS)
-        image = np.empty((half, width), dtype=self.local.entries.dtype)
+        dtype = self.local.entries.dtype
+        try:
+            image = np.empty((half, width), dtype=dtype)
+        except (ValueError, MemoryError):
+            raise SizeExceeded(f"N={self.n_sites} needs a block image of shape ({half}, {width}), "
+                               f"{half * width * dtype.itemsize} bytes, which cannot be allocated")
         for b in (0, 1):
             for start in range(0, half, width):
                 image[...] = 0
@@ -253,11 +258,15 @@ class GlobalOperator:
         ``np.linalg.eigvals`` per cluster size.  A conjugate pair of a real
         block shares its cosine, so it never splits, and a real block stays
         in float64 throughout, which keeps the pair exact.  H overwrites
-        Q_b, and Q_b V is one held sweep of a copy of V.
+        Q_b, and Q_b V is one held sweep of a copy of V.  A block whose H
+        ``eigh`` cannot solve goes to QR, as a non-unitary block does.
         """
         if not self._model_class.is_qca:
             return np.linalg.eigvals(self._half(b))
-        w, v = np.linalg.eigh(self._hermitian_part(b))
+        try:
+            w, v = np.linalg.eigh(self._hermitian_part(b))
+        except np.linalg.LinAlgError:
+            return np.linalg.eigvals(self._half(b))
         qv = self._step(b, v.copy())
         starts = np.flatnonzero(np.diff(w, prepend=-np.inf) > _CLUSTER_GAP)
         sizes = np.diff(starts, append=len(w))

@@ -41,6 +41,12 @@ _COMPLEX_UNITARY = "[[[0.6,0],[0,-0.8],[0,-0.8],[0.6,0]],[[0.6,0.8],[0,0],[0,0],
 _BIG_IDENTITY = json.dumps([[1e200 if i % 5 == 0 else 0.0, 0.0] for i in range(16)])
 _TINY_IDENTITY = json.dumps([[1e-160 if i % 5 == 0 else 0.0, 0.0] for i in range(16)])
 _HUGE_IDENTITY = json.dumps([[1e10 if i % 5 == 0 else 0.0, 0.0] for i in range(16)])
+# from_blocks(reflection(2.52752890862069), rotation(1e-05)): a real orthogonal
+# model whose parity block 1 at N = 7 LAPACK's divide-and-conquer eigh does not solve
+_EIGH_UNSOLVED = ("[[-0.5761935612751012,0],[0,0],[-0.817313269160067,0],[0,0],[0,0],"
+                  "[0.99999999995,0],[0,0],[-9.999999999833334e-06,0],[-0.817313269160067,0],"
+                  "[0,0],[0.5761935612751012,0],[0,0],[0,0],[9.999999999833334e-06,0],[0,0],"
+                  "[0.99999999995,0]]")
 _QCA2 = ("--model", "qca2", "--params", "0.3,0.7")
 _DK = ("--model", "dk", "--params", "0.6,0.8")
 
@@ -64,6 +70,7 @@ CASES = [
     (("spectrum", *_QCA2, "--n", "8"), "spectrum"),
     (("spectrum", "--model", "tensor", "--matrix", _COMPLEX_UNITARY, "--n", "7"), "spectrum"),
     (("spectrum", *_DK, "--n", "7"), "shape"),
+    (("spectrum", "--model", "custom", "--matrix", _EIGH_UNSOLVED, "--n", "7"), "spectrum"),
     (("zeta", *_DK, "--n", "9", "--rmax", "20", "--format", "csv"), "text"),
     (("zeta", *_QCA2, "--n", "9", "--rmax", "20", "--u=0.3+0.1j", "--format", "json"), "text"),
     (("zeta", *_QCA2, "--n", "9", "--rmax", "20", "--u=0.3+0.1j,0.95", "--format", "json"),
@@ -115,6 +122,9 @@ CASES = [
     (("zeta", "--model", "dk", "--params", "0.3,0.7", "--n", "3", "--matrix", "[0.5, 0.5]"),
      "text"),
     (("verify", "thm5_3", "--n", "1"), "text"),
+    # a brute block image numpy cannot allocate: the period-2 check, then the traces
+    (("verify", "prop6_pi2", "--n", "64"), "text"),
+    (("zeta", *_QCA2, "--n", "64", "--rmax", "80", "--format", "csv"), "text"),
     (("evolve", "--model", "dk", "--params", "0.3,0.7", "--n", "2", "--initial", "01",
       "--steps", "-1"), "text"),
     (("zeta", "--model", "custom", "--matrix", _BIG_IDENTITY, "--n", "3", "--format", "csv"),

@@ -30,7 +30,7 @@ from itertools import product
 
 import numpy as np
 
-from ipszeta import models, operators
+from ipszeta import operators
 from ipszeta.dynamics import evolve_states
 
 # the 2x2 matrix units: E_ab has a single 1 at row a, column b
@@ -241,10 +241,7 @@ def exact_transfer_c(q, n: int, r_max: int) -> list:
 
 
 def spectral_calls(monkeypatch) -> dict:
-    """Count each call of the classification, the unitarity test and the two Hermitian solvers.
-
-    The unitarity test is counted under every name the operator module could call it by.
-    """
+    """Count each call of the classification and of the two Hermitian solvers."""
     calls = {}
 
     def counted(name, function):
@@ -254,9 +251,6 @@ def spectral_calls(monkeypatch) -> dict:
         return wrapper
 
     monkeypatch.setattr(operators, "classify", counted("classify", operators.classify))
-    for module in (models, operators):
-        monkeypatch.setattr(module, "is_unitary", counted("is_unitary", models.is_unitary),
-                            raising=False)
     for solver in ("eigvalsh", "eigh"):
         monkeypatch.setattr(np.linalg, solver, counted(solver, getattr(np.linalg, solver)))
     return calls

@@ -787,7 +787,7 @@ def test_json_zeta_classifies_once_and_solves_each_block_once(capsys, monkeypatc
     code, out, _ = run(capsys, "zeta", "--model", "qca2", "--params", "0.3,0.7", "--n", "6",
                        "--rmax", "20", "--u=0.3,0.95", "--format", "json")
     assert code == 0 and len(_strict_json(out)["evaluations"]) == 2
-    assert calls == {"classify": 1, "is_unitary": 1, "eigvalsh": 2, "eigh": 2}
+    assert calls == {"classify": 1, "eigvalsh": 2, "eigh": 2}
 
 
 def test_nilpotent_radius_is_null_in_strict_json(capsys):
@@ -822,14 +822,15 @@ class TestSpectrum:
         assert code == 2 and out == ""
         assert "overflows the float range" in err and "eigensolver" not in err
 
-    # qca2 is unitary and solved through eigh, dk through eigvals
+    # qca2 is unitary and solved through eigh, then QR where eigh fails; dk through QR alone
     @pytest.mark.parametrize("model, params, solver", (("qca2", "0.3,0.7", "eigh"),
                                                        ("dk", "0.6,0.8", "eigvals")))
     def test_solver_failure_exits_1(self, capsys, monkeypatch, model, params, solver):
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(np.linalg, solver, fail)
+        for name in {solver, "eigvals"}:
+            monkeypatch.setattr(np.linalg, name, fail)
         code, out, err = run(capsys, "spectrum", "--model", model, "--params", params, "--n", "4")
         assert code == 1 and out == ""
         assert err == ("error: the eigensolver did not converge on a parity block at N=4: "

@@ -192,12 +192,12 @@ def test_classify_qca1_example():
 def test_rule90_is_pca_qca_and_ca():
     cls = classify(LocalOperator(RULE90))
     assert cls.is_pca and cls.is_qca and cls.is_ca
-    assert not cls.tensor_factorizable
+    assert cls.factors is None
 
 
 def test_identity_is_every_class():
     cls = classify(LocalOperator(np.eye(4)))
-    assert cls.is_pca and cls.is_qca and cls.is_ca and cls.tensor_factorizable
+    assert cls.is_pca and cls.is_qca and cls.is_ca and cls.factors is not None
 
 
 def test_factor_tensor_rotation_model():
@@ -253,14 +253,14 @@ def test_factor_tensor_near_the_float_limit():
     np.testing.assert_array_equal(factors.left, 1e200 * np.eye(2))
     np.testing.assert_array_equal(factors.right, np.eye(2))
     cls = classify(op)
-    assert cls.tensor_factorizable and not (cls.is_pca or cls.is_qca or cls.is_ca)
+    assert cls.factors is not None and not (cls.is_pca or cls.is_qca or cls.is_ca)
 
 
 def test_factor_tensor_without_a_finite_pair_is_none():
     # proportional blocks whose ratio 1e600 is no float
     op = LocalOperator.from_blocks(1e-300 * np.eye(2), 1e300 * np.eye(2))
     assert factor_tensor(op) is None
-    assert not classify(op).tensor_factorizable
+    assert classify(op).factors is None
 
 
 def test_tensor_factors_reject_zero_matrix():
@@ -300,6 +300,11 @@ def test_entries_are_read_only():
     op = build_local(ModelSpec.dk(0.1, 0.2))
     with pytest.raises(ValueError):
         op.entries[0, 0] = 2.0
+
+
+def _right_site_blocks(op):
+    """The 2x2 blocks of ``op`` at right site 0 and 1: the rows and columns of parity 0, then 1."""
+    return [op.entries[np.ix_(rows, rows)] for rows in ((0, 2), (1, 3))]
 
 
 def _hand_written_layout(model, params):
@@ -359,7 +364,7 @@ def test_family_entries_match_hand_written_layout(spec):
     # byte equality also pins the signed zeros; every family is real
     expected = _hand_written_layout(spec.model, spec.params)
     op = build_local(spec)
-    assert op.entries.dtype == op.block_right0.dtype == op.block_right1.dtype == np.float64
+    assert op.entries.dtype == np.float64
     assert op.entries.tobytes() == expected.tobytes()
 
 
@@ -367,7 +372,7 @@ def test_family_entries_match_hand_written_layout(spec):
 @given(FAMILY_SPECS)
 def test_family_blocks_round_trip(spec):
     op = build_local(spec)
-    back = LocalOperator.from_blocks(op.block_right0, op.block_right1)
+    back = LocalOperator.from_blocks(*_right_site_blocks(op))
     assert back.entries.tobytes() == op.entries.tobytes()
 
 
@@ -388,7 +393,7 @@ def test_tensor_entries_and_round_trips(left, e, h):
     op = build_local(spec)
     assert op.entries.tobytes() == _stored(np.kron(left, right)).tobytes()
     np.testing.assert_array_equal(
-        LocalOperator.from_blocks(op.block_right0, op.block_right1).entries, op.entries)
+        LocalOperator.from_blocks(*_right_site_blocks(op)).entries, op.entries)
     back = ModelSpec.from_json(spec.to_json())
     assert build_local(back).entries.tobytes() == op.entries.tobytes()
 

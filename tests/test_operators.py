@@ -34,7 +34,6 @@ from ipszeta import (
     tensor_model_cr,
 )
 from ipszeta.config import DEFAULTS
-from ipszeta.models import is_unitary
 from ipszeta.operators import _UNITARY_TOL, _brute_traces, _transfer_cheaper, trace_series
 
 from helpers import (
@@ -385,6 +384,13 @@ def _no_cancellation_traces(local, n, r_max):
     return _brute_traces(np.abs(local.entries), (n,), r_max)[0].real
 
 
+# the engines round a subnormal C_r differently (transfer halves after every
+# step, brute scales once by 2^-N), so their bound has a floor of 256
+# subnormal steps; that is below 1e-12 * tiny, so wherever the scale is a
+# normal float it widens the relative bound by less than 6%
+_SUBNORMAL_FLOOR = 256 * np.finfo(np.float64).smallest_subnormal
+
+
 class TestTraceEngines:
     # draws whose C_r is subnormal, where the engines differ by 1-10 subnormal steps
     @example(([0.0, 1.0, 0.610132465262121, 1.401298464324817e-45],
@@ -401,12 +407,7 @@ class TestTraceEngines:
         brute = _brute_traces(local.entries, (n,), r_max)[0]
         transferred = transfer.traces(local.entries, (n,), r_max)[0]
         scale = _no_cancellation_traces(local, n, r_max)
-        # the engines round a subnormal C_r differently (transfer halves after
-        # every step, brute scales once by 2^-N), so the bound has a floor of
-        # 256 subnormal steps; that is below 1e-12 * tiny, so wherever the scale
-        # is a normal float it widens the relative bound by less than 6%
-        floor = 256 * np.finfo(np.float64).smallest_subnormal
-        assert np.all(np.abs(transferred - brute) <= 1e-12 * scale + floor)
+        assert np.all(np.abs(transferred - brute) <= 1e-12 * scale + _SUBNORMAL_FLOOR)
 
     # dyadic models: dk in quarters, and gdk at angles whose cos^2 are 1/2, 1/4 and 3/4
     @pytest.mark.parametrize("spec", [
@@ -499,22 +500,41 @@ class TestTraceEngines:
     @given(st.one_of(st.tuples(_REAL_BLOCK, _REAL_BLOCK), st.tuples(_COMPLEX_BLOCK, _COMPLEX_BLOCK)),
            st.integers(1, 12), st.data())
     def test_one_pass_equals_per_n_traces_bitwise(self, blocks, r_max, data):
-        local = LocalOperator.from_blocks(*(np.reshape(b, (2, 2)) for b in blocks))
-        crossover = next(n for n in range(1, 64) if _transfer_cheaper(n, r_max))
+        crossover = self._crossover(r_max)
         below = data.draw(st.sets(st.integers(1, crossover - 1), min_size=1), label="below")
         above = data.draw(st.sets(st.integers(crossover, crossover + 40), max_size=6),
                           label="above")
-        sizes = sorted(below | above)
-        engine = transfer.traces if above else _brute_traces
+        self._check_one_pass(blocks, r_max, sorted(below | above))
+
+    def test_one_pass_on_a_cancelling_sum(self):
+        # at N = 6 the engines differ by 2.0e-8 in C_12 = 1.09e4 (1.9e-12 of it),
+        # but by 6.8e-18 of the C_12 of |Q|: the sum cancels, neither engine errs
+        block = [1 + 0.25j, -0.5, -0.25, 1 + 1j]
+        self._check_one_pass((block, block), 12, [1, 2, 3, 4, 5, 6, 8])
+
+    @staticmethod
+    def _crossover(r_max):
+        """The smallest N at which the cost model picks transfer for ``r_max``."""
+        return next(n for n in range(1, 64) if _transfer_cheaper(n, r_max))
+
+    def _check_one_pass(self, blocks, r_max, sizes):
+        """Each row of a grid is bitwise the one-N row of the grid's engine, and agrees with
+        ``trace_powers`` at that N as the two engines agree in ``test_engines_agree``."""
+        local = LocalOperator.from_blocks(*(np.reshape(b, (2, 2)) for b in blocks))
+        crossover = self._crossover(r_max)
+        engine = transfer.traces if sizes[-1] >= crossover else _brute_traces
         pass_ = list(trace_series(local, sizes, r_max))
         assert [n for n, _ in pass_] == sizes
         for n, series in pass_:
             with np.errstate(over="ignore", invalid="ignore"):
                 alone = engine(local.entries, (n,), r_max)[0]
             assert series.c_values.tobytes() == alone.tobytes(), n
-            # a row below the crossover may come from the other engine than a one-N call
             one = GlobalOperator(local, n).trace_powers(r_max).c_values
-            assert np.all(np.abs(series.c_values - one) <= 1e-12 * np.maximum(1, np.abs(one))), n
+            if n >= crossover:  # the one-N call picks the grid's engine
+                assert one.tobytes() == alone.tobytes(), n
+            else:  # it picks brute, where the grid's row may come from transfer
+                scale = _no_cancellation_traces(local, n, r_max)
+                assert np.all(np.abs(series.c_values - one) <= 1e-12 * scale + _SUBNORMAL_FLOOR), n
 
     @pytest.mark.parametrize("sizes", [(7, 4), (4, 4)], ids=["decreasing", "repeated"])
     def test_grids_that_do_not_increase_are_refused(self, sizes):
@@ -663,7 +683,7 @@ class TestLogDetFactor:
             return [op.spectral_radius(), op.log_det_factor(0.3), op.log_det_factor(0.95)]
 
         first = facts()
-        once = {"classify": 1, "is_unitary": 1, "eigvalsh": 2, "eigh": 2}
+        once = {"classify": 1, "eigvalsh": 2, "eigh": 2}
         assert calls == once
         assert facts() == first and calls == once
 
@@ -702,7 +722,7 @@ class TestLogDetFactor:
     @pytest.mark.parametrize("n", (1, 3, 5))
     def test_complex_unitary_keeps_the_eigenvalue_path(self, n):
         local = build_local(ModelSpec.custom(_COMPLEX_UNITARY))
-        assert local.entries.dtype == np.complex128 and is_unitary(local, _UNITARY_TOL)
+        assert local.entries.dtype == np.complex128 and classify(local, _UNITARY_TOL).is_qca
         op = GlobalOperator(local, n)
         u = 0.7 * np.exp(0.4j)
         got = op.log_det_factor(u)
@@ -934,6 +954,19 @@ def test_period_check_allocates_no_block_sized_temporary():
     assert peak <= (4 << 20) + kernels._SLAB_BYTES + (256 << 10)
 
 
+# numpy refuses the (2^49, 256) image at N = 50 with MemoryError (2^60 bytes) and the
+# (2^63, 256) one at N = 64 with ValueError; both before any power is drawn
+@pytest.mark.parametrize("n, call", [
+    (50, lambda op: op.power_equals_identity(2, 1e-10)),
+    (64, lambda op: op.power_equals_identity(2, 1e-10)),
+    (64, lambda op: op.trace_powers(80)),  # R + 1 > N + 8: brute
+], ids=["memory", "dimension", "brute-traces"])
+def test_a_block_image_numpy_cannot_allocate_is_refused(n, call):
+    with pytest.raises(SizeExceeded, match=rf"N={n} needs a block image of shape \(\d+, 256\), "
+                                           r"\d+ bytes"):
+        call(_op(ModelSpec.qca2(0.3, 0.7), n))
+
+
 def _largest_matched_distance(eig, expected):
     """Largest |eig - expected| over the pairing that minimizes the total distance."""
     distance = np.abs(eig[:, None] - expected[None, :])
@@ -964,6 +997,23 @@ def test_unitary_spectrum_matches_the_oracles(blocks, n):
     if local.entries.dtype == np.float64:
         # each conjugate pair is exact: the conjugates are the spectrum, bit for bit
         np.testing.assert_array_equal(np.sort_complex(eig.conj()), eig)
+
+
+@pytest.mark.parametrize("eigh_fails", (False, True), ids=["lapack", "forced"])
+def test_a_block_eigh_cannot_solve_goes_to_qr(monkeypatch, eigh_fails):
+    # LAPACK's divide-and-conquer eigh (scipy-openblas 0.3.31) does not converge on
+    # parity block 1 of this real orthogonal Q at N = 7; a forced failure sends both blocks
+    def fail(matrix):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    if eigh_fails:
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+    local = LocalOperator.from_blocks(reflection(2.52752890862069), rotation(1e-05))
+    assert classify(local, _UNITARY_TOL).is_qca
+    eig = GlobalOperator(local, 7).eigenvalues()
+    assert len(eig) == 128
+    assert np.abs(np.abs(eig) - 1.0).max() <= 1e-12
+    assert _largest_matched_distance(eig, np.linalg.eigvals(kron_global(local.entries, 7))) <= 1e-12
 
 
 # a Gram matrix off the identity by 4 ulps passes the gate, by 15 it does not

@@ -35,7 +35,6 @@ from ipszeta import (
     zeta_closed_form_qca2,
 )
 from ipszeta.dynamics import evolve_states
-from ipszeta.models import is_unitary
 from ipszeta.serialize import (
     complex_pair,
     from_pair,
@@ -224,7 +223,6 @@ _TOLERANCES = {
     "run_formula-tol": (lambda v: run_formula("prop6_pi2", tol=v), False),  # None: the default
     "power_equals_identity-tol": (lambda v: _QCA2.power_equals_identity(2, v), True),
     "classify-tol": (lambda v: classify(_QCA2.local, v), True),
-    "is_unitary-tol": (lambda v: is_unitary(_QCA2.local, v), True),
     "factor_tensor-tol": (lambda v: factor_tensor(_QCA2.local, v), True),
 }
 # every public number: a call that passes the drawn value, and whether it must be real
